@@ -1,13 +1,14 @@
 """Command-line front door: generate, export, verify, and render preset figures.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 size cap
-exceeded.  All artifact output is deterministic; timing diagnostics go to
-stderr only.
+exceeded, 4 output could not be written.  All artifact output is
+deterministic; timing diagnostics go to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -22,12 +23,23 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_OUTPUT = 4
 
 # name -> ((p, q, layers), (azimuth, elevation))
 FIGURE_PRESETS = {
     "dl32": ((2, 3, 3), (165, 10)),
     "dl32-alt": ((2, 3, 3), (15, 25)),
 }
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle must be a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export", parents=[params], help="write the 3D scene in one serialization format")
     export.add_argument("--format", choices=FORMATS, default="tikz")
     export.add_argument("-o", "--output", default="-", help="output file ('-' for stdout)")
-    export.add_argument("--view", nargs=2, type=float, metavar=("AZ", "EL"),
+    export.add_argument("--view", nargs=2, type=_finite_float, metavar=("AZ", "EL"),
                         default=None, help=f"azimuth/elevation in degrees (default {DEFAULT_VIEW})")
     export.add_argument("--colors", nargs=3, metavar=("TREE_P", "TREE_Q", "DL"), default=None,
                         help="per-kind colors: TikZ styles, or stroke values for --format svg")
@@ -153,6 +165,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     sys.stderr.write(f"total: {time.perf_counter() - started:.3f}s\n")
     return status
 

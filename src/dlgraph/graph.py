@@ -19,7 +19,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .tree import CapExceededError, LayeredTree, TreeAddress
+from .tree import CapExceededError, LayeredTree, TreeAddress, as_integer
 
 DEFAULT_VERTEX_CAP = 200_000
 
@@ -117,8 +117,10 @@ class DLGraph:
         return self.params.layers
 
     def validate(self, vertex) -> DLVertex:
-        """Return ``vertex`` as a :class:`DLVertex`, rejecting out-of-range components."""
-        v = DLVertex(*vertex)
+        """Return ``vertex`` as a :class:`DLVertex`, rejecting non-integer and out-of-range components."""
+        height, orange, brown = DLVertex(*vertex)
+        v = DLVertex(as_integer(height, "height"), as_integer(orange, "orange index"),
+                     as_integer(brown, "brown index"))
         if not 0 <= v.height <= self.layers:
             raise ValueError(f"height {v.height} outside [0, {self.layers}]")
         if not 0 <= v.orange < self.p**v.height:

@@ -15,6 +15,7 @@ Vertices are addressed by ``TreeAddress(level, index)`` with
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -33,6 +34,18 @@ class TreeAddress(NamedTuple):
 
 
 ROOT = TreeAddress(0, 0)
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as a plain ``int``; floats, bools and other non-integers raise ``TypeError``."""
+    if type(value) is int:  # the common case; a bool's type is bool, not int
+        return value
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -67,8 +80,9 @@ class LayeredTree:
         return self.branching ** level
 
     def validate(self, address) -> TreeAddress:
-        """Return ``address`` as a :class:`TreeAddress`, rejecting out-of-range values."""
-        a = TreeAddress(*address)
+        """Return ``address`` as a :class:`TreeAddress`, rejecting non-integer and out-of-range values."""
+        level, index = TreeAddress(*address)
+        a = TreeAddress(as_integer(level, "level"), as_integer(index, "index"))
         if not 0 <= a.level <= self.layers:
             raise ValueError(f"level {a.level} outside [0, {self.layers}]")
         if not 0 <= a.index < self.branching ** a.level:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from dlgraph import VerificationReport
-from dlgraph.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from dlgraph.cli import EXIT_CAP, EXIT_OK, EXIT_OUTPUT, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 
 
 def run(capsys, *argv):
@@ -195,3 +195,21 @@ def test_cap_exceeded_exits_three(capsys):
     code, out, _ = run(capsys, "stats", "-p", "4", "-q", "4", "-L", "6", "--cap", "50000")
     assert code == EXIT_OK
     assert "vertices: 28672" in out
+
+
+def test_unwritable_output_exits_four(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.tex"
+    code, out, err = run(capsys, "export", "-o", str(target))
+    assert code == EXIT_OUTPUT
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("view", [("inf", "0"), ("0", "nan"), ("x", "0")])
+def test_non_finite_view_is_usage_error(capsys, view):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["export", "--view", *view])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "angle must be a finite number" in capsys.readouterr().err

@@ -148,6 +148,16 @@ def test_validation():
     assert (3, 7, 1) not in g
 
 
+@pytest.mark.parametrize("vertex", [(1.0, 0, 0), (1, 0.0, 0), (1, 0, 1.5), (True, 0, 0), (1, False, 0), (1, 0, "0")])
+def test_validation_rejects_non_integer_components(vertex):
+    g = DLGraph(DLParams(2, 3, 3))
+    assert vertex not in g
+    with pytest.raises(TypeError, match="must be an integer"):
+        g.validate(vertex)
+    with pytest.raises(TypeError):
+        g.neighbors(vertex)
+
+
 # ---------------------------------------------------------------------------
 # distances and connectivity
 

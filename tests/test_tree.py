@@ -91,6 +91,14 @@ def test_validate_rejects_out_of_range_addresses():
     assert (3, 8) not in tree
 
 
+@pytest.mark.parametrize("address", [(1.5, 0), (1.0, 0), (1, 0.0), (True, 0), (1, False), (None, 0)])
+def test_validate_rejects_non_integer_components(address):
+    tree = LayeredTree(2, 3)
+    assert address not in tree
+    with pytest.raises(TypeError, match="must be an integer"):
+        tree.validate(address)
+
+
 def test_level_sizes():
     tree = LayeredTree(3, 4)
     assert [tree.level_size(h) for h in range(5)] == [1, 3, 9, 27, 81]
@@ -276,6 +284,25 @@ def test_distance_symmetry_and_confluent_consistency(data):
     c = tree.confluent(a, b)
     assert tree.distance(a, b) == tree.distance(b, a) == (a.level - c.level) + (b.level - c.level)
     assert c == confluent_oracle(a, b, tree.branching)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_busemann_cocycle(data):
+    # b(x, o) = b(x, o2) + b(o2, o): the identity that lets check_level_condition
+    # compare each vertex against a single brown basepoint
+    tree = data.draw(st.tuples(st.integers(2, 3), st.integers(1, 8)).map(lambda t: LayeredTree(*t)))
+    x, o, o2 = (TreeAddress(*data.draw(address_in(tree))) for _ in range(3))
+    assert tree.busemann(x, o) == tree.busemann(x, o2) + tree.busemann(o2, o)
+
+
+@pytest.mark.parametrize("branching", [2, 3])
+@pytest.mark.parametrize("layers", [1, 2, 3, 4])
+def test_top_level_is_one_horocycle(branching, layers):
+    tree = LayeredTree(branching, layers)
+    top = [TreeAddress(layers, index) for index in range(branching**layers)]
+    for o in top:
+        assert all(tree.busemann(x, o) == 0 for x in top)
 
 
 @settings(deadline=None, max_examples=200)

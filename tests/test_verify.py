@@ -12,9 +12,12 @@ from dlgraph import (
     DLGraph,
     DLParams,
     DLVertex,
+    LayeredTree,
     MutatedGraph,
+    ROOT,
     Scene3D,
     Segment,
+    TreeAddress,
     build_scene,
     check_counts,
     check_degree_law,
@@ -72,8 +75,10 @@ def test_level_condition_passes(p, q, layers):
 
 
 def test_level_condition_counts_all_pairings():
+    # one horocycle sweep over the 27 brown basepoints, then one brown
+    # evaluation per vertex
     result = check_level_condition(graph(2, 3, 3))
-    assert result.detail == {"basepoints": 27, "pairings": 65 * 27}
+    assert result.detail == {"basepoints": 27, "pairings": 27 + 65}
 
 
 def test_level_condition_fails_on_mismatched_pair():
@@ -81,6 +86,44 @@ def test_level_condition_fails_on_mismatched_pair():
     result = check_level_condition(MutatedGraph(graph(), add_vertices=[(3, 0, 5)]))
     assert result.status == "fail"
     assert "(3, 0, 5)" in result.counterexample
+
+
+def test_level_condition_fails_on_non_integer_vertex():
+    result = check_level_condition(MutatedGraph(graph(), add_vertices=[(1.0, 0, 0)]))
+    assert result.status == "fail"
+    assert "(1.0, 0, 0)" in result.counterexample
+
+
+def test_level_condition_sweep_fails_on_basepoint_off_the_horocycle(monkeypatch):
+    honest = LayeredTree.busemann
+    off = TreeAddress(3, 13)
+
+    def busemann(self, x, o=ROOT):
+        shift = 1 if self.branching == 3 and tuple(o) == off else 0
+        return honest(self, x, o) + shift
+
+    monkeypatch.setattr(LayeredTree, "busemann", busemann)
+    result = check_level_condition(graph(2, 3, 3))
+    assert result.status == "fail"
+    assert "brown basepoint (3, 13)" in result.counterexample
+    assert "(3, 0)" in result.counterexample
+    assert "shift 1" in result.counterexample
+
+
+def test_level_condition_fails_on_wrong_brown_height(monkeypatch):
+    honest = LayeredTree.busemann
+    wrong = TreeAddress(2, 4)  # the brown component of the vertices (1, j, 4)
+
+    def busemann(self, x, o=ROOT):
+        shift = 1 if self.branching == 3 and tuple(x) == wrong else 0
+        return honest(self, x, o) + shift
+
+    monkeypatch.setattr(LayeredTree, "busemann", busemann)
+    result = check_level_condition(graph(2, 3, 3))
+    assert result.status == "fail"
+    assert result.counterexample == (
+        "vertex (1, 0, 4) with brown basepoint (3, 0): brown relative height 0 != -1"
+    )
 
 
 # ---------------------------------------------------------------------------
