@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dlgraph
 from dlgraph import VerificationReport
 from dlgraph.cli import EXIT_CAP, EXIT_OK, EXIT_OUTPUT, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 
@@ -88,6 +93,22 @@ def test_export_is_byte_deterministic(tmp_path, capsys, format):
     assert run(capsys, "export", "--format", format, "-o", str(first))[0] == EXIT_OK
     assert run(capsys, "export", "--format", format, "-o", str(second))[0] == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    *(("export", "-p", "2", "-q", "3", "-L", "3", "--format", fmt) for fmt in ("tikz", "json", "obj", "svg")),
+    ("verify", "-p", "2", "-q", "2", "-L", "4"),
+])
+def test_stdout_is_identical_across_hash_seeds(argv):
+    # separate interpreters, so set and dict order cannot leak into the output
+    outputs = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": str(Path(dlgraph.__file__).resolve().parent.parent)}
+        proc = subprocess.run([sys.executable, "-m", "dlgraph", *argv], env=env,
+                              capture_output=True, timeout=120, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

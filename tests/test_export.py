@@ -3,6 +3,7 @@ well-formedness, the SVG camera, and byte-level determinism."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from dlgraph import (
+    DEFAULT_VIEW,
     DLGraph,
     DLParams,
     ExportOptions,
@@ -58,6 +60,21 @@ def test_format_number():
     assert format_number(Fraction(2, 3), 2) == "0.67"
     assert format_number(-0.0000001, 6) == "0"  # rounds to zero, no "-0"
     assert format_number(1.25, 1) == "1.2"
+    for digits in (1, 2, 6):
+        assert format_number(0, digits) == "0"
+        assert format_number(12, digits) == "12"
+        assert format_number(-3, digits) == "-3"
+        assert format_number(Fraction(0), digits) == "0"
+        assert format_number(Fraction(-4, 2), digits) == "-2"
+        assert format_number(Fraction(1, 2), digits) == "0.5"
+        assert format_number(Fraction(-1, 2), digits) == "-0.5"
+        assert format_number(Fraction(27, 2), digits) == "13.5"
+        assert format_number(Fraction(-27, 2), digits) == "-13.5"
+    # no fractional digits: exact halves round half to even
+    assert format_number(Fraction(1, 2), 0) == "0"
+    assert format_number(Fraction(-1, 2), 0) == "0"
+    assert format_number(Fraction(3, 2), 0) == "2"
+    assert format_number(Fraction(5, 2), 0) == "2"
 
 
 def test_export_options_validation():
@@ -65,6 +82,29 @@ def test_export_options_validation():
         ExportOptions(format="png")
     with pytest.raises(ValueError):
         ExportOptions(decimal_digits=0)
+
+
+# ---------------------------------------------------------------------------
+# golden digests
+
+# name -> (p, q, layers, view, decimal_digits); (33.3, -12.5) gives SVG
+# non-cardinal float sines.  golden/digests.json holds the SHA-256 of each
+# rendered document; a digest changes only when the output bytes change.
+GOLDEN_SCENES = {
+    "DL(2,3) L=3": (2, 3, 3, DEFAULT_VIEW, 6),
+    "DL(3,2) L=4": (3, 2, 4, (15, 25), 3),
+    "DL(2,2) L=5": (2, 2, 5, (33.3, -12.5), 6),
+}
+
+
+@pytest.mark.parametrize("format", ["tikz", "json", "obj", "svg"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCENES))
+def test_render_matches_golden_digest(name, format):
+    p, q, layers, view, digits = GOLDEN_SCENES[name]
+    doc = render(build_scene(DLGraph(DLParams(p, q, layers)), view),
+                 ExportOptions(format=format, decimal_digits=digits))
+    digests = json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))
+    assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == digests[name][format]
 
 
 # ---------------------------------------------------------------------------

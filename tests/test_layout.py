@@ -15,6 +15,7 @@ from dlgraph import (
     KIND_DL,
     KIND_TREE_P,
     KIND_TREE_Q,
+    Point3,
     brown_position,
     build_scene,
     dl_position,
@@ -147,6 +148,26 @@ def test_all_coordinates_are_half_integers():
                 assert Fraction(coordinate).denominator in (1, 2)
 
 
+@pytest.mark.parametrize("p,q,layers", [(2, 3, 3), (3, 2, 3), (3, 3, 2)])
+def test_scene_endpoints_are_the_public_positions(p, q, layers):
+    # every endpoint equals, value and type, the public position of its kind
+    params = DLParams(p, q, layers)
+    for seg in scene_for(p, q, layers).segments:
+        for point in (seg.a, seg.b):
+            h = int(point.z)
+            if seg.kind == KIND_DL:
+                expected = dl_position(params, invert_dl_position(params, point))
+            elif seg.kind == KIND_TREE_P:
+                j = invert_dl_position(params, (point.x, brown_position(q, layers, h, 0).y, h)).orange
+                expected = orange_position(p, layers, h, j)
+            else:
+                k = invert_dl_position(params, (orange_position(p, layers, h, 0).x, point.y, h)).brown
+                expected = brown_position(q, layers, h, k)
+            assert point == expected
+            assert type(point) is Point3
+            assert [type(c) for c in point] == [type(c) for c in expected] == [Fraction] * 3
+
+
 @pytest.mark.parametrize("p,q,layers", [(2, 2, 2), (2, 3, 3), (3, 2, 2), (3, 3, 2)])
 def test_per_height_positions_are_injective(p, q, layers):
     params = DLParams(p, q, layers)
@@ -175,8 +196,11 @@ def test_dl_segments_invert_to_the_edge_set(p, q, layers):
     assert inverted == expected
 
 
-def test_inversion_round_trips_vertices():
-    params = DLParams(2, 3, 3)
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_inversion_round_trips_vertices(p, q, layers):
+    params = DLParams(p, q, layers)
     for v in DLGraph(params).vertices():
         assert invert_dl_position(params, dl_position(params, v)) == v
 
@@ -184,9 +208,27 @@ def test_inversion_round_trips_vertices():
 def test_inversion_rejects_off_lattice_points():
     params = DLParams(2, 3, 3)
     good = dl_position(params, DLVertex(1, 0, 0))
-    with pytest.raises(ValueError):
+    assert good == (Fraction(3, 2), 1, 1)
+    with pytest.raises(ValueError, match=r"^x = 7/4 is not an orange node position at height 1$"):
         invert_dl_position(params, (good.x + Fraction(1, 4), good.y, good.z))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^z = 1/2 is not a drawing height$"):
         invert_dl_position(params, (good.x, good.y, Fraction(1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^y = 101 is not a brown node position at height 1$"):
         invert_dl_position(params, (good.x, good.y + 100, good.z))
+    # a half-integer, but between two orange nodes
+    with pytest.raises(ValueError, match=r"^x = 2 is not an orange node position at height 1$"):
+        invert_dl_position(params, (good.x + Fraction(1, 2), good.y, good.z))
+    # brown index k = q**(L-h) = 9, one spacing past the last node
+    with pytest.raises(ValueError, match=r"^y = 28 is not a brown node position at height 1$"):
+        invert_dl_position(params, (good.x, good.y + 9 * 3, good.z))
+    # orange index j = -1
+    with pytest.raises(ValueError, match=r"^x = -5/2 is not an orange node position at height 1$"):
+        invert_dl_position(params, (good.x - 4, good.y, good.z))
+    with pytest.raises(ValueError, match=r"^z = 4 is not a drawing height$"):
+        invert_dl_position(params, (good.x, good.y, 4))
+    # plain int and float coordinates are read exactly
+    assert invert_dl_position(params, (5, 13, 3)) == DLVertex(3, 5, 0)
+    assert invert_dl_position(params, (5.0, 13.0, 3.0)) == DLVertex(3, 5, 0)
+    assert invert_dl_position(params, (1.5, 1, 1)) == DLVertex(1, 0, 0)
+    with pytest.raises(ValueError, match=r"^z = 1/2 is not a drawing height$"):
+        invert_dl_position(params, (1.5, 1.0, 0.5))
