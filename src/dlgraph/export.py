@@ -21,9 +21,7 @@ from .layout import (
     KINDS,
     Point3,
     Scene3D,
-    brown_position,
-    dl_position,
-    orange_position,
+    coordinate_rows,
 )
 
 FORMATS = ("tikz", "json", "obj", "svg")
@@ -59,6 +57,11 @@ class ExportOptions:
 
 def format_number(value, digits: int = 6) -> str:
     """Shortest decimal with at most ``digits`` fractional digits, trailing zeros trimmed."""
+    if digits >= 1 and type(value) in (int, Fraction) and value.denominator <= 2:
+        # n or n/2 is exact with one fractional digit
+        num, den = value.numerator, value.denominator
+        text = f"{abs(num) // den}.5" if den == 2 else str(abs(num))
+        return "-" + text if num < 0 else text
     scale = 10**digits
     scaled = round(Fraction(value) * scale)
     if scaled == 0:
@@ -128,62 +131,55 @@ def export_json(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     child) id pairs.
     """
     params = scene.params
-    graph = DLGraph(params)
+    p, q, L = params.p, params.q, params.layers
     az, el = _effective_view(scene, opts)
+    xs, ys = coordinate_rows(params)
+    xs = [[float(x) for x in row] for row in xs]
+    ys = [[float(y) for y in row] for row in ys]
 
-    vertices = []
-    for v in graph.vertices():
-        pos = dl_position(params, v)
-        vertices.append(
-            {
-                "id": graph.vertex_index(v),
-                "h": v.height,
-                "orange": v.orange,
-                "brown": v.brown,
-                "pos": [float(pos.x), float(pos.y), float(pos.z)],
-            }
-        )
-    edges = [
-        {"a": graph.vertex_index(a), "b": graph.vertex_index(b), "kind": "dl"}
-        for a, b in graph.edges()
+    widths = [len(row) for row in ys]
+    offsets = [0]
+    for h in range(L + 1):
+        offsets.append(offsets[-1] + len(xs[h]) * widths[h])
+
+    def vertex_id(h: int, j: int, k: int) -> int:
+        """Rank of vertex (h, j, k) in ``DLGraph.vertices()``."""
+        return offsets[h] + j * widths[h] + k
+
+    vertices = [
+        {"id": vertex_id(h, j, k), "h": h, "orange": j, "brown": k, "pos": [x, y, float(h)]}
+        for h in range(L + 1)
+        for j, x in enumerate(xs[h])
+        for k, y in enumerate(ys[h])
     ]
+    edges = [{"a": vertex_id(*a), "b": vertex_id(*b), "kind": "dl"} for a, b in DLGraph(params).edges()]
 
     doc = {
-        "params": {"p": params.p, "q": params.q, "layers": params.layers},
+        "params": {"p": p, "q": q, "layers": L},
         "view": [_json_number(az), _json_number(el)],
         "vertices": vertices,
         "edges": edges,
-        "tree_p": _tree_block(params.p, params.layers, orange=True),
-        "tree_q": _tree_block(params.q, params.layers, orange=False),
+        "tree_p": _tree_block(p, [[[x, 0.0, float(h)] for x in xs[h]] for h in range(L + 1)]),
+        "tree_q": _tree_block(q, [[[0.0, y, float(L - level)] for y in ys[L - level]] for level in range(L + 1)]),
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _tree_block(b: int, layers: int, orange: bool) -> dict:
-    """Nodes and parent->child edges of one tree layer, with drawn positions."""
+def _tree_block(b: int, positions: list[list[list[float]]]) -> dict:
+    """Nodes and parent->child edges of one tree layer; ``positions[level][index]``
+    is the drawn position of a node."""
     offsets = [0]
-    for level in range(layers + 1):
-        offsets.append(offsets[-1] + b**level)
+    for row in positions:
+        offsets.append(offsets[-1] + len(row))
 
     def node_id(level: int, index: int) -> int:
         return offsets[level] + index
 
     nodes = []
     edges = []
-    for level in range(layers + 1):
-        for index in range(b**level):
-            if orange:
-                pos = orange_position(b, layers, level, index)
-            else:
-                pos = brown_position(b, layers, layers - level, index)
-            nodes.append(
-                {
-                    "id": node_id(level, index),
-                    "level": level,
-                    "index": index,
-                    "pos": [float(pos.x), float(pos.y), float(pos.z)],
-                }
-            )
+    for level, row in enumerate(positions):
+        for index, pos in enumerate(row):
+            nodes.append({"id": node_id(level, index), "level": level, "index": index, "pos": pos})
             if level > 0:
                 edges.append({"a": node_id(level - 1, index // b), "b": node_id(level, index)})
     return {"nodes": nodes, "edges": edges}
@@ -236,9 +232,17 @@ def project_point(point, azimuth_deg, elevation_deg) -> tuple[Fraction, Fraction
     0/1 values.  This camera is this library's own convention, not a claim
     about any particular plotting toolchain.
     """
+    return _project(point, _camera(azimuth_deg, elevation_deg))
+
+
+def _camera(azimuth_deg, elevation_deg) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(sin az, cos az, sin el, cos el) for :func:`_project`."""
+    return _sin_deg(azimuth_deg), _cos_deg(azimuth_deg), _sin_deg(elevation_deg), _cos_deg(elevation_deg)
+
+
+def _project(point, camera) -> tuple[Fraction, Fraction]:
     x, y, z = (Fraction(c) for c in point)
-    sa, ca = _sin_deg(azimuth_deg), _cos_deg(azimuth_deg)
-    se, ce = _sin_deg(elevation_deg), _cos_deg(elevation_deg)
+    sa, ca, se, ce = camera
     u = -sa * x + ca * y
     v = ce * z - se * (ca * x + sa * y)
     return u, v
@@ -255,10 +259,11 @@ def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     stroke = {KIND_TREE_P: opts.svg_colors[0], KIND_TREE_Q: opts.svg_colors[1], KIND_DL: opts.svg_colors[2]}
 
     projected: dict[str, list[tuple[Fraction, Fraction, Fraction, Fraction]]] = {kind: [] for kind in KINDS}
+    camera = _camera(az, el)
     us, vs = [], []
     for seg in scene.segments:
-        ua, va = project_point(seg.a, az, el)
-        ub, vb = project_point(seg.b, az, el)
+        ua, va = _project(seg.a, camera)
+        ub, vb = _project(seg.b, camera)
         projected[seg.kind].append((ua, va, ub, vb))
         us += [ua, ub]
         vs += [va, vb]

@@ -11,8 +11,9 @@ Drawing conventions (the drawing height h is the z coordinate):
 * the DL vertex (h, j, k) inherits x from its orange component and y from
   its brown component.
 
-Coordinates are exact rationals (always multiples of 1/2); rounding happens
-only at export time.
+Every coordinate is a multiple of 1/2, so it is computed as a doubled
+integer, ``2x = (2j+1) * p**(L-h) - 1`` and ``2y = (2k+1) * q**h - 1``, and
+surfaced as an exact ``Fraction``; rounding happens only at export time.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .graph import DLGraph, DLParams, DLVertex
-
-HALF = Fraction(1, 2)
 
 KIND_TREE_P = "tree-p"
 KIND_TREE_Q = "tree-q"
@@ -66,14 +65,41 @@ class Scene3D:
         return counts
 
 
+def _coordinate(spacing: int, index: int) -> Fraction:
+    """Coordinate of node ``index`` in a row of nodes ``spacing`` apart, node 0
+    centred over ``[0, spacing - 1]``: twice it is ``(2*index + 1) * spacing - 1``.
+
+    The orange row at height h has spacing ``p**(L-h)`` (x), the brown row
+    ``q**h`` (y).
+    """
+    return Fraction((2 * index + 1) * spacing - 1, 2)
+
+
+def _row_index(value: Fraction, spacing: int, count: int) -> int | None:
+    """The index i < ``count`` with ``value == _coordinate(spacing, i)``, or None."""
+    if value.denominator > 2:
+        return None
+    # 2*value + 1 = (2i + 1) * spacing: quotient i and remainder spacing by 2*spacing
+    index, rest = divmod(value.numerator * (2 // value.denominator) + 1, 2 * spacing)
+    return index if rest == spacing and 0 <= index < count else None
+
+
+def coordinate_rows(params: DLParams) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Every drawn coordinate once: ``xs[h][j]`` of orange node j and ``ys[h][k]``
+    of brown node k, both at drawing height h."""
+    p, q, L = params.p, params.q, params.layers
+    xs = [[_coordinate(p ** (L - h), j) for j in range(p**h)] for h in range(L + 1)]
+    ys = [[_coordinate(q**h, k) for k in range(q ** (L - h))] for h in range(L + 1)]
+    return xs, ys
+
+
 def orange_position(p: int, layers: int, level: int, index: int) -> Point3:
     """Position of orange node ``index`` at ``level``, in the plane y = 0."""
     if not 0 <= level <= layers:
         raise ValueError(f"level {level} outside [0, {layers}]")
     if not 0 <= index < p**level:
         raise ValueError(f"index {index} invalid at level {level}")
-    spacing = Fraction(p ** (layers - level))
-    return Point3(spacing / 2 - HALF + index * spacing, Fraction(0), Fraction(level))
+    return Point3(_coordinate(p ** (layers - level), index), Fraction(0), Fraction(level))
 
 
 def brown_position(q: int, layers: int, height: int, index: int) -> Point3:
@@ -82,8 +108,7 @@ def brown_position(q: int, layers: int, height: int, index: int) -> Point3:
         raise ValueError(f"height {height} outside [0, {layers}]")
     if not 0 <= index < q ** (layers - height):
         raise ValueError(f"index {index} invalid at drawn height {height}")
-    spacing = Fraction(q**height)
-    return Point3(Fraction(0), spacing / 2 - HALF + index * spacing, Fraction(height))
+    return Point3(Fraction(0), _coordinate(q**height, index), Fraction(height))
 
 
 def dl_position(params: DLParams, vertex) -> Point3:
@@ -96,19 +121,17 @@ def dl_position(params: DLParams, vertex) -> Point3:
 
 def invert_dl_position(params: DLParams, point) -> DLVertex:
     """Recover the DL vertex drawn at ``point``; raises ValueError off-lattice."""
-    x, y, z = (Fraction(c) for c in point)
+    x, y, z = (c if isinstance(c, Fraction) else Fraction(c) for c in point)
     if z.denominator != 1 or not 0 <= z <= params.layers:
         raise ValueError(f"z = {z} is not a drawing height")
-    h = int(z)
-    pspacing = Fraction(params.p ** (params.layers - h))
-    j = (x - pspacing / 2 + HALF) / pspacing
-    if j.denominator != 1 or not 0 <= j < params.p**h:
+    h = z.numerator
+    j = _row_index(x, params.p ** (params.layers - h), params.p**h)
+    if j is None:
         raise ValueError(f"x = {x} is not an orange node position at height {h}")
-    qspacing = Fraction(params.q**h)
-    k = (y - qspacing / 2 + HALF) / qspacing
-    if k.denominator != 1 or not 0 <= k < params.q ** (params.layers - h):
+    k = _row_index(y, params.q**h, params.q ** (params.layers - h))
+    if k is None:
         raise ValueError(f"y = {y} is not a brown node position at height {h}")
-    return DLVertex(h, int(j), int(k))
+    return DLVertex(h, j, k)
 
 
 def build_scene(graph: DLGraph, view=DEFAULT_VIEW) -> Scene3D:
@@ -121,33 +144,19 @@ def build_scene(graph: DLGraph, view=DEFAULT_VIEW) -> Scene3D:
     """
     params = graph.params
     p, q, L = params.p, params.q, params.layers
+    xs, ys = coordinate_rows(params)
+    zero = Fraction(0)
+    zs = [Fraction(h) for h in range(L + 1)]
     segments = []
     for n in range(1, L + 1):
-        for k in range(p ** (n - 1)):
-            for child in range(p):
-                segments.append(
-                    Segment(
-                        KIND_TREE_P,
-                        orange_position(p, L, n, k * p + child),
-                        orange_position(p, L, n - 1, k),
-                    )
-                )
-        for k in range(q ** (L - n)):
-            for child in range(q):
-                segments.append(
-                    Segment(
-                        KIND_TREE_Q,
-                        brown_position(q, L, n, k),
-                        brown_position(q, L, n - 1, k * q + child),
-                    )
-                )
-                for kk in range(p ** (n - 1)):
-                    for childprime in range(p):
-                        segments.append(
-                            Segment(
-                                KIND_DL,
-                                dl_position(params, DLVertex(n, kk * p + childprime, k)),
-                                dl_position(params, DLVertex(n - 1, kk, k * q + child)),
-                            )
-                        )
+        x_top, x_bottom, z_top, z_bottom = xs[n], xs[n - 1], zs[n], zs[n - 1]
+        parents = [Point3(x, zero, z_bottom) for x in x_bottom]
+        segments += [Segment(KIND_TREE_P, Point3(x, zero, z_top), parents[j // p]) for j, x in enumerate(x_top)]
+        for k, y_top in enumerate(ys[n]):
+            brown_top = Point3(zero, y_top, z_top)
+            dl_tops = [Point3(x, y_top, z_top) for x in x_top]
+            for y in ys[n - 1][k * q : k * q + q]:
+                segments.append(Segment(KIND_TREE_Q, brown_top, Point3(zero, y, z_bottom)))
+                dl_bottoms = [Point3(x, y, z_bottom) for x in x_bottom]
+                segments += [Segment(KIND_DL, top, dl_bottoms[j // p]) for j, top in enumerate(dl_tops)]
     return Scene3D(params=params, view=tuple(view), segments=tuple(segments))
