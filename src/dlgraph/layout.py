@@ -121,6 +121,7 @@ def dl_position(params: DLParams, vertex) -> Point3:
 
 def invert_dl_position(params: DLParams, point) -> DLVertex:
     """Recover the DL vertex drawn at ``point``; raises ValueError off-lattice."""
+    # scene points hold Fractions already; re-wrapping one costs as much as the lookup
     x, y, z = (c if isinstance(c, Fraction) else Fraction(c) for c in point)
     if z.denominator != 1 or not 0 <= z <= params.layers:
         raise ValueError(f"z = {z} is not a drawing height")
