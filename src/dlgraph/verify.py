@@ -242,7 +242,8 @@ def _refined_labels(adjacency: dict, dist: dict, rounds: int = 3) -> dict:
 def _reference(ball: tuple[dict, dict]) -> tuple:
     """(adjacency, refined labels, sorted label multiset, search order) of the reference ball.
 
-    Computed once per :func:`check_local_homogeneity` call.
+    Computed at most once per :func:`check_local_homogeneity` call, for the
+    first ball that :func:`_shape` does not match.
     """
     dist, adjacency = ball
     labels = _refined_labels(adjacency, dist)
@@ -251,6 +252,60 @@ def _reference(ball: tuple[dict, dict]) -> tuple:
     # search order can be fixed from the reference ball alone.
     order = sorted(adjacency, key=lambda u: (class_size[labels[u]], dist[u], u))
     return adjacency, labels, sorted(labels.values()), order
+
+
+def _tree_code(index: int, depth: int, root: int, shift: tuple[int, ...], branching: int) -> int:
+    """Tree node ``index``, ``depth`` levels above ``root``, read below ``root``
+    with its first ``len(shift)`` base-``branching`` digits shifted by
+    ``shift`` mod ``branching``.
+
+    For fixed arguments other than ``index`` this is a bijection of the
+    integers; on the subtree of ``root`` it is a tree automorphism, since a
+    level-wise digit shift preserves every prefix.
+    """
+    size = branching**depth
+    code = index - root * size
+    for s in shift[:depth]:
+        size //= branching
+        digit = code // size % branching
+        code += ((digit - s) % branching - digit) * size
+    return code
+
+
+def _shape(params, adjacency: dict, center, radius: int) -> tuple[frozenset, frozenset] | None:
+    """The vertex and edge sets of the ball ``adjacency`` around ``center``,
+    renamed by a translation that sends ``center`` to (0, 0, 0).
+
+    A ball vertex (h', j', k') around the centre (h, j, k) becomes
+    (h' - h, orange code, brown code).  The orange code reads ``j'`` below
+    the centre's orange ancestor A at level h - radius and shifts its first
+    ``radius`` digits by the centre's own; the brown code does the same on
+    the q-tree at internal levels L - h' and L - h.  The renaming is
+    injective, so two balls with equal shapes are isomorphic by a map that
+    fixes the centre.  On an undamaged interior ball it is the restriction
+    of a DL automorphism (the two digit shifts and a height shift), so all
+    such balls have the same shape.  None when a vertex is not an integer
+    triple or lies more than ``radius`` heights from the centre.
+    """
+    h, j, k = center
+    if not type(h) is type(j) is type(k) is int:
+        return None
+    p, q = params.p, params.q
+    orange_root, brown_root = j // p**radius, k // q**radius
+    orange_shift = tuple(j // p**i % p for i in reversed(range(radius)))
+    brown_shift = tuple(k // q**i % q for i in reversed(range(radius)))
+    codes = {}
+    for v in adjacency:
+        height, orange, brown = v
+        if not (type(height) is type(orange) is type(brown) is int and abs(height - h) <= radius):
+            return None
+        codes[v] = (
+            height - h,
+            _tree_code(orange, height - h + radius, orange_root, orange_shift, p),
+            _tree_code(brown, h - height + radius, brown_root, brown_shift, q),
+        )
+    edges = frozenset((codes[u], codes[w]) for u, near in adjacency.items() for w in near)
+    return frozenset(codes.values()), edges
 
 
 def _balls_isomorphic(reference: tuple, ball_b: tuple[dict, dict]) -> bool:
@@ -295,9 +350,13 @@ def check_local_homogeneity(g, radius: int) -> CheckResult:
     """All interior balls of the given radius are pairwise isomorphic.
 
     Interior means radius <= h <= layers - radius, where the truncation ball
-    coincides with the ball of the untruncated graph.  Isomorphism against a
-    fixed reference ball is established by brute-force backtracking with
-    distance/degree refinement pruning.
+    coincides with the ball of the untruncated graph.  Each ball is compared
+    with a fixed reference ball.  First comes a translation witness: DL(p, q)
+    is vertex-transitive by products of tree automorphisms and height shifts,
+    and :func:`_shape` carries each ball by one of them; equal shapes prove
+    the isomorphism.  A ball the witness does not carry is decided by
+    exhaustive backtracking with distance/degree refinement pruning, which
+    alone can declare a failure.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
@@ -311,9 +370,14 @@ def check_local_homogeneity(g, radius: int) -> CheckResult:
     neighbor_cache: dict = {}
     reference = interior[0]
     reference_ball = _ball(g, reference, radius, neighbor_cache)
-    prepared = _reference(reference_ball)
+    reference_shape = _shape(g.params, reference_ball[1], reference, radius)
+    prepared = None
     for v in interior[1:]:
         ball = _ball(g, v, radius, neighbor_cache)
+        if reference_shape is not None and _shape(g.params, ball[1], v, radius) == reference_shape:
+            continue
+        if prepared is None:
+            prepared = _reference(reference_ball)
         if not _balls_isomorphic(prepared, ball):
             return _result(
                 name, params, started, FAIL,

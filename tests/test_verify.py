@@ -27,6 +27,7 @@ from dlgraph import (
     check_scene_graph_agreement,
     run_checks,
 )
+from dlgraph import verify
 from dlgraph.verify import _lamp_state
 
 
@@ -176,6 +177,67 @@ def test_local_homogeneity_fails_on_removed_interior_edge():
     result = check_local_homogeneity(MutatedGraph(g, drop_edges=[((3, 7, 1), (2, 3, 3))]), 2)
     assert result.status == "fail"
     assert "ball around" in result.counterexample
+
+
+def test_local_homogeneity_fails_on_added_interior_edge():
+    # (4, 2, 0) is already two steps from every centre next to (3, 0, 0), so
+    # each ball keeps its vertex set and only its edge set tells
+    g = graph(2, 2, 4)
+    assert not g.is_edge((4, 2, 0), (3, 0, 0))
+    result = check_local_homogeneity(MutatedGraph(g, add_edges=[((4, 2, 0), (3, 0, 0))]), 2)
+    assert result.status == "fail"
+    assert "ball around" in result.counterexample
+
+
+@pytest.mark.parametrize("extra", [(3, 8, 0), (2.5, 0, 0)], ids=["out-of-range", "non-integer"])
+def test_local_homogeneity_fails_on_added_vertex(extra):
+    g = graph(2, 2, 4)
+    result = check_local_homogeneity(MutatedGraph(g, add_vertices=[extra], add_edges=[(extra, (2, 3, 3))]), 2)
+    assert result.status == "fail"
+    assert "ball around" in result.counterexample
+
+
+@pytest.mark.parametrize("p,q,layers,radius", [(2, 3, 6, 2), (2, 2, 8, 2), (3, 3, 6, 3), (3, 2, 5, 1)])
+def test_local_homogeneity_proves_undamaged_balls_by_translation(monkeypatch, p, q, layers, radius):
+    def no_search(reference, ball):
+        raise AssertionError("the translation witness should carry every undamaged ball")
+
+    monkeypatch.setattr(verify, "_balls_isomorphic", no_search)
+    assert check_local_homogeneity(graph(p, q, layers), radius).status == "pass"
+
+
+class SwappedNames:
+    """A DL graph with two vertex names exchanged: isomorphic to the graph,
+    but not by the translation that matches names."""
+
+    def __init__(self, base: DLGraph, a, b):
+        self.base = base
+        self.params = base.params
+        self.swap = {DLVertex(*a): DLVertex(*b), DLVertex(*b): DLVertex(*a)}
+
+    def rename(self, v) -> DLVertex:
+        return self.swap.get(v, v)
+
+    def vertices(self):
+        return map(self.rename, self.base.vertices())
+
+    def neighbors(self, v) -> list[DLVertex]:
+        return [self.rename(w) for w in self.base.neighbors(self.rename(DLVertex(*v)))]
+
+
+def test_local_homogeneity_searches_balls_the_translation_misses(monkeypatch):
+    searched = []
+    honest = verify._balls_isomorphic
+
+    def counting(reference, ball):
+        searched.append(ball)
+        return honest(reference, ball)
+
+    monkeypatch.setattr(verify, "_balls_isomorphic", counting)
+    result = check_local_homogeneity(SwappedNames(graph(2, 3, 4), (2, 0, 0), (2, 3, 8)), 2)
+    assert result.status == "pass"
+    assert result.detail == {"interior_vertices": 36, "ball_size": 22}
+    assert len(searched) == 35
 
 
 # ---------------------------------------------------------------------------
