@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .graph import DLGraph, DLParams, DLVertex
+from .tree import as_integer
 
 KIND_TREE_P = "tree-p"
 KIND_TREE_Q = "tree-q"
@@ -95,6 +96,7 @@ def coordinate_rows(params: DLParams) -> tuple[list[list[Fraction]], list[list[F
 
 def orange_position(p: int, layers: int, level: int, index: int) -> Point3:
     """Position of orange node ``index`` at ``level``, in the plane y = 0."""
+    level, index = as_integer(level, "level"), as_integer(index, "index")
     if not 0 <= level <= layers:
         raise ValueError(f"level {level} outside [0, {layers}]")
     if not 0 <= index < p**level:
@@ -104,6 +106,7 @@ def orange_position(p: int, layers: int, level: int, index: int) -> Point3:
 
 def brown_position(q: int, layers: int, height: int, index: int) -> Point3:
     """Position of the brown node ``index`` drawn at ``height``, in the plane x = 0."""
+    height, index = as_integer(height, "height"), as_integer(index, "index")
     if not 0 <= height <= layers:
         raise ValueError(f"height {height} outside [0, {layers}]")
     if not 0 <= index < q ** (layers - height):
@@ -114,9 +117,9 @@ def brown_position(q: int, layers: int, height: int, index: int) -> Point3:
 def dl_position(params: DLParams, vertex) -> Point3:
     """Position of a DL vertex: orange x, brown y, height z."""
     v = DLVertex(*vertex)
-    ox = orange_position(params.p, params.layers, v.height, v.orange).x
+    orange = orange_position(params.p, params.layers, v.height, v.orange)
     by = brown_position(params.q, params.layers, v.height, v.brown).y
-    return Point3(ox, by, Fraction(v.height))
+    return Point3(orange.x, by, orange.z)
 
 
 def invert_dl_position(params: DLParams, point) -> DLVertex:

@@ -65,6 +65,38 @@ def test_position_validation():
         brown_position(3, 3, 1, 9)
 
 
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_position_validation_rejects_non_integers(bad):
+    params = DLParams(2, 3, 3)
+    calls = [
+        lambda: orange_position(2, 3, bad, 0),
+        lambda: orange_position(2, 3, 1, bad),
+        lambda: brown_position(3, 3, bad, 0),
+        lambda: brown_position(3, 3, 1, bad),
+        lambda: dl_position(params, (bad, 0, 0)),
+        lambda: dl_position(params, (1, bad, 0)),
+        lambda: dl_position(params, (1, 0, bad)),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="must be an integer"):
+            call()
+
+
+def test_position_validation_accepts_integers():
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    params = DLParams(2, 3, 3)
+    assert orange_position(2, 3, Index(1), Index(1)) == orange_position(2, 3, 1, 1) == (Fraction(11, 2), 0, 1)
+    assert brown_position(3, 3, Index(1), Index(2)) == brown_position(3, 3, 1, 2) == (0, 7, 1)
+    assert dl_position(params, (Index(3), Index(5), Index(0))) == dl_position(params, (3, 5, 0)) == (5, 13, 3)
+    assert all(type(c) is Fraction for c in dl_position(params, (1, 1, 0)))
+
+
 def test_parent_centered_over_children():
     # the parent's horizontal coordinate is the mean of its children's
     p, layers = 3, 3
