@@ -19,7 +19,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .tree import CapExceededError, LayeredTree, TreeAddress, as_integer
+from .tree import CapExceededError, TreeAddress, as_integer
 
 DEFAULT_VERTEX_CAP = 200_000
 
@@ -97,8 +97,6 @@ class DLGraph:
 
     def __init__(self, params: DLParams):
         self.params = params
-        self.orange_tree = LayeredTree(params.p, params.layers, level_cap=params.vertex_cap)
-        self.brown_tree = LayeredTree(params.q, params.layers, level_cap=params.vertex_cap)
         offsets = [0]
         for h in range(params.layers + 1):
             offsets.append(offsets[-1] + params.height_size(h))

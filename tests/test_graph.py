@@ -245,5 +245,3 @@ def test_component_addresses():
     g = DLGraph(DLParams(2, 3, 3))
     assert g.orange_address((2, 3, 1)) == (2, 3)
     assert g.brown_address((2, 3, 1)) == (1, 1)
-    assert g.orange_tree.branching == 2
-    assert g.brown_tree.branching == 3
