@@ -191,16 +191,25 @@ def export_obj(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     grouped = {kind: [] for kind in KINDS}
     for seg in scene.segments:
         grouped[seg.kind].append(seg)
-    index: dict[Point3, int] = {}
+
+    def key(pt: Point3) -> tuple:
+        # the exact (numerator, denominator) of each coordinate: equal points
+        # get equal keys, and ints hash far cheaper than Fractions
+        return (*pt.x.as_integer_ratio(), *pt.y.as_integer_ratio(), *pt.z.as_integer_ratio())
+
+    index: dict[tuple, int] = {}
+    points = []
     for kind in KINDS:
         for seg in grouped[kind]:
             for pt in (seg.a, seg.b):
-                if pt not in index:
-                    index[pt] = len(index) + 1
-    lines = [f"v {format_number(p.x, digits)} {format_number(p.y, digits)} {format_number(p.z, digits)}" for p in index]
+                k = key(pt)
+                if k not in index:
+                    index[k] = len(index) + 1
+                    points.append(pt)
+    lines = [f"v {format_number(p.x, digits)} {format_number(p.y, digits)} {format_number(p.z, digits)}" for p in points]
     for kind in KINDS:
         lines.append(f"g {kind.replace('-', '_')}")
-        lines += [f"l {index[seg.a]} {index[seg.b]}" for seg in grouped[kind]]
+        lines += [f"l {index[key(seg.a)]} {index[key(seg.b)]}" for seg in grouped[kind]]
     return "\n".join(lines) + "\n"
 
 

@@ -19,7 +19,9 @@ from dlgraph import (
     KIND_DL,
     KIND_TREE_P,
     KIND_TREE_Q,
+    Point3,
     Scene3D,
+    Segment,
     build_scene,
     dl_position,
     export_json,
@@ -262,6 +264,13 @@ def test_obj_structure_and_index_ranges():
         assert int(i) != int(j)
     # v records appear before any group record
     assert lines.index("g tree_p") == v_count
+
+
+def test_obj_dedups_equal_points_of_any_number_type():
+    a, b = Point3(Fraction(1, 2), 0, 1), Point3(0.5, 0.0, Fraction(1))
+    c = Point3(0, Fraction(3, 2), 0)
+    scene = Scene3D(DLParams(2, 2, 1), DEFAULT_VIEW, (Segment(KIND_DL, a, c), Segment(KIND_DL, b, c)))
+    assert export_obj(scene) == "v 0.5 0 1\nv 0 1.5 0\ng tree_p\ng tree_q\ng dl\nl 1 2\nl 1 2\n"
 
 
 def test_obj_line_records_resolve_to_segment_endpoints():
