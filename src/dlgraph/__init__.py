@@ -19,7 +19,6 @@ from .layout import (
 from .tree import ROOT, CapExceededError, LayeredTree, TreeAddress
 from .verify import (
     CheckResult,
-    MutatedGraph,
     VerificationReport,
     check_counts,
     check_degree_law,
@@ -45,7 +44,6 @@ __all__ = [
     "KIND_TREE_P",
     "KIND_TREE_Q",
     "LayeredTree",
-    "MutatedGraph",
     "Point3",
     "ROOT",
     "Scene3D",

@@ -97,35 +97,33 @@ class DLGraph:
 
     def __init__(self, params: DLParams):
         self.params = params
+        p, q, L = params.p, params.q, params.layers
+        self.p, self.q, self.layers = p, q, L
+        self._orange_sizes = [p**h for h in range(L + 1)]
+        self._brown_sizes = [q ** (L - h) for h in range(L + 1)]
         offsets = [0]
-        for h in range(params.layers + 1):
-            offsets.append(offsets[-1] + params.height_size(h))
+        for h in range(L + 1):
+            offsets.append(offsets[-1] + self._orange_sizes[h] * self._brown_sizes[h])
         self._offsets = offsets
 
-    @property
-    def p(self) -> int:
-        return self.params.p
-
-    @property
-    def q(self) -> int:
-        return self.params.q
-
-    @property
-    def layers(self) -> int:
-        return self.params.layers
-
     def validate(self, vertex) -> DLVertex:
-        """Return ``vertex`` as a :class:`DLVertex`, rejecting non-integer and out-of-range components."""
-        height, orange, brown = DLVertex(*vertex)
-        v = DLVertex(as_integer(height, "height"), as_integer(orange, "orange index"),
-                     as_integer(brown, "brown index"))
-        if not 0 <= v.height <= self.layers:
-            raise ValueError(f"height {v.height} outside [0, {self.layers}]")
-        if not 0 <= v.orange < self.p**v.height:
-            raise ValueError(f"orange index {v.orange} invalid at height {v.height}")
-        if not 0 <= v.brown < self.q ** (self.layers - v.height):
-            raise ValueError(f"brown index {v.brown} invalid at height {v.height}")
-        return v
+        """Return ``vertex`` as a :class:`DLVertex`, rejecting non-integer and out-of-range components.
+
+        A :class:`DLVertex` of plain ints is range-checked and returned as is.
+        """
+        if type(vertex) is not DLVertex:
+            vertex = DLVertex(*vertex)
+        h, j, k = vertex
+        if not type(h) is type(j) is type(k) is int:  # a bool's type is bool, not int
+            vertex = DLVertex(as_integer(h, "height"), as_integer(j, "orange index"), as_integer(k, "brown index"))
+            h, j, k = vertex
+        if not 0 <= h <= self.layers:
+            raise ValueError(f"height {h} outside [0, {self.layers}]")
+        if not 0 <= j < self._orange_sizes[h]:
+            raise ValueError(f"orange index {j} invalid at height {h}")
+        if not 0 <= k < self._brown_sizes[h]:
+            raise ValueError(f"brown index {k} invalid at height {h}")
+        return vertex
 
     def __contains__(self, vertex) -> bool:
         try:
@@ -147,14 +145,14 @@ class DLGraph:
     def vertices(self) -> Iterator[DLVertex]:
         """All vertices in ascending (height, orange, brown) order."""
         for h in range(self.layers + 1):
-            for j in range(self.p**h):
-                for k in range(self.q ** (self.layers - h)):
+            for j in range(self._orange_sizes[h]):
+                for k in range(self._brown_sizes[h]):
                     yield DLVertex(h, j, k)
 
     def vertex_index(self, vertex) -> int:
         """Rank of ``vertex`` in the canonical enumeration order."""
-        v = self.validate(vertex)
-        return self._offsets[v.height] + v.orange * self.q ** (self.layers - v.height) + v.brown
+        h, j, k = self.validate(vertex)
+        return self._offsets[h] + j * self._brown_sizes[h] + k
 
     def edges(self) -> Iterator[tuple[DLVertex, DLVertex]]:
         """Each edge once, higher endpoint first, in deterministic order."""
@@ -174,18 +172,19 @@ class DLGraph:
         children; up-moves pick one of p orange children and fix the brown
         predecessor.
         """
-        v = self.validate(vertex)
+        h, j, k = self.validate(vertex)
+        p, q = self.p, self.q
         out = []
-        if v.height > 0:
-            down_orange = v.orange // self.p
-            base = v.brown * self.q
-            for c in range(self.q):
-                out.append(DLVertex(v.height - 1, down_orange, base + c))
-        if v.height < self.layers:
-            up_brown = v.brown // self.q
-            base = v.orange * self.p
-            for c in range(self.p):
-                out.append(DLVertex(v.height + 1, base + c, up_brown))
+        if h > 0:
+            down_orange = j // p
+            base = k * q
+            for c in range(q):
+                out.append(DLVertex(h - 1, down_orange, base + c))
+        if h < self.layers:
+            up_brown = k // q
+            base = j * p
+            for c in range(p):
+                out.append(DLVertex(h + 1, base + c, up_brown))
         return out
 
     def degree(self, vertex) -> int:
@@ -208,12 +207,13 @@ class DLGraph:
         start, goal = self.validate(a), self.validate(b)
         if start == goal:
             return 0
+        neighbors = self.neighbors
         dist = {start: 0}
         queue = deque([start])
         while queue:
             u = queue.popleft()
             d = dist[u] + 1
-            for w in self.neighbors(u):
+            for w in neighbors(u):
                 if w in dist:
                     continue
                 if w == goal:

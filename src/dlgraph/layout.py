@@ -126,9 +126,9 @@ def invert_dl_position(params: DLParams, point) -> DLVertex:
     """Recover the DL vertex drawn at ``point``; raises ValueError off-lattice."""
     # scene points hold Fractions already; re-wrapping one costs as much as the lookup
     x, y, z = (c if isinstance(c, Fraction) else Fraction(c) for c in point)
-    if z.denominator != 1 or not 0 <= z <= params.layers:
-        raise ValueError(f"z = {z} is not a drawing height")
     h = z.numerator
+    if z.denominator != 1 or not 0 <= h <= params.layers:
+        raise ValueError(f"z = {z} is not a drawing height")
     j = _row_index(x, params.p ** (params.layers - h), params.p**h)
     if j is None:
         raise ValueError(f"x = {x} is not an orange node position at height {h}")

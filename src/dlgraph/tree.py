@@ -16,7 +16,7 @@ Vertices are addressed by ``TreeAddress(level, index)`` with
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 DEFAULT_LEVEL_CAP = 1 << 20
@@ -61,6 +61,7 @@ class LayeredTree:
     branching: int
     layers: int
     level_cap: int = DEFAULT_LEVEL_CAP
+    _level_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.branching < 2:
@@ -72,6 +73,7 @@ class LayeredTree:
             raise CapExceededError(
                 f"level {self.layers} would hold {top} vertices (cap: {self.level_cap})"
             )
+        object.__setattr__(self, "_level_sizes", tuple(self.branching**h for h in range(self.layers + 1)))
 
     def level_size(self, level: int) -> int:
         """Number of vertices at ``level``."""
@@ -80,16 +82,21 @@ class LayeredTree:
         return self.branching ** level
 
     def validate(self, address) -> TreeAddress:
-        """Return ``address`` as a :class:`TreeAddress`, rejecting non-integer and out-of-range values."""
-        level, index = TreeAddress(*address)
-        a = TreeAddress(as_integer(level, "level"), as_integer(index, "index"))
-        if not 0 <= a.level <= self.layers:
-            raise ValueError(f"level {a.level} outside [0, {self.layers}]")
-        if not 0 <= a.index < self.branching ** a.level:
-            raise ValueError(
-                f"index {a.index} outside [0, {self.branching}**{a.level}) at level {a.level}"
-            )
-        return a
+        """Return ``address`` as a :class:`TreeAddress`, rejecting non-integer and out-of-range values.
+
+        A :class:`TreeAddress` of plain ints is range-checked and returned as is.
+        """
+        if type(address) is not TreeAddress:
+            address = TreeAddress(*address)
+        level, index = address
+        if not type(level) is type(index) is int:  # a bool's type is bool, not int
+            level, index = as_integer(level, "level"), as_integer(index, "index")
+            address = TreeAddress(level, index)
+        if not 0 <= level <= self.layers:
+            raise ValueError(f"level {level} outside [0, {self.layers}]")
+        if not 0 <= index < self._level_sizes[level]:
+            raise ValueError(f"index {index} outside [0, {self.branching}**{level}) at level {level}")
+        return address
 
     def __contains__(self, address) -> bool:
         try:
@@ -125,8 +132,10 @@ class LayeredTree:
 
     def confluent(self, first, second) -> TreeAddress:
         """Where the predecessor rays from the two vertices meet: their nearest common ancestor."""
-        a = self.validate(first)
-        b = self.validate(second)
+        return self._confluent(self.validate(first), self.validate(second))
+
+    def _confluent(self, a: TreeAddress, b: TreeAddress) -> TreeAddress:
+        """:meth:`confluent` of two addresses already validated."""
         la, ia = a
         lb, ib = b
         while la > lb:
@@ -145,20 +154,23 @@ class LayeredTree:
         """Graph distance (unit edge length): both vertices climb to the confluent."""
         a = self.validate(first)
         b = self.validate(second)
-        c = self.confluent(a, b)
+        c = self._confluent(a, b)
         return (a.level - c.level) + (b.level - c.level)
 
     def busemann(self, x, o: TreeAddress = ROOT) -> int:
-        """Height of ``x`` relative to the basepoint ``o``: d(x, c) - d(o, c) with c the confluent."""
-        a = self.validate(x)
-        base = self.validate(o)
-        c = self.confluent(a, base)
-        return (a.level - c.level) - (base.level - c.level)
+        """Height of ``x`` relative to the basepoint ``o``: d(x, c) - d(o, c) with c the confluent.
+
+        Both distances climb to c, so its level cancels and the value is the
+        level difference of ``x`` and ``o``.
+        """
+        return self.validate(x).level - self.validate(o).level
 
     def horocycle(self, o, k: int) -> list[TreeAddress]:
         """All truncation vertices at relative height ``k``, in (level, index) order.
 
-        Empty when no truncation vertex attains ``k``.
+        That is the whole level ``o.level + k``; empty when it lies outside the truncation.
         """
-        base = self.validate(o)
-        return [a for a in self.vertices() if self.busemann(a, base) == k]
+        level = self.validate(o).level + as_integer(k, "relative height")
+        if not 0 <= level <= self.layers:
+            return []
+        return [TreeAddress(level, index) for index in range(self._level_sizes[level])]

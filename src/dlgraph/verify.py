@@ -6,8 +6,10 @@ pair).  :func:`run_checks` assembles a :class:`VerificationReport` whose
 entries are merged deterministically (ordered by check name, then
 parameters) regardless of execution order.
 
-:class:`MutatedGraph` supplies deliberately broken graphs for
-negative-control tests: every check has to fail on a suitable mutation.
+A check reads its graph only through ``params``, ``vertices()``,
+``edges()``, ``neighbors()`` and ``is_edge()``, so the tests can hand it a
+deliberately damaged graph with the same interface; every check has to fail
+on a suitable damage.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import json
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
-from .graph import DLGraph, DLVertex
+from .graph import DLVertex
 from .layout import DEFAULT_VIEW, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, invert_dl_position
 from .tree import LayeredTree, TreeAddress
 
@@ -208,8 +210,9 @@ def check_counts(g) -> CheckResult:
                    detail={"vertices": enum_v, "edges": enum_e, "degree_sum": degree_sum})
 
 
-def _ball(g, center, radius: int, neighbor_cache: dict) -> tuple[dict, dict]:
-    """BFS ball of the given radius: (distance-from-center, induced adjacency sets)."""
+def _ball(g, center, radius: int, neighbor_cache: dict) -> dict:
+    """BFS distances from ``center`` up to ``radius``; leaves the neighbours of
+    every ball vertex in ``neighbor_cache``."""
 
     def cached_neighbors(u):
         got = neighbor_cache.get(u)
@@ -221,14 +224,19 @@ def _ball(g, center, radius: int, neighbor_cache: dict) -> tuple[dict, dict]:
     queue = deque([center])
     while queue:
         u = queue.popleft()
+        near = cached_neighbors(u)
         if dist[u] == radius:
             continue
-        for w in cached_neighbors(u):
+        for w in near:
             if w not in dist:
                 dist[w] = dist[u] + 1
                 queue.append(w)
-    adjacency = {u: frozenset(w for w in cached_neighbors(u) if w in dist) for u in dist}
-    return dist, adjacency
+    return dist
+
+
+def _induced(dist: dict, neighbor_cache: dict) -> tuple[dict, dict]:
+    """A :func:`_ball` as (distance-from-center, induced adjacency sets)."""
+    return dist, {u: frozenset(w for w in neighbor_cache[u] if w in dist) for u in dist}
 
 
 def _refined_labels(adjacency: dict, dist: dict, rounds: int = 3) -> dict:
@@ -272,9 +280,9 @@ def _tree_code(index: int, depth: int, root: int, shift: tuple[int, ...], branch
     return code
 
 
-def _shape(params, adjacency: dict, center, radius: int) -> tuple[frozenset, frozenset] | None:
-    """The vertex and edge sets of the ball ``adjacency`` around ``center``,
-    renamed by a translation that sends ``center`` to (0, 0, 0).
+def _shape(params, dist: dict, neighbor_cache: dict, center, radius: int) -> tuple[frozenset, frozenset] | None:
+    """The vertex and edge sets of the ball ``dist`` around ``center`` (a
+    :func:`_ball`), renamed by a translation that sends ``center`` to (0, 0, 0).
 
     A ball vertex (h', j', k') around the centre (h, j, k) becomes
     (h' - h, orange code, brown code).  The orange code reads ``j'`` below
@@ -295,7 +303,7 @@ def _shape(params, adjacency: dict, center, radius: int) -> tuple[frozenset, fro
     orange_shift = tuple(j // p**i % p for i in reversed(range(radius)))
     brown_shift = tuple(k // q**i % q for i in reversed(range(radius)))
     codes = {}
-    for v in adjacency:
+    for v in dist:
         height, orange, brown = v
         if not (type(height) is type(orange) is type(brown) is int and abs(height - h) <= radius):
             return None
@@ -304,7 +312,7 @@ def _shape(params, adjacency: dict, center, radius: int) -> tuple[frozenset, fro
             _tree_code(orange, height - h + radius, orange_root, orange_shift, p),
             _tree_code(brown, h - height + radius, brown_root, brown_shift, q),
         )
-    edges = frozenset((codes[u], codes[w]) for u, near in adjacency.items() for w in near)
+    edges = frozenset((codes[u], codes[w]) for u in dist for w in neighbor_cache[u] if w in codes)
     return frozenset(codes.values()), edges
 
 
@@ -370,15 +378,15 @@ def check_local_homogeneity(g, radius: int) -> CheckResult:
     neighbor_cache: dict = {}
     reference = interior[0]
     reference_ball = _ball(g, reference, radius, neighbor_cache)
-    reference_shape = _shape(g.params, reference_ball[1], reference, radius)
+    reference_shape = _shape(g.params, reference_ball, neighbor_cache, reference, radius)
     prepared = None
     for v in interior[1:]:
         ball = _ball(g, v, radius, neighbor_cache)
-        if reference_shape is not None and _shape(g.params, ball[1], v, radius) == reference_shape:
+        if reference_shape is not None and _shape(g.params, ball, neighbor_cache, v, radius) == reference_shape:
             continue
         if prepared is None:
-            prepared = _reference(reference_ball)
-        if not _balls_isomorphic(prepared, ball):
+            prepared = _reference(_induced(reference_ball, neighbor_cache))
+        if not _balls_isomorphic(prepared, _induced(ball, neighbor_cache)):
             return _result(
                 name, params, started, FAIL,
                 counterexample=(
@@ -387,7 +395,7 @@ def check_local_homogeneity(g, radius: int) -> CheckResult:
             )
     return _result(
         name, params, started, PASS,
-        detail={"interior_vertices": len(interior), "ball_size": len(reference_ball[0])},
+        detail={"interior_vertices": len(interior), "ball_size": len(reference_ball)},
     )
 
 
@@ -454,8 +462,10 @@ def check_lamplighter(g) -> CheckResult:
     image = set()
     for top, bottom in g.edges():
         top, bottom = DLVertex(*top), DLVertex(*bottom)
-        f_top, cur_top = _lamp_state(top, b, L)
-        f_bot, cur_bot = _lamp_state(bottom, b, L)
+        if top not in encoding or bottom not in encoding:
+            return _result(name, params, started, FAIL,
+                           counterexample=f"edge {tuple(top)}-{tuple(bottom)} has an endpoint that is not a vertex")
+        (f_top, cur_top), (f_bot, cur_bot) = encoding[top], encoding[bottom]
         edge = ((f_bot, cur_bot), (f_top, cur_top))
         image.add(edge)
         # Move semantics: exactly the lamp at the lower cursor may change,
@@ -580,57 +590,3 @@ def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS, view=DEFAULT_VI
             entries.append(CHECKS[key](g))
     return VerificationReport(tuple(sorted(entries, key=_sort_key)))
 
-
-class MutatedGraph:
-    """Read-only view of a DL graph with a few vertices/edges toggled.
-
-    A negative-control tool: the structural checks must fail on a graph that
-    was deliberately damaged.  Added vertices may be arbitrary (height,
-    orange, brown) triples, valid or not.
-    """
-
-    def __init__(self, base: DLGraph, add_edges=(), drop_edges=(), add_vertices=()):
-        self.base = base
-        self.params = base.params
-        self.extra_vertices = tuple(DLVertex(*v) for v in add_vertices)
-        self._added = [self._pair(e) for e in add_edges]
-        self._dropped = {frozenset(self._pair(e)) for e in drop_edges}
-
-    @staticmethod
-    def _pair(edge) -> tuple[DLVertex, DLVertex]:
-        a, b = edge
-        a, b = DLVertex(*a), DLVertex(*b)
-        return (a, b) if a.height >= b.height else (b, a)
-
-    def vertices(self) -> Iterator[DLVertex]:
-        yield from self.base.vertices()
-        yield from self.extra_vertices
-
-    def edges(self) -> Iterator[tuple[DLVertex, DLVertex]]:
-        for edge in self.base.edges():
-            if frozenset(edge) not in self._dropped:
-                yield edge
-        yield from self._added
-
-    def neighbors(self, vertex) -> list[DLVertex]:
-        v = DLVertex(*vertex)
-        out = []
-        if v in self.base:
-            out = [w for w in self.base.neighbors(v) if frozenset((v, w)) not in self._dropped]
-        for a, b in self._added:
-            if v == a:
-                out.append(b)
-            elif v == b:
-                out.append(a)
-        return sorted(set(out))
-
-    def degree(self, vertex) -> int:
-        return len(self.neighbors(vertex))
-
-    def is_edge(self, a, b) -> bool:
-        pair = frozenset((DLVertex(*a), DLVertex(*b)))
-        if pair in self._dropped:
-            return False
-        if any(frozenset(added) == pair for added in self._added):
-            return True
-        return self.base.is_edge(a, b)

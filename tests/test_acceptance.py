@@ -20,7 +20,6 @@ from dlgraph import (
     DLVertex,
     ExportOptions,
     LayeredTree,
-    MutatedGraph,
     TreeAddress,
     build_scene,
     check_degree_law,
@@ -33,6 +32,8 @@ from dlgraph import (
     render,
 )
 from dlgraph.cli import EXIT_OK, main
+
+from support import MutatedGraph
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -9,6 +9,8 @@ import pytest
 
 from dlgraph import CapExceededError, DLGraph, DLParams, DLVertex
 
+from support import Index
+
 
 def closed_form_vertices(p, q, layers):
     return sum(p**n * q ** (layers - n) for n in range(layers + 1))
@@ -156,6 +158,65 @@ def test_validation_rejects_non_integer_components(vertex):
         g.validate(vertex)
     with pytest.raises(TypeError):
         g.neighbors(vertex)
+
+
+def test_validation_returns_checked_vertices():
+    g = DLGraph(DLParams(2, 3, 3))
+    v = DLVertex(1, 1, 2)
+    assert g.validate(v) is v  # already a DLVertex of ints: handed back as is
+    for given in [(1, 1, 2), [1, 1, 2], DLVertex(1, Index(1), 2), (Index(1), 1, Index(2))]:
+        got = g.validate(given)
+        assert got == v and type(got) is DLVertex
+        assert all(type(c) is int for c in got)
+    assert g.neighbors(DLVertex(Index(1), 1, 2)) == g.neighbors(v)
+    assert g.vertex_index(DLVertex(1, Index(1), 2)) == g.vertex_index(v)
+    assert g.is_edge(DLVertex(1, 0, Index(0)), (0, 0, 2))
+    assert g.bfs_distance(DLVertex(3, Index(0), 0), (3, 1, 0)) == 2
+
+
+# DLVertex instances take the fast path of validate; each must fail exactly as a plain tuple does.
+BAD_VERTICES = [
+    (DLVertex(1.0, 0, 0), TypeError, r"^height must be an integer, got 1\.0$"),
+    (DLVertex(True, 0, 0), TypeError, r"^height must be an integer, got True$"),
+    (DLVertex(1, 0.0, 0), TypeError, r"^orange index must be an integer, got 0\.0$"),
+    (DLVertex(1, False, 0), TypeError, r"^orange index must be an integer, got False$"),
+    (DLVertex(1, 0, 1.5), TypeError, r"^brown index must be an integer, got 1\.5$"),
+    (DLVertex(1, 0, True), TypeError, r"^brown index must be an integer, got True$"),
+    (DLVertex(-1, 0, 0), ValueError, r"^height -1 outside \[0, 3\]$"),
+    (DLVertex(4, 0, 0), ValueError, r"^height 4 outside \[0, 3\]$"),
+    (DLVertex(1, -1, 0), ValueError, r"^orange index -1 invalid at height 1$"),
+    (DLVertex(1, 2, 0), ValueError, r"^orange index 2 invalid at height 1$"),
+    (DLVertex(1, 0, -1), ValueError, r"^brown index -1 invalid at height 1$"),
+    (DLVertex(1, 0, 9), ValueError, r"^brown index 9 invalid at height 1$"),
+    (DLVertex(Index(1), 2, 0), ValueError, r"^orange index 2 invalid at height 1$"),
+]
+
+
+@pytest.mark.parametrize("vertex,error,message", BAD_VERTICES,
+                         ids=["float-height", "bool-height", "float-orange", "bool-orange", "float-brown",
+                              "bool-brown", "negative-height", "height-too-high", "negative-orange",
+                              "orange-too-high", "negative-brown", "brown-too-high", "index-object-height-bad-orange"])
+def test_every_query_rejects_bad_vertices(vertex, error, message):
+    g = DLGraph(DLParams(2, 3, 3))
+    good = DLVertex(0, 0, 0)
+    assert vertex not in g
+    queries = [
+        g.validate,
+        g.neighbors,
+        g.degree,
+        g.vertex_index,
+        g.orange_address,
+        g.brown_address,
+        lambda v: g.is_edge(v, good),
+        lambda v: g.is_edge(good, v),
+        lambda v: g.bfs_distance(v, good),
+        lambda v: g.bfs_distance(good, v),
+    ]
+    for query in queries:
+        with pytest.raises(error, match=message):
+            query(vertex)
+        with pytest.raises(error, match=message):
+            query(tuple(vertex))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from dlgraph import (
     orange_position,
 )
 
+from support import Index
+
 
 def scene_for(p, q, layers, view=(165, 10)):
     return build_scene(DLGraph(DLParams(p, q, layers)), view)
@@ -83,13 +85,6 @@ def test_position_validation_rejects_non_integers(bad):
 
 
 def test_position_validation_accepts_integers():
-    class Index:
-        def __init__(self, value):
-            self.value = value
-
-        def __index__(self):
-            return self.value
-
     params = DLParams(2, 3, 3)
     assert orange_position(2, 3, Index(1), Index(1)) == orange_position(2, 3, 1, 1) == (Fraction(11, 2), 0, 1)
     assert brown_position(3, 3, Index(1), Index(2)) == brown_position(3, 3, 1, 2) == (0, 7, 1)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from dlgraph import CapExceededError, LayeredTree, TreeAddress
 
+from support import Index
+
 
 # ---------------------------------------------------------------------------
 # oracles (kept independent of the code paths they check)
@@ -97,6 +99,61 @@ def test_validate_rejects_non_integer_components(address):
     assert address not in tree
     with pytest.raises(TypeError, match="must be an integer"):
         tree.validate(address)
+
+
+def test_validate_returns_checked_addresses():
+    tree = LayeredTree(2, 3)
+    a = TreeAddress(2, 3)
+    assert tree.validate(a) is a  # already a TreeAddress of ints: handed back as is
+    for given in [(2, 3), [2, 3], TreeAddress(Index(2), 3), (2, Index(3))]:
+        got = tree.validate(given)
+        assert got == a and type(got) is TreeAddress
+        assert all(type(c) is int for c in got)
+    assert tree.confluent(TreeAddress(Index(2), 3), (3, 7)) == (2, 3)
+    assert tree.distance(TreeAddress(2, Index(3)), (0, 0)) == 2
+    assert tree.busemann(TreeAddress(Index(2), 3), TreeAddress(1, Index(0))) == 1
+
+
+# TreeAddress instances take the fast path of validate; each must fail exactly as a plain tuple does.
+BAD_ADDRESSES = [
+    (TreeAddress(1.5, 0), TypeError, r"^level must be an integer, got 1\.5$"),
+    (TreeAddress(1.0, 0), TypeError, r"^level must be an integer, got 1\.0$"),
+    (TreeAddress(True, 0), TypeError, r"^level must be an integer, got True$"),
+    (TreeAddress(1, 0.0), TypeError, r"^index must be an integer, got 0\.0$"),
+    (TreeAddress(1, False), TypeError, r"^index must be an integer, got False$"),
+    (TreeAddress(-1, 0), ValueError, r"^level -1 outside \[0, 3\]$"),
+    (TreeAddress(4, 0), ValueError, r"^level 4 outside \[0, 3\]$"),
+    (TreeAddress(2, -1), ValueError, r"^index -1 outside \[0, 2\*\*2\) at level 2$"),
+    (TreeAddress(2, 4), ValueError, r"^index 4 outside \[0, 2\*\*2\) at level 2$"),
+    (TreeAddress(Index(2), 4), ValueError, r"^index 4 outside \[0, 2\*\*2\) at level 2$"),
+]
+
+
+@pytest.mark.parametrize("address,error,message", BAD_ADDRESSES,
+                         ids=["float-level", "float-integral-level", "bool-level", "float-index", "bool-index",
+                              "negative-level", "level-too-high", "negative-index", "index-too-high",
+                              "index-object-level-bad-index"])
+def test_every_query_rejects_bad_addresses(address, error, message):
+    tree = LayeredTree(2, 3)
+    good = TreeAddress(1, 0)
+    assert address not in tree
+    queries = [
+        tree.validate,
+        tree.predecessor,
+        tree.successors,
+        lambda a: tree.confluent(a, good),
+        lambda a: tree.confluent(good, a),
+        lambda a: tree.distance(a, good),
+        lambda a: tree.distance(good, a),
+        tree.busemann,
+        lambda a: tree.busemann(good, a),
+        lambda a: tree.horocycle(a, 0),
+    ]
+    for query in queries:
+        with pytest.raises(error, match=message):
+            query(address)
+        with pytest.raises(error, match=message):
+            query(tuple(address))
 
 
 def test_level_sizes():
@@ -248,6 +305,26 @@ def test_horocycle_examples():
     assert tree.horocycle((0, 0), 2) == [(2, 0), (2, 1), (2, 2), (2, 3)]
     assert tree.horocycle((0, 0), -1) == []
     assert LayeredTree(2, 2).horocycle((1, 0), 0) == [(1, 0), (1, 1)]
+    assert tree.horocycle((2, 1), Index(1)) == tree.horocycle((0, 0), 3)
+    with pytest.raises(TypeError, match="relative height must be an integer"):
+        tree.horocycle((0, 0), 2.0)
+
+
+@pytest.mark.parametrize("branching", [2, 3])
+@pytest.mark.parametrize("layers", [1, 2, 3, 4])
+def test_busemann_and_horocycles_exhaustively(branching, layers):
+    # every (x, o) pair: the level difference equals d(x, c) - d(o, c) with c the
+    # confluent, and horocycle(o, k) lists exactly the x with busemann(x, o) == k
+    tree = LayeredTree(branching, layers)
+    verts = addresses(tree)
+    for o in verts:
+        heights = {}
+        for x in verts:
+            c = tree.confluent(x, o)
+            assert tree.busemann(x, o) == tree.distance(x, c) - tree.distance(o, c)
+            heights.setdefault(tree.busemann(x, o), []).append(x)
+        for k in range(-layers - 1, layers + 2):
+            assert tree.horocycle(o, k) == heights.get(k, [])
 
 
 def test_horocycles_partition_the_vertex_set():

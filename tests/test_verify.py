@@ -13,7 +13,6 @@ from dlgraph import (
     DLParams,
     DLVertex,
     LayeredTree,
-    MutatedGraph,
     ROOT,
     Scene3D,
     Segment,
@@ -29,6 +28,8 @@ from dlgraph import (
 )
 from dlgraph import verify
 from dlgraph.verify import _lamp_state
+
+from support import MutatedGraph
 
 
 def graph(p=2, q=3, layers=3):
@@ -266,6 +267,13 @@ def test_lamplighter_fails_on_mutations():
     assert check_lamplighter(MutatedGraph(g, drop_edges=[next(g.edges())])).status == "fail"
     assert not g.is_edge((2, 0, 0), (1, 1, 1))
     assert check_lamplighter(MutatedGraph(g, add_edges=[((2, 0, 0), (1, 1, 1))])).status == "fail"
+
+
+def test_lamplighter_fails_on_an_edge_to_a_missing_vertex():
+    # (1, 3, 0) is not a vertex, but it encodes like (1, 1, 0), so its edge lands on a slab edge
+    result = check_lamplighter(MutatedGraph(graph(2, 2, 3), add_edges=[((1, 3, 0), (0, 0, 0))]))
+    assert result.status == "fail"
+    assert result.counterexample == "edge (1, 3, 0)-(0, 0, 0) has an endpoint that is not a vertex"
 
 
 def test_lamp_encoding_move_semantics():
