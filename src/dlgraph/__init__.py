@@ -1,6 +1,6 @@
 """Finite Diestel-Leader graph truncations: construction, layout, export, verification."""
 
-from .export import ExportOptions, export_json, export_obj, export_svg, export_tikz, format_number, project_point, render, write_scene
+from .export import ExportOptions, export_json, export_obj, export_svg, export_tikz, format_number, render, write_scene
 from .graph import Census, DLGraph, DLParams, DLVertex
 from .layout import (
     DEFAULT_VIEW,
@@ -14,6 +14,7 @@ from .layout import (
     build_scene,
     dl_position,
     invert_dl_position,
+    invert_doubled_position,
     orange_position,
 )
 from .tree import ROOT, CapExceededError, LayeredTree, TreeAddress
@@ -65,8 +66,8 @@ __all__ = [
     "export_tikz",
     "format_number",
     "invert_dl_position",
+    "invert_doubled_position",
     "orange_position",
-    "project_point",
     "render",
     "run_checks",
     "write_scene",

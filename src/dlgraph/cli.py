@@ -1,14 +1,16 @@
 """Command-line front door: generate, export, verify, and render preset figures.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 size cap
-exceeded, 4 output could not be written.  All artifact output is
-deterministic; timing diagnostics go to stderr only.
+exceeded, 4 output could not be written, including a closed pipe on stdout
+(one ``error:`` line on stderr).  All artifact output is deterministic;
+timing diagnostics go to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -153,12 +155,25 @@ def _cmd_figure(args) -> int:
     return EXIT_OK
 
 
+def _discard_stdout() -> None:
+    """Point stdout at devnull, so the interpreter's flush at exit cannot raise
+    BrokenPipeError again (the "Note on SIGPIPE" in the ``signal`` docs)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # stdout replaced by an object without a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
         status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not in the flush at exit
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -167,6 +182,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            _discard_stdout()
         return EXIT_OUTPUT
     sys.stderr.write(f"total: {time.perf_counter() - started:.3f}s\n")
     return status

@@ -19,7 +19,6 @@ from .layout import (
     KIND_TREE_P,
     KIND_TREE_Q,
     KINDS,
-    Point3,
     Scene3D,
     coordinate_rows,
 )
@@ -55,23 +54,24 @@ class ExportOptions:
             raise ValueError(f"decimal_digits must be >= 1, got {self.decimal_digits}")
 
 
+def _format_ratio(num: int, den: int, digits: int) -> str:
+    """``num / den`` (``den > 0``) rounded half to even to ``digits`` fractional
+    digits, exactly as ``round(Fraction(num, den) * 10**digits)`` rounds it;
+    trailing zeros are trimmed and zero is printed as "0", never "-0"."""
+    scale = 10**digits
+    scaled, rest = divmod(num * scale, den)
+    if 2 * rest > den or (2 * rest == den and scaled & 1):
+        scaled += 1
+    sign = "-" if scaled < 0 else ""  # an int zero has no sign, so "-0" cannot arise
+    whole, frac = divmod(abs(scaled), scale)
+    if frac == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}." + str(frac).rjust(digits, "0").rstrip("0")
+
+
 def format_number(value, digits: int = 6) -> str:
     """Shortest decimal with at most ``digits`` fractional digits, trailing zeros trimmed."""
-    if digits >= 1 and type(value) in (int, Fraction) and value.denominator <= 2:
-        # n or n/2 is exact with one fractional digit
-        num, den = value.numerator, value.denominator
-        text = f"{abs(num) // den}.5" if den == 2 else str(abs(num))
-        return "-" + text if num < 0 else text
-    scale = 10**digits
-    scaled = round(Fraction(value) * scale)
-    if scaled == 0:
-        return "0"
-    sign = "-" if scaled < 0 else ""
-    whole, rem = divmod(abs(scaled), scale)
-    if rem == 0:
-        return f"{sign}{whole}"
-    frac = str(rem).rjust(digits, "0").rstrip("0")
-    return f"{sign}{whole}.{frac}"
+    return _format_ratio(*Fraction(value).as_integer_ratio(), digits)
 
 
 def _effective_view(scene: Scene3D, opts: ExportOptions) -> tuple:
@@ -105,11 +105,11 @@ def export_tikz(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     if opts.axis_labels:
         lines += ["    xlabel=$x$,", "    zlabel=$z$,", "    ylabel=$y$,"]
     lines.append("    ]")
-    for seg in scene.segments:
-        a = ",".join(format_number(c, digits) for c in seg.a)
-        b = ",".join(format_number(c, digits) for c in seg.b)
-        stmt = f"\\addplot3[{style[seg.kind]},thick] coordinates {{({a}) ({b})}};"
-        if seg.kind == KIND_TREE_Q:
+    for kind, a, b in scene.segments:
+        a = ",".join(_format_ratio(c, 2, digits) for c in a)
+        b = ",".join(_format_ratio(c, 2, digits) for c in b)
+        stmt = f"\\addplot3[{style[kind]},thick] coordinates {{({a}) ({b})}};"
+        if kind == KIND_TREE_Q:
             lines += [r"    \begin{scope}[on background layer]", "      " + stmt, r"    \end{scope}"]
         else:
             lines.append("    " + stmt)
@@ -134,8 +134,8 @@ def export_json(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     p, q, L = params.p, params.q, params.layers
     az, el = _effective_view(scene, opts)
     xs, ys = coordinate_rows(params)
-    xs = [[float(x) for x in row] for row in xs]
-    ys = [[float(y) for y in row] for row in ys]
+    xs = [[x / 2 for x in row] for row in xs]
+    ys = [[y / 2 for y in row] for row in ys]
 
     widths = [len(row) for row in ys]
     offsets = [0]
@@ -192,24 +192,16 @@ def export_obj(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     for seg in scene.segments:
         grouped[seg.kind].append(seg)
 
-    def key(pt: Point3) -> tuple:
-        # the exact (numerator, denominator) of each coordinate: equal points
-        # get equal keys, and ints hash far cheaper than Fractions
-        return (*pt.x.as_integer_ratio(), *pt.y.as_integer_ratio(), *pt.z.as_integer_ratio())
-
     index: dict[tuple, int] = {}
-    points = []
     for kind in KINDS:
         for seg in grouped[kind]:
             for pt in (seg.a, seg.b):
-                k = key(pt)
-                if k not in index:
-                    index[k] = len(index) + 1
-                    points.append(pt)
-    lines = [f"v {format_number(p.x, digits)} {format_number(p.y, digits)} {format_number(p.z, digits)}" for p in points]
+                if pt not in index:
+                    index[pt] = len(index) + 1
+    lines = ["v " + " ".join(_format_ratio(c, 2, digits) for c in pt) for pt in index]
     for kind in KINDS:
         lines.append(f"g {kind.replace('-', '_')}")
-        lines += [f"l {index[key(seg.a)]} {index[key(seg.b)]}" for seg in grouped[kind]]
+        lines += [f"l {index[seg.a]} {index[seg.b]}" for seg in grouped[kind]]
     return "\n".join(lines) + "\n"
 
 
@@ -228,35 +220,6 @@ def _sin_deg(angle) -> Fraction:
     return Fraction(math.sin(math.radians(float(angle))))
 
 
-def _cos_deg(angle) -> Fraction:
-    return _sin_deg(Fraction(angle) + 90)
-
-
-def project_point(point, azimuth_deg, elevation_deg) -> tuple[Fraction, Fraction]:
-    """Orthographic screen coordinates (u, v) of a 3D point.
-
-    u = -sin(az)*x + cos(az)*y and v = cos(el)*z - sin(el)*(cos(az)*x + sin(az)*y),
-    evaluated in exact rational arithmetic over float-derived sines, so the
-    map is exactly linear; angles that are multiples of 90 degrees use exact
-    0/1 values.  This camera is this library's own convention, not a claim
-    about any particular plotting toolchain.
-    """
-    return _project(point, _camera(azimuth_deg, elevation_deg))
-
-
-def _camera(azimuth_deg, elevation_deg) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(sin az, cos az, sin el, cos el) for :func:`_project`."""
-    return _sin_deg(azimuth_deg), _cos_deg(azimuth_deg), _sin_deg(elevation_deg), _cos_deg(elevation_deg)
-
-
-def _project(point, camera) -> tuple[Fraction, Fraction]:
-    x, y, z = (Fraction(c) for c in point)
-    sa, ca, se, ce = camera
-    u = -sa * x + ca * y
-    v = ce * z - se * (ca * x + sa * y)
-    return u, v
-
-
 def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     """SVG 1.1 with one line element per segment, drawn back to front: tree-q, tree-p, dl.
 
@@ -267,20 +230,27 @@ def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     digits = opts.decimal_digits
     stroke = {KIND_TREE_P: opts.svg_colors[0], KIND_TREE_Q: opts.svg_colors[1], KIND_DL: opts.svg_colors[2]}
 
-    projected: dict[str, list[tuple[Fraction, Fraction, Fraction, Fraction]]] = {kind: [] for kind in KINDS}
-    camera = _camera(az, el)
+    # The camera sines (cos t = sin(t + 90)) are dyadic rationals, so over their
+    # largest denominator s they are ints, and with doubled points u = (ca*2y - sa*2x) / 2s
+    # and v = (ce*s*2z - se*(ca*2x + sa*2y)) / 2s**2 are ints over fixed denominators.
+    camera = (_sin_deg(az), _sin_deg(Fraction(az) + 90), _sin_deg(el), _sin_deg(Fraction(el) + 90))
+    s = max(c.denominator for c in camera)
+    sa, ca, se, ce = (c.numerator * (s // c.denominator) for c in camera)
+    ces, u_den, v_den = ce * s, 2 * s, 2 * s * s
+    projected: dict[str, list[tuple[int, int, int, int]]] = {kind: [] for kind in KINDS}
     us, vs = [], []
-    for seg in scene.segments:
-        ua, va = _project(seg.a, camera)
-        ub, vb = _project(seg.b, camera)
-        projected[seg.kind].append((ua, va, ub, vb))
+    for kind, (xa, ya, za), (xb, yb, zb) in scene.segments:
+        ua, ub = ca * ya - sa * xa, ca * yb - sa * xb
+        va = ces * za - se * (ca * xa + sa * ya)
+        vb = ces * zb - se * (ca * xb + sa * yb)
+        projected[kind].append((ua, va, ub, vb))
         us += [ua, ub]
         vs += [va, vb]
     if not us:
-        us = vs = [Fraction(0)]
+        us = vs = [0]
 
-    umin, umax = min(us), max(us)
-    vmin, vmax = min(vs), max(vs)
+    umin, umax = Fraction(min(us), u_den), Fraction(max(us), u_den)
+    vmin, vmax = Fraction(min(vs), v_den), Fraction(max(vs), v_den)
     width, height = umax - umin, vmax - vmin
     margin_u = width / 20 if width else Fraction(1, 2)
     margin_v = height / 20 if height else Fraction(1, 2)
@@ -291,6 +261,8 @@ def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     stroke_width = max(box_w, box_h) / 400
 
     fmt = lambda value: format_number(value, digits)  # noqa: E731
+    fu = lambda num: _format_ratio(num, u_den, digits)  # noqa: E731
+    fv = lambda num: _format_ratio(num, v_den, digits)  # noqa: E731
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(box[0])} {fmt(box[1])} {fmt(box[2])} {fmt(box[3])}">',
@@ -301,7 +273,7 @@ def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
         )
         for ua, va, ub, vb in projected[kind]:
             lines.append(
-                f'    <line x1="{fmt(ua)}" y1="{fmt(-va)}" x2="{fmt(ub)}" y2="{fmt(-vb)}"/>'
+                f'    <line x1="{fu(ua)}" y1="{fv(-va)}" x2="{fu(ub)}" y2="{fv(-vb)}"/>'
             )
         lines.append("  </g>")
     lines.append("</svg>")
@@ -322,5 +294,14 @@ def render(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
 
 
 def write_scene(scene: Scene3D, opts: ExportOptions, sink: BinaryIO) -> None:
-    """Encode the rendered document as UTF-8 into a byte sink."""
-    sink.write(render(scene, opts).encode("utf-8"))
+    """Encode the rendered document as UTF-8 into a byte sink.
+
+    A buffered pipe whose reader has gone may report a short count instead of
+    raising, so the rest is offered again until the sink raises its own error;
+    a sink that takes nothing raises ``OSError``."""
+    data = memoryview(render(scene, opts).encode("utf-8"))
+    while data:
+        written = sink.write(data)
+        if not written:
+            raise OSError(f"output sink accepted no bytes ({len(data)} left to write)")
+        data = data[written:]

@@ -34,10 +34,12 @@ class DLVertex(NamedTuple):
 
 @dataclass(frozen=True)
 class DLParams:
-    """Construction parameters, validated on creation.
+    """Construction parameters, validated on creation by type and by range.
 
-    The truncation holds ``sum(p**n * q**(layers-n))`` vertices; construction
-    is rejected outright when that exceeds ``vertex_cap``.
+    Each field must be an ``int`` or an object with ``__index__`` (stored as
+    the plain ``int``); floats and bools raise ``TypeError``.  The truncation
+    holds ``sum(p**n * q**(layers-n))`` vertices; construction is rejected
+    outright when that exceeds ``vertex_cap``.
     """
 
     p: int
@@ -46,6 +48,8 @@ class DLParams:
     vertex_cap: int = DEFAULT_VERTEX_CAP
 
     def __post_init__(self) -> None:
+        for name in ("p", "q", "layers", "vertex_cap"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if self.q < 2:

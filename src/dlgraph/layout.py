@@ -11,9 +11,10 @@ Drawing conventions (the drawing height h is the z coordinate):
 * the DL vertex (h, j, k) inherits x from its orange component and y from
   its brown component.
 
-Every coordinate is a multiple of 1/2, so it is computed as a doubled
-integer, ``2x = (2j+1) * p**(L-h) - 1`` and ``2y = (2k+1) * q**h - 1``, and
-surfaced as an exact ``Fraction``; rounding happens only at export time.
+Every coordinate is a multiple of 1/2, so it is computed and stored as a
+doubled integer, ``2x = (2j+1) * p**(L-h) - 1`` and ``2y = (2k+1) * q**h - 1``.
+A scene holds only these ints; the public ``*_position`` functions surface
+the exact ``Fraction`` values, and rounding happens only at export time.
 """
 
 from __future__ import annotations
@@ -34,22 +35,25 @@ DEFAULT_VIEW = (165, 10)
 
 
 class Point3(NamedTuple):
+    """Exact position returned by ``orange_position``, ``brown_position`` and ``dl_position``."""
+
     x: Fraction
     y: Fraction
     z: Fraction
 
 
 class Segment(NamedTuple):
-    """One drawn line: its kind and the two endpoints, higher z first."""
+    """One drawn line: its kind and the two doubled endpoints ``(2x, 2y, 2z)``, higher z first."""
 
     kind: str
-    a: Point3
-    b: Point3
+    a: tuple[int, int, int]
+    b: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class Scene3D:
-    """Typed edge segments plus the view under which they are meant to be shown.
+    """Typed edge segments, every endpoint the doubled int tuple ``(2x, 2y, 2z)``,
+    plus the view under which they are meant to be shown.
 
     ``view`` is (azimuth degrees, elevation degrees); it is carried here but
     interpreted only by exporters.
@@ -59,35 +63,36 @@ class Scene3D:
     view: tuple
     segments: tuple[Segment, ...]
 
-    def segment_counts(self) -> dict[str, int]:
-        counts = dict.fromkeys(KINDS, 0)
-        for seg in self.segments:
-            counts[seg.kind] += 1
-        return counts
 
-
-def _coordinate(spacing: int, index: int) -> Fraction:
-    """Coordinate of node ``index`` in a row of nodes ``spacing`` apart, node 0
-    centred over ``[0, spacing - 1]``: twice it is ``(2*index + 1) * spacing - 1``.
+def _coordinate(spacing: int, index: int) -> int:
+    """Twice the coordinate of node ``index`` in a row of nodes ``spacing`` apart,
+    node 0 centred over ``[0, spacing - 1]``: ``(2*index + 1) * spacing - 1``.
 
     The orange row at height h has spacing ``p**(L-h)`` (x), the brown row
     ``q**h`` (y).
     """
-    return Fraction((2 * index + 1) * spacing - 1, 2)
+    return (2 * index + 1) * spacing - 1
 
 
-def _row_index(value: Fraction, spacing: int, count: int) -> int | None:
-    """The index i < ``count`` with ``value == _coordinate(spacing, i)``, or None."""
-    if value.denominator > 2:
+def _row_index(doubled, spacing: int, count: int) -> int | None:
+    """The index i < ``count`` with ``doubled == _coordinate(spacing, i)``, or None."""
+    if type(doubled) is not int:  # a float or a bool is never a scene coordinate
         return None
-    # 2*value + 1 = (2i + 1) * spacing: quotient i and remainder spacing by 2*spacing
-    index, rest = divmod(value.numerator * (2 // value.denominator) + 1, 2 * spacing)
+    # doubled + 1 = (2i + 1) * spacing: quotient i and remainder spacing by 2*spacing
+    index, rest = divmod(doubled + 1, 2 * spacing)
     return index if rest == spacing and 0 <= index < count else None
 
 
-def coordinate_rows(params: DLParams) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Every drawn coordinate once: ``xs[h][j]`` of orange node j and ``ys[h][k]``
-    of brown node k, both at drawing height h."""
+def _halved(doubled) -> str:
+    """``doubled / 2`` for an error message, printed as ``str(Fraction)`` prints it."""
+    if type(doubled) is not int:
+        return str(doubled / 2)
+    return f"{doubled}/2" if doubled & 1 else str(doubled >> 1)
+
+
+def coordinate_rows(params: DLParams) -> tuple[list[list[int]], list[list[int]]]:
+    """Every drawn coordinate once, doubled: ``xs[h][j]`` is 2x of orange node j
+    and ``ys[h][k]`` is 2y of brown node k, both at drawing height h."""
     p, q, L = params.p, params.q, params.layers
     xs = [[_coordinate(p ** (L - h), j) for j in range(p**h)] for h in range(L + 1)]
     ys = [[_coordinate(q**h, k) for k in range(q ** (L - h))] for h in range(L + 1)]
@@ -101,7 +106,7 @@ def orange_position(p: int, layers: int, level: int, index: int) -> Point3:
         raise ValueError(f"level {level} outside [0, {layers}]")
     if not 0 <= index < p**level:
         raise ValueError(f"index {index} invalid at level {level}")
-    return Point3(_coordinate(p ** (layers - level), index), Fraction(0), Fraction(level))
+    return Point3(Fraction(_coordinate(p ** (layers - level), index), 2), Fraction(0), Fraction(level))
 
 
 def brown_position(q: int, layers: int, height: int, index: int) -> Point3:
@@ -111,7 +116,7 @@ def brown_position(q: int, layers: int, height: int, index: int) -> Point3:
         raise ValueError(f"height {height} outside [0, {layers}]")
     if not 0 <= index < q ** (layers - height):
         raise ValueError(f"index {index} invalid at drawn height {height}")
-    return Point3(Fraction(0), _coordinate(q**height, index), Fraction(height))
+    return Point3(Fraction(0), Fraction(_coordinate(q**height, index), 2), Fraction(height))
 
 
 def dl_position(params: DLParams, vertex) -> Point3:
@@ -122,20 +127,31 @@ def dl_position(params: DLParams, vertex) -> Point3:
     return Point3(orange.x, by, orange.z)
 
 
+def invert_doubled_position(params: DLParams, point) -> DLVertex:
+    """Recover the DL vertex whose doubled position ``(2x, 2y, 2z)`` is ``point``.
+
+    This inverts a scene endpoint.  Raises ValueError, naming the undoubled
+    coordinate, when a coordinate is not an ``int`` or is off the lattice.
+    """
+    x, y, z = point
+    L = params.layers
+    if type(z) is not int or z & 1 or not 0 <= z <= 2 * L:
+        raise ValueError(f"z = {_halved(z)} is not a drawing height")
+    h = z >> 1
+    j = _row_index(x, params.p ** (L - h), params.p**h)
+    if j is None:
+        raise ValueError(f"x = {_halved(x)} is not an orange node position at height {h}")
+    k = _row_index(y, params.q**h, params.q ** (L - h))
+    if k is None:
+        raise ValueError(f"y = {_halved(y)} is not a brown node position at height {h}")
+    return DLVertex(h, j, k)
+
+
 def invert_dl_position(params: DLParams, point) -> DLVertex:
     """Recover the DL vertex drawn at ``point``; raises ValueError off-lattice."""
-    # scene points hold Fractions already; re-wrapping one costs as much as the lookup
-    x, y, z = (c if isinstance(c, Fraction) else Fraction(c) for c in point)
-    h = z.numerator
-    if z.denominator != 1 or not 0 <= h <= params.layers:
-        raise ValueError(f"z = {z} is not a drawing height")
-    j = _row_index(x, params.p ** (params.layers - h), params.p**h)
-    if j is None:
-        raise ValueError(f"x = {x} is not an orange node position at height {h}")
-    k = _row_index(y, params.q**h, params.q ** (params.layers - h))
-    if k is None:
-        raise ValueError(f"y = {y} is not a brown node position at height {h}")
-    return DLVertex(h, j, k)
+    doubled = (2 * Fraction(c) for c in point)
+    # a coordinate that doubles to a non-integer stays a Fraction, which the inversion rejects
+    return invert_doubled_position(params, tuple(d.numerator if d.denominator == 1 else d for d in doubled))
 
 
 def build_scene(graph: DLGraph, view=DEFAULT_VIEW) -> Scene3D:
@@ -149,18 +165,16 @@ def build_scene(graph: DLGraph, view=DEFAULT_VIEW) -> Scene3D:
     params = graph.params
     p, q, L = params.p, params.q, params.layers
     xs, ys = coordinate_rows(params)
-    zero = Fraction(0)
-    zs = [Fraction(h) for h in range(L + 1)]
     segments = []
     for n in range(1, L + 1):
-        x_top, x_bottom, z_top, z_bottom = xs[n], xs[n - 1], zs[n], zs[n - 1]
-        parents = [Point3(x, zero, z_bottom) for x in x_bottom]
-        segments += [Segment(KIND_TREE_P, Point3(x, zero, z_top), parents[j // p]) for j, x in enumerate(x_top)]
+        x_top, x_bottom, z_top, z_bottom = xs[n], xs[n - 1], 2 * n, 2 * n - 2
+        parents = [(x, 0, z_bottom) for x in x_bottom]
+        segments += [Segment(KIND_TREE_P, (x, 0, z_top), parents[j // p]) for j, x in enumerate(x_top)]
         for k, y_top in enumerate(ys[n]):
-            brown_top = Point3(zero, y_top, z_top)
-            dl_tops = [Point3(x, y_top, z_top) for x in x_top]
+            brown_top = (0, y_top, z_top)
+            dl_tops = [(x, y_top, z_top) for x in x_top]
             for y in ys[n - 1][k * q : k * q + q]:
-                segments.append(Segment(KIND_TREE_Q, brown_top, Point3(zero, y, z_bottom)))
-                dl_bottoms = [Point3(x, y, z_bottom) for x in x_bottom]
+                segments.append(Segment(KIND_TREE_Q, brown_top, (0, y, z_bottom)))
+                dl_bottoms = [(x, y, z_bottom) for x in x_bottom]
                 segments += [Segment(KIND_DL, top, dl_bottoms[j // p]) for j, top in enumerate(dl_tops)]
     return Scene3D(params=params, view=tuple(view), segments=tuple(segments))

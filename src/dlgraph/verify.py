@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graph import DLVertex
-from .layout import DEFAULT_VIEW, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, invert_dl_position
+from .layout import DEFAULT_VIEW, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, invert_doubled_position
 from .tree import LayeredTree, TreeAddress
 
 PASS = "pass"
@@ -492,26 +492,30 @@ def check_lamplighter(g) -> CheckResult:
 def check_scene_graph_agreement(g, scene: Scene3D) -> CheckResult:
     """Inverting the DL segments' coordinates reproduces the edge set bijectively.
 
-    Also insists that tree-p segments lie in the plane y = 0 and tree-q
-    segments in x = 0.
+    Also insists that every tree endpoint is a point of ints, that tree-p
+    segments lie in the plane y = 0 and tree-q segments in x = 0.  Scene
+    points are doubled, so a point of another type, or one off the lattice,
+    fails with the segment's index.
     """
     started = time.perf_counter()
     name, params = "check_scene_graph_agreement", _graph_params(g)
     seen: dict = {}
-    for i, seg in enumerate(scene.segments):
-        if seg.kind == KIND_TREE_P:
-            if seg.a.y != 0 or seg.b.y != 0:
+    for i, (kind, a, b) in enumerate(scene.segments):
+        if kind in (KIND_TREE_P, KIND_TREE_Q):
+            if not all(type(c) is int for c in (*a, *b)):  # a bool's type is bool, not int
+                return _result(name, params, started, FAIL,
+                               counterexample=f"segment {i}: {kind} endpoints {a}, {b} are not points of ints")
+            if kind == KIND_TREE_P and (a[1] != 0 or b[1] != 0):
                 return _result(name, params, started, FAIL,
                                counterexample=f"segment {i} (tree-p) leaves the plane y=0")
-        elif seg.kind == KIND_TREE_Q:
-            if seg.a.x != 0 or seg.b.x != 0:
+            if kind == KIND_TREE_Q and (a[0] != 0 or b[0] != 0):
                 return _result(name, params, started, FAIL,
                                counterexample=f"segment {i} (tree-q) leaves the plane x=0")
         else:
             try:
-                va = invert_dl_position(scene.params, seg.a)
-                vb = invert_dl_position(scene.params, seg.b)
-            except ValueError as exc:
+                va = invert_doubled_position(scene.params, a)
+                vb = invert_doubled_position(scene.params, b)
+            except (TypeError, ValueError) as exc:
                 return _result(name, params, started, FAIL,
                                counterexample=f"segment {i}: {exc}")
             top, bottom = (va, vb) if va.height > vb.height else (vb, va)

@@ -234,3 +234,53 @@ def test_non_finite_view_is_usage_error(capsys, view):
         main(["export", "--view", *view])
     assert excinfo.value.code == EXIT_USAGE
     assert "angle must be a finite number" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# closed pipes
+
+def _env(unbuffered: bool) -> dict:
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(dlgraph.__file__).resolve().parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("stats", "-L", "6"),
+    ("export", "-p", "2", "-q", "3", "-L", "6"),
+    ("verify", "-p", "2", "-q", "2", "-L", "3"),
+    ("figure", "--name", "dl32"),
+])
+def test_closed_pipe_exits_four_with_one_error_line(argv, unbuffered):
+    # the reader end is closed before the command starts, so every write meets EPIPE;
+    # buffered, the text commands would otherwise first meet it in the flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = _env(unbuffered)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dlgraph", *argv], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=120, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_OUTPUT
+    error_lines = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert error_lines == ["error: [Errno 32] Broken pipe"]
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_export_into_a_reader_that_stops_early_exits_four(unbuffered):
+    # the reader takes 10 bytes and closes while the export is still writing
+    env = _env(unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "dlgraph", "export", "-p", "2", "-q", "3", "-L", "7"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_OUTPUT
+    assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: [Errno 32] Broken pipe"]
+    assert "Traceback" not in err

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlgraph import (
     DEFAULT_VIEW,
@@ -19,7 +21,6 @@ from dlgraph import (
     KIND_DL,
     KIND_TREE_P,
     KIND_TREE_Q,
-    Point3,
     Scene3D,
     Segment,
     build_scene,
@@ -29,10 +30,11 @@ from dlgraph import (
     export_svg,
     export_tikz,
     format_number,
-    project_point,
     render,
     write_scene,
 )
+
+from support import project_point, reference_format_number, reference_svg
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -138,6 +140,28 @@ def test_tikz_required_structure():
         assert needle in doc, needle
 
 
+@settings(deadline=None, max_examples=300)
+@given(
+    value=st.one_of(
+        st.fractions(max_denominator=10**9),
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e9, max_value=1e9),
+        st.integers(-(10**12), 10**12),
+    ),
+    digits=st.integers(0, 9),
+)
+def test_format_number_rounds_like_round_fraction(value, digits):
+    # one integer path must round half to even exactly as round(Fraction * 10**digits)
+    assert format_number(value, digits) == reference_format_number(value, digits)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(5, 2), Fraction(-5, 2), Fraction(15, 1000),
+                                   Fraction(25, 1000), Fraction(-25, 1000), Fraction(-1, 10**9)])
+@pytest.mark.parametrize("digits", [0, 1, 2, 6])
+def test_format_number_ties_and_small_negatives(value, digits):
+    assert format_number(value, digits) == reference_format_number(value, digits)
+    assert format_number(value, digits) != "-0"
+
+
 def test_tikz_first_statement_joins_the_derived_endpoints():
     doc = export_tikz(reference_scene())
     style, a, b = STATEMENT.findall(doc)[0]
@@ -154,8 +178,8 @@ def test_tikz_statements_follow_scene_order():
     assert len(statements) == len(scene.segments)
     for seg, (style, a, b) in zip(scene.segments, statements):
         assert style == style_for[seg.kind]
-        assert a == ",".join(format_number(c) for c in seg.a)
-        assert b == ",".join(format_number(c) for c in seg.b)
+        assert a == ",".join(format_number(Fraction(c, 2)) for c in seg.a)
+        assert b == ",".join(format_number(Fraction(c, 2)) for c in seg.b)
 
 
 def test_tikz_background_scope_wraps_exactly_the_tree_q_statements():
@@ -266,9 +290,10 @@ def test_obj_structure_and_index_ranges():
     assert lines.index("g tree_p") == v_count
 
 
-def test_obj_dedups_equal_points_of_any_number_type():
-    a, b = Point3(Fraction(1, 2), 0, 1), Point3(0.5, 0.0, Fraction(1))
-    c = Point3(0, Fraction(3, 2), 0)
+def test_obj_dedups_equal_points_built_separately():
+    # doubled points: (1, 0, 2) is (0.5, 0, 1); equal tuples built apart share one v record
+    a, b = (1, 0, 2), tuple([1, 0, 2])
+    c = (0, 3, 0)
     scene = Scene3D(DLParams(2, 2, 1), DEFAULT_VIEW, (Segment(KIND_DL, a, c), Segment(KIND_DL, b, c)))
     assert export_obj(scene) == "v 0.5 0 1\nv 0 1.5 0\ng tree_p\ng tree_q\ng dl\nl 1 2\nl 1 2\n"
 
@@ -279,7 +304,7 @@ def test_obj_line_records_resolve_to_segment_endpoints():
     coords = []
     for line in lines:
         if line.startswith("v "):
-            coords.append(tuple(Fraction(part) for part in line.split()[1:]))
+            coords.append(tuple(int(2 * Fraction(part)) for part in line.split()[1:]))
     segments_by_kind = {k: [] for k in ("tree_p", "tree_q", "dl")}
     current = None
     for line in lines:
@@ -308,18 +333,49 @@ def test_svg_cardinal_projections_are_exact():
     assert project_point((3, 5, 7), 90, 0) == (-3, 7)
     assert project_point((3, 5, 7), 180, 0) == (-5, 7)
     assert project_point((3, 5, 7), 0, 90) == (5, -3)  # v = cos(90)*z - sin(90)*x
+    # the writer prints those exact values: at view (0, 0), u = y and screen y = -z
+    doc = export_svg(tiny_scene(), ExportOptions(format="svg", view=(0, 0)))
+    first = re.search(r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"/>', doc).groups()
+    seg = next(seg for seg in tiny_scene().segments if seg.kind == KIND_TREE_Q)
+    assert first == tuple(format_number(Fraction(c, 2)) for c in (seg.a[1], -seg.a[2], seg.b[1], -seg.b[2]))
 
 
 def test_svg_projection_is_exactly_linear():
     scene = reference_scene()
     az, el = 165, 10
     for seg in scene.segments[::17]:
-        mid = tuple((ca + cb) / 2 for ca, cb in zip(seg.a, seg.b))
-        ua, va = project_point(seg.a, az, el)
-        ub, vb = project_point(seg.b, az, el)
+        a, b = [Fraction(c, 2) for c in seg.a], [Fraction(c, 2) for c in seg.b]
+        mid = tuple((ca + cb) / 2 for ca, cb in zip(a, b))
+        ua, va = project_point(a, az, el)
+        ub, vb = project_point(b, az, el)
         um, vm = project_point(mid, az, el)
         assert um == (ua + ub) / 2
         assert vm == (va + vb) / 2
+
+
+# views in [-720, 720]: arbitrary floats, the cardinal angles and their negative zeros
+VIEW_ANGLES = st.one_of(
+    st.floats(min_value=-720, max_value=720, allow_nan=False),
+    st.integers(-8, 8).map(lambda n: 90.0 * n),
+    st.just(-0.0),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(size=st.sampled_from([(2, 2, 2), (2, 3, 2)]), az=VIEW_ANGLES, el=VIEW_ANGLES, digits=st.integers(1, 8))
+def test_svg_matches_the_fraction_reference(size, az, el, digits):
+    scene = build_scene(DLGraph(DLParams(*size)))
+    opts = ExportOptions(format="svg", view=(az, el), decimal_digits=digits)
+    assert export_svg(scene, opts) == reference_svg(scene, opts)
+
+
+@pytest.mark.parametrize("view", [(165, 10), (33.3, -12.5), (0, 90), (-90.0, -0.0)])
+def test_svg_matches_the_fraction_reference_on_the_reference_scene(view):
+    scene = reference_scene()
+    opts = ExportOptions(format="svg", view=view)
+    assert export_svg(scene, opts) == reference_svg(scene, opts)
+    point_scene = Scene3D(scene.params, scene.view, scene.segments[:0])
+    assert export_svg(point_scene, opts) == reference_svg(point_scene, opts)
 
 
 def test_svg_degenerate_scene_gets_unit_viewbox():

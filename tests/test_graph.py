@@ -3,6 +3,7 @@ rule, BFS goldens frozen from the breadth-first oracle, duality, connectivity.""
 
 from __future__ import annotations
 
+import re
 from collections import Counter, deque
 
 import pytest
@@ -42,6 +43,23 @@ def test_params_validation():
         DLParams(2, 1, 3)
     with pytest.raises(ValueError):
         DLParams(2, 3, 0)
+
+
+@pytest.mark.parametrize("field", ["p", "q", "layers", "vertex_cap"])
+@pytest.mark.parametrize("bad", [2.0, 3.5, True, "3", None])
+def test_params_reject_non_integers(field, bad):
+    args = {"p": 2, "q": 3, "layers": 3, "vertex_cap": 1000, field: bad}
+    with pytest.raises(TypeError, match=rf"^{field} must be an integer, got {re.escape(repr(bad))}$"):
+        DLParams(**args)
+
+
+def test_params_accept_index_objects_as_plain_ints():
+    params = DLParams(Index(2), Index(3), Index(3), vertex_cap=Index(1000))
+    assert params == DLParams(2, 3, 3, vertex_cap=1000)
+    assert [type(v) for v in (params.p, params.q, params.layers, params.vertex_cap)] == [int] * 4
+    assert DLGraph(params).params.vertex_count == 65
+    with pytest.raises(ValueError, match=r"^p must be >= 2, got 1$"):
+        DLParams(Index(1), 3, 3)
 
 
 def test_vertex_cap_guards_build():

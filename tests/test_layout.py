@@ -15,11 +15,11 @@ from dlgraph import (
     KIND_DL,
     KIND_TREE_P,
     KIND_TREE_Q,
-    Point3,
     brown_position,
     build_scene,
     dl_position,
     invert_dl_position,
+    invert_doubled_position,
     orange_position,
 )
 
@@ -112,11 +112,11 @@ def test_parent_centered_over_children():
 # scenes
 
 def test_scene_segment_counts():
-    counts = scene_for(2, 3, 3).segment_counts()
+    counts = Counter(seg.kind for seg in scene_for(2, 3, 3).segments)
     assert counts == {KIND_TREE_P: 14, KIND_TREE_Q: 39, KIND_DL: 114}
     assert sum(counts.values()) == 167
 
-    counts = scene_for(2, 2, 1).segment_counts()
+    counts = Counter(seg.kind for seg in scene_for(2, 2, 1).segments)
     assert counts == {KIND_TREE_P: 2, KIND_TREE_Q: 2, KIND_DL: 4}
 
 
@@ -129,8 +129,8 @@ def test_scene_emission_order_tiny():
         KIND_TREE_Q, KIND_DL, KIND_DL,
     ]
     first = scene.segments[0]
-    assert first.a == (0, 0, 1)
-    assert first.b == (Fraction(1, 2), 0, 0)
+    assert first.a == (0, 0, 2)  # doubled (0, 0, 1)
+    assert first.b == (1, 0, 0)  # doubled (1/2, 0, 0)
 
 
 def test_scene_emission_order_interleaves_heights():
@@ -149,8 +149,8 @@ def test_first_segments_of_reference_scene():
     scene = scene_for(2, 3, 3)
     first = scene.segments[0]
     assert first.kind == KIND_TREE_P
-    assert first.a == (Fraction(3, 2), 0, 1)
-    assert first.b == (Fraction(7, 2), 0, 0)
+    assert first.a == (3, 0, 2)  # doubled (3/2, 0, 1)
+    assert first.b == (7, 0, 0)  # doubled (7/2, 0, 0)
 
 
 def test_scene_planes_and_view():
@@ -158,41 +158,42 @@ def test_scene_planes_and_view():
     assert scene.view == (30, 45)
     for seg in scene.segments:
         if seg.kind == KIND_TREE_P:
-            assert seg.a.y == seg.b.y == 0
+            assert seg.a[1] == seg.b[1] == 0
         elif seg.kind == KIND_TREE_Q:
-            assert seg.a.x == seg.b.x == 0
+            assert seg.a[0] == seg.b[0] == 0
 
 
 def test_segments_connect_consecutive_heights():
     for seg in scene_for(2, 3, 3).segments:
-        assert seg.a.z - seg.b.z == 1
+        assert seg.a[2] - seg.b[2] == 2  # doubled heights
 
 
 def test_all_coordinates_are_half_integers():
-    for seg in scene_for(3, 2, 3).segments:
-        for point in (seg.a, seg.b):
-            for coordinate in point:
-                assert Fraction(coordinate).denominator in (1, 2)
+    # the scene holds every coordinate doubled as a plain int (no Fraction, float or
+    # bool), so each coordinate it stands for is a multiple of 1/2
+    for p, q, layers in [(3, 2, 3), (2, 3, 3), (2, 2, 1)]:
+        for seg in scene_for(p, q, layers).segments:
+            assert type(seg.a) is type(seg.b) is tuple
+            assert [type(c) for c in (*seg.a, *seg.b)] == [int] * 6
 
 
 @pytest.mark.parametrize("p,q,layers", [(2, 3, 3), (3, 2, 3), (3, 3, 2)])
 def test_scene_endpoints_are_the_public_positions(p, q, layers):
-    # every endpoint equals, value and type, the public position of its kind
+    # every endpoint is the public position of its kind, doubled
     params = DLParams(p, q, layers)
     for seg in scene_for(p, q, layers).segments:
         for point in (seg.a, seg.b):
-            h = int(point.z)
+            h = point[2] // 2
             if seg.kind == KIND_DL:
-                expected = dl_position(params, invert_dl_position(params, point))
+                expected = dl_position(params, invert_doubled_position(params, point))
             elif seg.kind == KIND_TREE_P:
-                j = invert_dl_position(params, (point.x, brown_position(q, layers, h, 0).y, h)).orange
+                j = invert_doubled_position(params, (point[0], int(2 * brown_position(q, layers, h, 0).y), point[2])).orange
                 expected = orange_position(p, layers, h, j)
             else:
-                k = invert_dl_position(params, (orange_position(p, layers, h, 0).x, point.y, h)).brown
+                k = invert_doubled_position(params, (int(2 * orange_position(p, layers, h, 0).x), point[1], point[2])).brown
                 expected = brown_position(q, layers, h, k)
-            assert point == expected
-            assert type(point) is Point3
-            assert [type(c) for c in point] == [type(c) for c in expected] == [Fraction] * 3
+            assert point == tuple(2 * c for c in expected)
+            assert [type(c) for c in expected] == [Fraction] * 3
 
 
 @pytest.mark.parametrize("p,q,layers", [(2, 2, 2), (2, 3, 3), (3, 2, 2), (3, 3, 2)])
@@ -215,8 +216,8 @@ def test_dl_segments_invert_to_the_edge_set(p, q, layers):
     for seg in scene.segments:
         if seg.kind != KIND_DL:
             continue
-        va = invert_dl_position(g.params, seg.a)
-        vb = invert_dl_position(g.params, seg.b)
+        va = invert_doubled_position(g.params, seg.a)
+        vb = invert_doubled_position(g.params, seg.b)
         top, bottom = (va, vb) if va.height > vb.height else (vb, va)
         inverted[(top, bottom)] += 1
     expected = Counter((a, b) for a, b in g.edges())
@@ -230,6 +231,7 @@ def test_inversion_round_trips_vertices(p, q, layers):
     params = DLParams(p, q, layers)
     for v in DLGraph(params).vertices():
         assert invert_dl_position(params, dl_position(params, v)) == v
+        assert invert_doubled_position(params, tuple(int(2 * c) for c in dl_position(params, v))) == v
 
 
 def test_inversion_rejects_off_lattice_points():
@@ -259,3 +261,21 @@ def test_inversion_rejects_off_lattice_points():
     assert invert_dl_position(params, (1.5, 1, 1)) == DLVertex(1, 0, 0)
     with pytest.raises(ValueError, match=r"^z = 1/2 is not a drawing height$"):
         invert_dl_position(params, (1.5, 1.0, 0.5))
+
+
+def test_doubled_inversion_rejects_off_lattice_and_non_int_coordinates():
+    params = DLParams(2, 3, 3)
+    assert invert_doubled_position(params, (3, 2, 2)) == DLVertex(1, 0, 0)
+    # the messages name the undoubled coordinate, as invert_dl_position does
+    with pytest.raises(ValueError, match=r"^z = 1/2 is not a drawing height$"):
+        invert_doubled_position(params, (3, 2, 1))
+    with pytest.raises(ValueError, match=r"^z = 4 is not a drawing height$"):
+        invert_doubled_position(params, (3, 2, 8))
+    with pytest.raises(ValueError, match=r"^x = 2 is not an orange node position at height 1$"):
+        invert_doubled_position(params, (4, 2, 2))
+    with pytest.raises(ValueError, match=r"^y = 101 is not a brown node position at height 1$"):
+        invert_doubled_position(params, (3, 202, 2))
+    # a float or a bool is not a doubled coordinate, even where its value is on the lattice
+    for bad in [(3.0, 2, 2), (3, 2.0, 2), (3, 2, 2.0), (3, 2, True), (True, 0, 6)]:
+        with pytest.raises(ValueError, match="is not a"):
+            invert_doubled_position(params, bad)

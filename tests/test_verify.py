@@ -314,7 +314,8 @@ def test_scene_agreement_fails_on_corrupted_segment():
     segments = list(scene.segments)
     index = next(i for i, seg in enumerate(segments) if seg.kind == "dl")
     seg = segments[index]
-    segments[index] = Segment(seg.kind, seg.a._replace(x=seg.a.x + 1), seg.b)
+    x, y, z = seg.a
+    segments[index] = Segment(seg.kind, (x + 2, y, z), seg.b)  # x moved by 1, in doubled units
     result = check_scene_graph_agreement(g, Scene3D(scene.params, scene.view, tuple(segments)))
     assert result.status == "fail"
     assert f"segment {index}" in result.counterexample
@@ -341,10 +342,56 @@ def test_scene_agreement_checks_tree_planes():
     segments = list(scene.segments)
     index = next(i for i, seg in enumerate(segments) if seg.kind == "tree-p")
     seg = segments[index]
-    segments[index] = Segment(seg.kind, seg.a._replace(y=seg.a.y + 1), seg.b)
+    x, y, z = seg.a
+    segments[index] = Segment(seg.kind, (x, y + 2, z), seg.b)  # y moved by 1, in doubled units
     result = check_scene_graph_agreement(g, Scene3D(scene.params, scene.view, tuple(segments)))
     assert result.status == "fail"
     assert "y=0" in result.counterexample
+
+
+def _with_endpoint(scene, kind, endpoint):
+    """``scene`` with the first segment of ``kind`` given ``endpoint(a)`` as its
+    first endpoint; returns the new scene and that segment's index."""
+    segments = list(scene.segments)
+    index = next(i for i, seg in enumerate(segments) if seg.kind == kind)
+    seg = segments[index]
+    segments[index] = Segment(seg.kind, endpoint(seg.a), seg.b)
+    return Scene3D(scene.params, scene.view, tuple(segments)), index
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda a: (float(a[0]), a[1], a[2]),  # the same value, as a float
+        lambda a: (a[0], a[1], float(a[2])),
+        lambda a: (a[0], bool(a[1]), a[2]),  # a bool for 0 or 1
+        lambda a: (a[0], a[1], a[2] + 1),  # an odd doubled height: between two heights
+        lambda a: (a[0] + 1, a[1], a[2]),  # between two orange nodes
+    ],
+    ids=["float-x", "float-z", "bool-y", "odd-z", "odd-x"],
+)
+def test_scene_agreement_fails_on_hand_built_dl_points(damage):
+    # a DL point that is not a lattice point of ints fails with its segment index, never raises
+    g = graph(2, 3, 2)
+    scene, index = _with_endpoint(build_scene(g), "dl", damage)
+    result = check_scene_graph_agreement(g, scene)
+    assert result.status == "fail"
+    assert result.counterexample.startswith(f"segment {index}: ")
+
+
+@pytest.mark.parametrize("kind", ["tree-p", "tree-q"])
+@pytest.mark.parametrize(
+    "damage",
+    [lambda a: (float(a[0]), a[1], a[2]), lambda a: (a[0], a[1], float(a[2])), lambda a: (bool(a[0]), bool(a[1]), a[2])],
+    ids=["float-x", "float-z", "bool-xy"],
+)
+def test_scene_agreement_fails_on_tree_points_that_are_not_ints(kind, damage):
+    # the same values as floats or bools still lie in the tree's plane; the type alone fails
+    g = graph(2, 3, 2)
+    scene, index = _with_endpoint(build_scene(g), kind, damage)
+    result = check_scene_graph_agreement(g, scene)
+    assert result.status == "fail"
+    assert result.counterexample.startswith(f"segment {index}: {kind} endpoints")
 
 
 # ---------------------------------------------------------------------------
