@@ -5,6 +5,7 @@ deterministically."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -470,3 +471,59 @@ def test_mutated_graph_surface():
     assert grown.is_edge(extra, (1, 0, 0))
     assert extra in grown.neighbors((1, 0, 0))
     assert grown.neighbors(extra) == [(1, 0, 0)]
+
+
+# ---------------------------------------------------------------------------
+# golden verification reports
+
+# golden/verify_reports.txt holds every report below, rendered by
+# render_golden_reports(); it changes only when a report's text changes.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_GRAPHS = [(2, 3, 4), (2, 2, 4), (3, 3, 4), (2, 3, 3)]  # L=3 at r=2 gives the SKIP rows
+GRAPH_DAMAGES = {
+    "undamaged": lambda g: g,
+    "first edge dropped": lambda g: MutatedGraph(g, drop_edges=[next(g.edges())]),
+    "middle edge dropped": lambda g: MutatedGraph(g, drop_edges=[list(g.edges())[g.params.edge_count // 2]]),
+    "edge (2, 0, 0)-(1, 1, 1) added": lambda g: MutatedGraph(g, add_edges=[((2, 0, 0), (1, 1, 1))]),
+    "vertex (1, 0, 99) wired to (2, 0, 0)": lambda g: MutatedGraph(
+        g, add_vertices=[(1, 0, 99)], add_edges=[((1, 0, 99), (2, 0, 0))]
+    ),
+    "same-height edge (2, 0, 0)-(2, 1, 0)": lambda g: MutatedGraph(g, add_edges=[((2, 0, 0), (2, 1, 0))]),
+}
+SEGMENT_DAMAGES = {
+    "moved by 2 in x": lambda seg: [Segment(seg.kind, (seg.a[0] + 2, seg.a[1], seg.a[2]), seg.b)],
+    "moved by 2 in y": lambda seg: [Segment(seg.kind, (seg.a[0], seg.a[1] + 2, seg.a[2]), seg.b)],
+    "moved by 6 in y": lambda seg: [Segment(seg.kind, (seg.a[0], seg.a[1] + 6, seg.a[2]), seg.b)],
+    "moved by 2 in z": lambda seg: [Segment(seg.kind, (seg.a[0], seg.a[1], seg.a[2] + 2), seg.b)],
+    "moved by 1 in x": lambda seg: [Segment(seg.kind, (seg.a[0] + 1, seg.a[1], seg.a[2]), seg.b)],
+    "dropped": lambda seg: [],
+    "duplicated": lambda seg: [seg, seg],
+}
+
+
+def _damaged_scene(scene, index, damage):
+    segments = list(scene.segments)
+    segments[index : index + 1] = damage(segments[index])
+    return Scene3D(scene.params, scene.view, tuple(segments))
+
+
+def render_golden_reports() -> str:
+    sections = []
+    for p, q, layers in GOLDEN_GRAPHS:
+        for radius in (1, 2):
+            for name, damage in GRAPH_DAMAGES.items():
+                report = run_checks(damage(graph(p, q, layers)), radius=radius)
+                sections.append(f"== DL({p},{q}) L={layers} r={radius}: {name} ==\n{report.to_text()}")
+    g = graph(2, 3, 3)
+    scene = build_scene(g)
+    dl = [i for i, seg in enumerate(scene.segments) if seg.kind == "dl"]
+    for index in (dl[0], dl[-1]):
+        for name, damage in SEGMENT_DAMAGES.items():
+            result = check_scene_graph_agreement(g, _damaged_scene(scene, index, damage))
+            report = verify.VerificationReport((result,))
+            sections.append(f"== DL(2,3) L=3 scene: segment {index} {name} ==\n{report.to_text()}")
+    return "".join(sections)
+
+
+def test_reports_match_golden():
+    assert render_golden_reports() == (GOLDEN / "verify_reports.txt").read_text(encoding="utf-8")
