@@ -2,18 +2,24 @@
 
 Each check is a pure function returning a :class:`CheckResult`; a failed
 check always carries a concrete counterexample (a vertex, edge, segment or
-pair).  :func:`run_checks` assembles a :class:`VerificationReport` whose
+pair), and a check that does not apply to the graph reports SKIP with its
+reason.  :func:`run_checks` assembles a :class:`VerificationReport` whose
 entries are merged deterministically (ordered by check name, then
 parameters) regardless of execution order.
 
+Every check body is wrapped by :func:`_check`: it returns its PASS detail or
+raises :class:`_Fail` or :class:`_Skip`, and the wrapper times it and builds
+the result.
+
 A check reads its graph only through ``params``, ``vertices()``,
-``edges()``, ``neighbors()`` and ``is_edge()``, so the tests can hand it a
-deliberately damaged graph with the same interface; every check has to fail
-on a suitable damage.
+``edges()`` and ``neighbors()``, so the tests can hand it a deliberately
+damaged graph with the same interface; every check has to fail on a
+suitable damage.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graph import DLVertex
-from .layout import DEFAULT_VIEW, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, invert_doubled_position
+from .layout import KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, invert_doubled_position
 from .tree import LayeredTree, TreeAddress
 
 PASS = "pass"
@@ -93,18 +99,45 @@ class VerificationReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def _result(name: str, params: dict, started: float, status: str, counterexample=None, detail=None) -> CheckResult:
-    return CheckResult(name, params, status, counterexample, time.perf_counter() - started, detail)
+class _Fail(Exception):
+    """Raised by a check body; its text is the counterexample."""
 
 
-def _graph_params(g) -> dict:
-    return {"p": g.params.p, "q": g.params.q, "layers": g.params.layers}
+class _Skip(Exception):
+    """Raised by a check body that does not apply to the graph; its text is the reason."""
 
 
-def check_degree_law(g) -> CheckResult:
+def _check(*param_names: str) -> Callable:
+    """Turn a check body ``body(g, *args)`` into a check returning a :class:`CheckResult`.
+
+    The body returns its PASS detail, or raises :class:`_Fail` or
+    :class:`_Skip`; any other exception passes through.  The result is named
+    after the body, and its params are p, q and layers plus the positional
+    arguments named by ``param_names``.
+    """
+
+    def decorate(body: Callable) -> Callable:
+        @functools.wraps(body)
+        def check(g, *args) -> CheckResult:
+            started = time.perf_counter()
+            params = {"p": g.params.p, "q": g.params.q, "layers": g.params.layers, **dict(zip(param_names, args))}
+            status, counterexample = PASS, None
+            try:
+                detail = body(g, *args)
+            except _Fail as exc:
+                status, counterexample, detail = FAIL, str(exc), None
+            except _Skip as exc:
+                status, detail = SKIP, {"reason": str(exc)}
+            return CheckResult(body.__name__, params, status, counterexample, time.perf_counter() - started, detail)
+
+        return check
+
+    return decorate
+
+
+@_check()
+def check_degree_law(g) -> dict:
     """Every vertex has q down-neighbours (unless h = 0) and p up-neighbours (unless h = layers)."""
-    started = time.perf_counter()
-    name, params = "check_degree_law", _graph_params(g)
     p, q, L = g.params.p, g.params.q, g.params.layers
     histogram: dict[int, int] = {}
     for v in g.vertices():
@@ -112,14 +145,12 @@ def check_degree_law(g) -> CheckResult:
         actual = len(g.neighbors(v))
         histogram[actual] = histogram.get(actual, 0) + 1
         if actual != expected:
-            return _result(
-                name, params, started, FAIL,
-                counterexample=f"vertex {tuple(v)} has degree {actual}, expected {expected}",
-            )
-    return _result(name, params, started, PASS, detail={"degree_histogram": dict(sorted(histogram.items()))})
+            raise _Fail(f"vertex {tuple(v)} has degree {actual}, expected {expected}")
+    return {"degree_histogram": dict(sorted(histogram.items()))}
 
 
-def check_level_condition(g) -> CheckResult:
+@_check()
+def check_level_condition(g) -> dict:
     """Both components of every vertex sit at opposite relative heights.
 
     With the orange basepoint at the orange root and the brown basepoint
@@ -136,8 +167,6 @@ def check_level_condition(g) -> CheckResult:
     property of the tree, which its own tests check; damage to the graph is
     caught by the validate, orange-height and brown-height steps.
     """
-    started = time.perf_counter()
-    name, params = "check_level_condition", _graph_params(g)
     p, q, L = g.params.p, g.params.q, g.params.layers
     cap = max(g.params.vertex_cap, p**L, q**L)
     orange = LayeredTree(p, L, level_cap=cap)
@@ -148,46 +177,30 @@ def check_level_condition(g) -> CheckResult:
         o_q = TreeAddress(L, index)
         shift = brown.busemann(o_0, o_q)
         if shift != 0:
-            return _result(
-                name, params, started, FAIL,
-                counterexample=(
-                    f"brown basepoint {tuple(o_q)} is off the horocycle of {tuple(o_0)}: "
-                    f"shift {shift} != 0"
-                ),
-            )
+            raise _Fail(f"brown basepoint {tuple(o_q)} is off the horocycle of {tuple(o_0)}: shift {shift} != 0")
     checked = basepoints
     for v in g.vertices():
         try:
             orange_addr = orange.validate(TreeAddress(v.height, v.orange))
             brown_addr = brown.validate(TreeAddress(L - v.height, v.brown))
         except (TypeError, ValueError) as exc:
-            return _result(
-                name, params, started, FAIL,
-                counterexample=f"vertex {tuple(v)} is not a height-matched tree pair: {exc}",
-            )
+            raise _Fail(f"vertex {tuple(v)} is not a height-matched tree pair: {exc}")
         h_orange = orange.busemann(orange_addr)
         if h_orange != v.height:
-            return _result(
-                name, params, started, FAIL,
-                counterexample=f"vertex {tuple(v)}: orange relative height {h_orange} != {v.height}",
-            )
+            raise _Fail(f"vertex {tuple(v)}: orange relative height {h_orange} != {v.height}")
         h_brown = brown.busemann(brown_addr, o_0)
         checked += 1
         if h_brown != -v.height:
-            return _result(
-                name, params, started, FAIL,
-                counterexample=(
-                    f"vertex {tuple(v)} with brown basepoint {tuple(o_0)}: "
-                    f"brown relative height {h_brown} != {-v.height}"
-                ),
+            raise _Fail(
+                f"vertex {tuple(v)} with brown basepoint {tuple(o_0)}: "
+                f"brown relative height {h_brown} != {-v.height}"
             )
-    return _result(name, params, started, PASS, detail={"basepoints": basepoints, "pairings": checked})
+    return {"basepoints": basepoints, "pairings": checked}
 
 
-def check_counts(g) -> CheckResult:
+@_check()
+def check_counts(g) -> dict:
     """Enumerated vertex/edge counts match the closed forms; handshake holds."""
-    started = time.perf_counter()
-    name, params = "check_counts", _graph_params(g)
     p, q, L = g.params.p, g.params.q, g.params.layers
     expected_v = sum(p**n * q ** (L - n) for n in range(L + 1))
     expected_e = sum(p**n * q ** (L - n + 1) for n in range(1, L + 1))
@@ -198,16 +211,12 @@ def check_counts(g) -> CheckResult:
         degree_sum += len(g.neighbors(v))
     enum_e = sum(1 for _ in g.edges())
     if enum_v != expected_v:
-        return _result(name, params, started, FAIL,
-                       counterexample=f"enumerated {enum_v} vertices, closed form {expected_v}")
+        raise _Fail(f"enumerated {enum_v} vertices, closed form {expected_v}")
     if enum_e != expected_e:
-        return _result(name, params, started, FAIL,
-                       counterexample=f"enumerated {enum_e} edges, closed form {expected_e}")
+        raise _Fail(f"enumerated {enum_e} edges, closed form {expected_e}")
     if degree_sum != 2 * enum_e:
-        return _result(name, params, started, FAIL,
-                       counterexample=f"degree sum {degree_sum} != 2*|E| = {2 * enum_e}")
-    return _result(name, params, started, PASS,
-                   detail={"vertices": enum_v, "edges": enum_e, "degree_sum": degree_sum})
+        raise _Fail(f"degree sum {degree_sum} != 2*|E| = {2 * enum_e}")
+    return {"vertices": enum_v, "edges": enum_e, "degree_sum": degree_sum}
 
 
 def _ball(g, center, radius: int, neighbor_cache: dict) -> dict:
@@ -354,11 +363,13 @@ def _balls_isomorphic(reference: tuple, ball_b: tuple[dict, dict]) -> bool:
     return extend(0)
 
 
-def check_local_homogeneity(g, radius: int) -> CheckResult:
+@_check("radius")
+def check_local_homogeneity(g, radius: int) -> dict:
     """All interior balls of the given radius are pairwise isomorphic.
 
     Interior means radius <= h <= layers - radius, where the truncation ball
-    coincides with the ball of the untruncated graph.  Each ball is compared
+    coincides with the ball of the untruncated graph; a graph with fewer
+    than 2*radius layers has no interior, and the check reports SKIP.  Each ball is compared
     with a fixed reference ball.  First comes a translation witness: DL(p, q)
     is vertex-transitive by products of tree automorphisms and height shifts,
     and :func:`_shape` carries each ball by one of them; equal shapes prove
@@ -370,10 +381,7 @@ def check_local_homogeneity(g, radius: int) -> CheckResult:
         raise ValueError(f"radius must be >= 1, got {radius}")
     L = g.params.layers
     if L < 2 * radius:
-        raise ValueError(f"layers must be >= 2*radius, got layers={L}, radius={radius}")
-    started = time.perf_counter()
-    name = "check_local_homogeneity"
-    params = {**_graph_params(g), "radius": radius}
+        raise _Skip(f"not applicable: layers < 2*radius ({L} < {2 * radius})")
     interior = [v for v in g.vertices() if radius <= v.height <= L - radius]
     neighbor_cache: dict = {}
     reference = interior[0]
@@ -387,16 +395,8 @@ def check_local_homogeneity(g, radius: int) -> CheckResult:
         if prepared is None:
             prepared = _reference(_induced(reference_ball, neighbor_cache))
         if not _balls_isomorphic(prepared, _induced(ball, neighbor_cache)):
-            return _result(
-                name, params, started, FAIL,
-                counterexample=(
-                    f"ball around {tuple(v)} is not isomorphic to the ball around {tuple(reference)}"
-                ),
-            )
-    return _result(
-        name, params, started, PASS,
-        detail={"interior_vertices": len(interior), "ball_size": len(reference_ball)},
-    )
+            raise _Fail(f"ball around {tuple(v)} is not isomorphic to the ball around {tuple(reference)}")
+    return {"interior_vertices": len(interior), "ball_size": len(reference_ball)}
 
 
 def _lamp_state(v: DLVertex, b: int, layers: int) -> tuple[tuple[int, ...], int]:
@@ -423,7 +423,8 @@ def _slab_edges(b: int, layers: int) -> set:
     return edges
 
 
-def check_lamplighter(g) -> CheckResult:
+@_check()
+def check_lamplighter(g) -> dict:
     """For p = q = b, the truncation is isomorphic to a lamplighter slab.
 
     States are (f, cursor) with f: positions 0..layers-1 -> Z/b and cursor in
@@ -432,64 +433,47 @@ def check_lamplighter(g) -> CheckResult:
     digit encoding of :func:`_lamp_state` must be a bijection carrying the
     DL edge set exactly onto the slab edge set, moving one lamp per step.
     """
-    started = time.perf_counter()
-    name, params = "check_lamplighter", _graph_params(g)
     p, q, L = g.params.p, g.params.q, g.params.layers
     if p != q:
-        return _result(name, params, started, SKIP, detail={"reason": "not applicable: p != q"})
+        raise _Skip("not applicable: p != q")
     b = p
     encoding = {}
     for v in g.vertices():
         state = _lamp_state(DLVertex(*v), b, L)
         f, cur = state
         if len(f) != L or any(not 0 <= d < b for d in f) or not 0 <= cur <= L:
-            return _result(name, params, started, FAIL,
-                           counterexample=f"vertex {tuple(v)} encodes to out-of-range state {state}")
+            raise _Fail(f"vertex {tuple(v)} encodes to out-of-range state {state}")
         encoding[DLVertex(*v)] = state
     if len(set(encoding.values())) != len(encoding):
         seen: dict = {}
         for v, state in encoding.items():
             if state in seen:
-                return _result(name, params, started, FAIL,
-                               counterexample=f"vertices {tuple(seen[state])} and {tuple(v)} collide on {state}")
+                raise _Fail(f"vertices {tuple(seen[state])} and {tuple(v)} collide on {state}")
             seen[state] = v
     expected_states = (L + 1) * b**L
     if len(encoding) != expected_states:
-        return _result(name, params, started, FAIL,
-                       counterexample=f"{len(encoding)} vertices vs {expected_states} slab states")
+        raise _Fail(f"{len(encoding)} vertices vs {expected_states} slab states")
 
     slab = _slab_edges(b, L)
     image = set()
     for top, bottom in g.edges():
         top, bottom = DLVertex(*top), DLVertex(*bottom)
         if top not in encoding or bottom not in encoding:
-            return _result(name, params, started, FAIL,
-                           counterexample=f"edge {tuple(top)}-{tuple(bottom)} has an endpoint that is not a vertex")
+            raise _Fail(f"edge {tuple(top)}-{tuple(bottom)} has an endpoint that is not a vertex")
         (f_top, cur_top), (f_bot, cur_bot) = encoding[top], encoding[bottom]
         edge = ((f_bot, cur_bot), (f_top, cur_top))
         image.add(edge)
-        # Move semantics: exactly the lamp at the lower cursor may change,
-        # to the brown child digit downward and the orange child digit upward.
-        position = cur_top - 1
-        if cur_bot != position or edge not in slab:
-            return _result(name, params, started, FAIL,
-                           counterexample=f"edge {tuple(top)}-{tuple(bottom)} maps outside the slab")
-        if f_bot[position] != bottom.brown % b or f_top[position] != top.orange % b:
-            return _result(name, params, started, FAIL,
-                           counterexample=f"edge {tuple(top)}-{tuple(bottom)} moves the wrong lamp value")
-        if any(f_bot[i] != f_top[i] for i in range(L) if i != position):
-            return _result(name, params, started, FAIL,
-                           counterexample=f"edge {tuple(top)}-{tuple(bottom)} changes a lamp away from the cursor")
+        if cur_bot != cur_top - 1 or edge not in slab:
+            raise _Fail(f"edge {tuple(top)}-{tuple(bottom)} maps outside the slab")
     if image != slab:
         missing = next(iter(slab - image), None)
         extra = next(iter(image - slab), None)
-        return _result(name, params, started, FAIL,
-                       counterexample=f"edge sets differ (missing: {missing}, extra: {extra})")
-    return _result(name, params, started, PASS,
-                   detail={"states": expected_states, "slab_edges": len(slab)})
+        raise _Fail(f"edge sets differ (missing: {missing}, extra: {extra})")
+    return {"states": expected_states, "slab_edges": len(slab)}
 
 
-def check_scene_graph_agreement(g, scene: Scene3D) -> CheckResult:
+@_check()
+def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
     """Inverting the DL segments' coordinates reproduces the edge set bijectively.
 
     Also insists that every tree endpoint is a point of ints, that tree-p
@@ -497,59 +481,42 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> CheckResult:
     points are doubled, so a point of another type, or one off the lattice,
     fails with the segment's index.
     """
-    started = time.perf_counter()
-    name, params = "check_scene_graph_agreement", _graph_params(g)
-    seen: dict = {}
+    expected = Counter((DLVertex(*top), DLVertex(*bottom)) for top, bottom in g.edges())
+    seen: Counter = Counter()
     for i, (kind, a, b) in enumerate(scene.segments):
         if kind in (KIND_TREE_P, KIND_TREE_Q):
             if not all(type(c) is int for c in (*a, *b)):  # a bool's type is bool, not int
-                return _result(name, params, started, FAIL,
-                               counterexample=f"segment {i}: {kind} endpoints {a}, {b} are not points of ints")
+                raise _Fail(f"segment {i}: {kind} endpoints {a}, {b} are not points of ints")
             if kind == KIND_TREE_P and (a[1] != 0 or b[1] != 0):
-                return _result(name, params, started, FAIL,
-                               counterexample=f"segment {i} (tree-p) leaves the plane y=0")
+                raise _Fail(f"segment {i} (tree-p) leaves the plane y=0")
             if kind == KIND_TREE_Q and (a[0] != 0 or b[0] != 0):
-                return _result(name, params, started, FAIL,
-                               counterexample=f"segment {i} (tree-q) leaves the plane x=0")
+                raise _Fail(f"segment {i} (tree-q) leaves the plane x=0")
         else:
             try:
                 va = invert_doubled_position(scene.params, a)
                 vb = invert_doubled_position(scene.params, b)
             except (TypeError, ValueError) as exc:
-                return _result(name, params, started, FAIL,
-                               counterexample=f"segment {i}: {exc}")
+                raise _Fail(f"segment {i}: {exc}")
             top, bottom = (va, vb) if va.height > vb.height else (vb, va)
-            if top.height - bottom.height != 1 or not g.is_edge(top, bottom):
-                return _result(name, params, started, FAIL,
-                               counterexample=f"segment {i} joins non-adjacent vertices {tuple(va)}, {tuple(vb)}")
-            key = (top, bottom)
-            seen[key] = seen.get(key, 0) + 1
-    expected: dict = {}
-    for top, bottom in g.edges():
-        key = (DLVertex(*top), DLVertex(*bottom))
-        expected[key] = expected.get(key, 0) + 1
-    if seen != expected:
-        for key in expected:
-            if seen.get(key, 0) != expected[key]:
-                return _result(name, params, started, FAIL,
-                               counterexample=f"edge {tuple(key[0])}-{tuple(key[1])} drawn "
-                                              f"{seen.get(key, 0)} times, expected {expected[key]}")
-        for key in seen:
-            if key not in expected:
-                return _result(name, params, started, FAIL,
-                               counterexample=f"drawn edge {tuple(key[0])}-{tuple(key[1])} is not a graph edge")
-        return _result(name, params, started, FAIL,
-                       counterexample="drawn edge multiset differs from the edge set")
-    return _result(name, params, started, PASS, detail={"dl_segments": sum(seen.values())})
+            if top.height - bottom.height != 1 or (top, bottom) not in expected:
+                raise _Fail(f"segment {i} joins non-adjacent vertices {tuple(va)}, {tuple(vb)}")
+            seen[top, bottom] += 1
+    # every drawn edge is a graph edge, so a difference shows on a graph edge
+    for (top, bottom), count in expected.items():
+        if seen[top, bottom] != count:
+            raise _Fail(f"edge {tuple(top)}-{tuple(bottom)} drawn {seen[top, bottom]} times, expected {count}")
+    return {"dl_segments": sum(seen.values())}
 
 
+# Each entry runs one check on (graph, ball radius); only here is it said
+# which check reads the radius or a scene.
 CHECKS: dict[str, Callable] = {
-    "counts": check_counts,
-    "degree_law": check_degree_law,
-    "lamplighter": check_lamplighter,
-    "level_condition": check_level_condition,
+    "counts": lambda g, radius: check_counts(g),
+    "degree_law": lambda g, radius: check_degree_law(g),
+    "lamplighter": lambda g, radius: check_lamplighter(g),
+    "level_condition": lambda g, radius: check_level_condition(g),
     "local_homogeneity": check_local_homogeneity,
-    "scene_graph_agreement": check_scene_graph_agreement,
+    "scene_graph_agreement": lambda g, radius: check_scene_graph_agreement(g, build_scene(g)),
 }
 
 
@@ -557,13 +524,13 @@ def _sort_key(entry: CheckResult):
     return entry.name, tuple((k, str(v)) for k, v in sorted(entry.params.items()))
 
 
-def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS, view=DEFAULT_VIEW) -> VerificationReport:
+def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> VerificationReport:
     """Run the selected checks (all, by default) and merge them deterministically.
 
-    ``local_homogeneity`` needs layers >= 2*radius; when the graph is too
-    shallow the suite records a skip entry instead of erroring, so the
-    default parameters stay usable.  ``radius`` is capped at
-    :data:`MAX_BALL_RADIUS` to keep the ball search exhaustive yet fast.
+    ``radius`` is the ball radius of ``local_homogeneity``, which reports
+    SKIP on a graph with fewer than 2*radius layers, so the default
+    parameters stay usable.  ``radius`` is capped at :data:`MAX_BALL_RADIUS`
+    to keep the ball search exhaustive yet fast.
     """
     if names is None:
         selected = list(CHECKS)
@@ -577,20 +544,6 @@ def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS, view=DEFAULT_VI
     if not 1 <= radius <= MAX_BALL_RADIUS:
         raise ValueError(f"radius must be in [1, {MAX_BALL_RADIUS}], got {radius}")
 
-    entries = []
-    for key in selected:
-        if key == "local_homogeneity":
-            if g.params.layers < 2 * radius:
-                started = time.perf_counter()
-                entries.append(_result(
-                    "check_local_homogeneity", {**_graph_params(g), "radius": radius}, started, SKIP,
-                    detail={"reason": f"not applicable: layers < 2*radius ({g.params.layers} < {2 * radius})"},
-                ))
-            else:
-                entries.append(check_local_homogeneity(g, radius))
-        elif key == "scene_graph_agreement":
-            entries.append(check_scene_graph_agreement(g, build_scene(g, view)))
-        else:
-            entries.append(CHECKS[key](g))
+    entries = [CHECKS[key](g, radius) for key in selected]
     return VerificationReport(tuple(sorted(entries, key=_sort_key)))
 

@@ -167,8 +167,9 @@ def test_local_homogeneity_radius_one_ball_size():
 
 
 def test_local_homogeneity_rejects_shallow_graphs():
-    with pytest.raises(ValueError):
-        check_local_homogeneity(graph(2, 3, 3), 2)
+    result = check_local_homogeneity(graph(2, 3, 3), 2)
+    assert result.status == "skip"
+    assert result.detail == {"reason": "not applicable: layers < 2*radius (3 < 4)"}
     with pytest.raises(ValueError):
         check_local_homogeneity(graph(), 0)
 
