@@ -54,7 +54,9 @@ class LayeredTree:
 
     Level ``h`` holds exactly ``branching**h`` vertices.  All operations are
     pure functions of immutable inputs, so instances are safe to share
-    between threads.  Construction fails fast when the largest level would
+    between threads.  Each field must be an ``int`` or an object with
+    ``__index__`` (stored as the plain ``int``); floats and bools raise
+    ``TypeError``.  Construction fails fast when the largest level would
     exceed ``level_cap`` vertices.
     """
 
@@ -64,6 +66,8 @@ class LayeredTree:
     _level_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("branching", "layers", "level_cap"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.branching < 2:
             raise ValueError(f"branching must be >= 2, got {self.branching}")
         if self.layers < 1:

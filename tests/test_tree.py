@@ -75,6 +75,21 @@ def test_constructor_rejects_bad_parameters():
         LayeredTree(2, 0)
 
 
+@pytest.mark.parametrize("field", ["branching", "layers", "level_cap"])
+@pytest.mark.parametrize("bad", [2.0, True])
+def test_constructor_rejects_non_integers(field, bad):
+    args = {"branching": 2, "layers": 3, "level_cap": 1000, field: bad}
+    with pytest.raises(TypeError, match=rf"^{field} must be an integer, got {bad!r}$"):
+        LayeredTree(**args)
+
+
+def test_constructor_stores_index_objects_as_plain_ints():
+    tree = LayeredTree(Index(2), Index(3), level_cap=Index(1000))
+    assert tree == LayeredTree(2, 3, level_cap=1000)
+    assert [type(v) for v in (tree.branching, tree.layers, tree.level_cap)] == [int] * 3
+    assert tree.level_size(2) == 4
+
+
 def test_constructor_rejects_oversized_levels():
     with pytest.raises(CapExceededError):
         LayeredTree(2, 21)  # 2**21 > default cap of 2**20
