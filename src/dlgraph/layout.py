@@ -133,18 +133,28 @@ def invert_doubled_position(params: DLParams, point) -> DLVertex:
     This inverts a scene endpoint.  Raises ValueError, naming the undoubled
     coordinate, when a coordinate is not an ``int`` or is off the lattice.
     """
+    h, j = invert_tree_position(params, KIND_TREE_P, point)
+    return DLVertex(h, j, invert_tree_position(params, KIND_TREE_Q, point)[1])
+
+
+def invert_tree_position(params: DLParams, kind: str, point) -> tuple[int, int]:
+    """(drawing height, index) of the tree node at the doubled position ``point``:
+    the orange node read from x for ``kind`` tree-p, the brown node read from y
+    for tree-q.  Raises ValueError as :func:`invert_doubled_position` does."""
     x, y, z = point
     L = params.layers
     if type(z) is not int or z & 1 or not 0 <= z <= 2 * L:
         raise ValueError(f"z = {_halved(z)} is not a drawing height")
     h = z >> 1
-    j = _row_index(x, params.p ** (L - h), params.p**h)
-    if j is None:
-        raise ValueError(f"x = {_halved(x)} is not an orange node position at height {h}")
+    if kind == KIND_TREE_P:
+        j = _row_index(x, params.p ** (L - h), params.p**h)
+        if j is None:
+            raise ValueError(f"x = {_halved(x)} is not an orange node position at height {h}")
+        return h, j
     k = _row_index(y, params.q**h, params.q ** (L - h))
     if k is None:
         raise ValueError(f"y = {_halved(y)} is not a brown node position at height {h}")
-    return DLVertex(h, j, k)
+    return h, k
 
 
 def invert_dl_position(params: DLParams, point) -> DLVertex:

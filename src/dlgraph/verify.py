@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graph import DLVertex
-from .layout import KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, invert_doubled_position
+from .layout import (
+    KIND_DL, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, invert_doubled_position, invert_tree_position,
+)
 from .tree import LayeredTree, TreeAddress
 
 PASS = "pass"
@@ -439,6 +441,9 @@ def check_lamplighter(g) -> dict:
     b = p
     encoding = {}
     for v in g.vertices():
+        h, j, k = v
+        if not type(h) is type(j) is type(k) is int:  # a bool's type is bool, not int
+            raise _Fail(f"vertex {tuple(v)} is not a triple of ints")
         state = _lamp_state(DLVertex(*v), b, L)
         f, cur = state
         if len(f) != L or any(not 0 <= d < b for d in f) or not 0 <= cur <= L:
@@ -474,15 +479,27 @@ def check_lamplighter(g) -> dict:
 
 @_check()
 def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
-    """Inverting the DL segments' coordinates reproduces the edge set bijectively.
+    """Inverting the segments' coordinates reproduces the edge set and the
+    parent-child edges of both trees bijectively.
 
     Also insists that every tree endpoint is a point of ints, that tree-p
-    segments lie in the plane y = 0 and tree-q segments in x = 0.  Scene
-    points are doubled, so a point of another type, or one off the lattice,
-    fails with the segment's index.
+    segments lie in the plane y = 0 and tree-q segments in x = 0.  A DL
+    endpoint inverts to a DL vertex, a tree-p endpoint to an orange node and
+    a tree-q endpoint to a brown node, each as (drawing height, index).
+    Scene points are doubled, so a point of another type, or one off the
+    lattice, fails with the segment's index.
     """
-    expected = Counter((DLVertex(*top), DLVertex(*bottom)) for top, bottom in g.edges())
-    seen: Counter = Counter()
+    p, q, L = g.params.p, g.params.q, g.params.layers
+    expected = Counter((KIND_DL, top, bottom) for top, bottom in g.edges())
+    for n in range(1, L + 1):
+        expected.update((KIND_TREE_P, (n, j), (n - 1, j // p)) for j in range(p**n))
+        expected.update((KIND_TREE_Q, (n, k // q), (n - 1, k)) for k in range(q ** (L - n + 1)))
+    invert = {
+        KIND_TREE_P: functools.partial(invert_tree_position, scene.params, KIND_TREE_P),
+        KIND_TREE_Q: functools.partial(invert_tree_position, scene.params, KIND_TREE_Q),
+        KIND_DL: functools.partial(invert_doubled_position, scene.params),
+    }
+    seen: dict = {}
     for i, (kind, a, b) in enumerate(scene.segments):
         if kind in (KIND_TREE_P, KIND_TREE_Q):
             if not all(type(c) is int for c in (*a, *b)):  # a bool's type is bool, not int
@@ -492,20 +509,24 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
             if kind == KIND_TREE_Q and (a[0] != 0 or b[0] != 0):
                 raise _Fail(f"segment {i} (tree-q) leaves the plane x=0")
         else:
-            try:
-                va = invert_doubled_position(scene.params, a)
-                vb = invert_doubled_position(scene.params, b)
-            except (TypeError, ValueError) as exc:
-                raise _Fail(f"segment {i}: {exc}")
-            top, bottom = (va, vb) if va.height > vb.height else (vb, va)
-            if top.height - bottom.height != 1 or (top, bottom) not in expected:
-                raise _Fail(f"segment {i} joins non-adjacent vertices {tuple(va)}, {tuple(vb)}")
-            seen[top, bottom] += 1
-    # every drawn edge is a graph edge, so a difference shows on a graph edge
-    for (top, bottom), count in expected.items():
-        if seen[top, bottom] != count:
-            raise _Fail(f"edge {tuple(top)}-{tuple(bottom)} drawn {seen[top, bottom]} times, expected {count}")
-    return {"dl_segments": sum(seen.values())}
+            kind = KIND_DL
+        try:
+            va, vb = invert[kind](a), invert[kind](b)
+        except (TypeError, ValueError) as exc:
+            raise _Fail(f"segment {i}: {exc}")
+        top, bottom = (va, vb) if va[0] > vb[0] else (vb, va)
+        key = (kind, top, bottom)
+        if top[0] - bottom[0] != 1 or key not in expected:
+            nodes = "vertices" if kind == KIND_DL else f"{kind} nodes"
+            raise _Fail(f"segment {i} joins non-adjacent {nodes} {tuple(va)}, {tuple(vb)}")
+        seen[key] = seen.get(key, 0) + 1
+    # every drawn edge is an expected one, so a difference shows on an expected edge
+    for (kind, top, bottom), count in expected.items():
+        drawn = seen.get((kind, top, bottom), 0)
+        if drawn != count:
+            edge = "edge" if kind == KIND_DL else f"{kind} edge"
+            raise _Fail(f"{edge} {tuple(top)}-{tuple(bottom)} drawn {drawn} times, expected {count}")
+    return {"dl_segments": sum(count for (kind, _, _), count in seen.items() if kind == KIND_DL)}
 
 
 # Each entry runs one check on (graph, ball radius); only here is it said

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from dlgraph import (
+    CheckResult,
     DLGraph,
     DLParams,
     DLVertex,
@@ -18,6 +19,7 @@ from dlgraph import (
     Scene3D,
     Segment,
     TreeAddress,
+    brown_position,
     build_scene,
     check_counts,
     check_degree_law,
@@ -25,6 +27,7 @@ from dlgraph import (
     check_level_condition,
     check_local_homogeneity,
     check_scene_graph_agreement,
+    orange_position,
     run_checks,
 )
 from dlgraph import verify
@@ -278,6 +281,15 @@ def test_lamplighter_fails_on_an_edge_to_a_missing_vertex():
     assert result.counterexample == "edge (1, 3, 0)-(0, 0, 0) has an endpoint that is not a vertex"
 
 
+def test_lamplighter_fails_on_a_non_integer_vertex():
+    mutated = MutatedGraph(graph(2, 2, 3), add_vertices=[(1.0, 0, 0)])
+    result = check_lamplighter(mutated)
+    assert result.status == "fail"
+    assert result.counterexample == "vertex (1.0, 0, 0) is not a triple of ints"
+    by_name = {entry.name: entry for entry in run_checks(mutated).entries}  # the suite runs to the end
+    assert by_name["check_lamplighter"].counterexample == result.counterexample
+
+
 def test_lamp_encoding_move_semantics():
     # an up-move advances the cursor and writes the chosen orange child digit;
     # a down-move retreats it and writes the chosen brown child digit
@@ -396,6 +408,69 @@ def test_scene_agreement_fails_on_tree_points_that_are_not_ints(kind, damage):
     assert result.counterexample.startswith(f"segment {index}: {kind} endpoints")
 
 
+def _moved(axis, by):
+    """A segment damage: the first endpoint moved by ``by`` doubled units along ``axis``."""
+
+    def damage(seg):
+        a = list(seg.a)
+        a[axis] += by
+        return [Segment(seg.kind, tuple(a), seg.b)]
+
+    return damage
+
+
+def _damaged_scene(scene, index, damage):
+    segments = list(scene.segments)
+    segments[index : index + 1] = damage(segments[index])
+    return Scene3D(scene.params, scene.view, tuple(segments))
+
+
+@pytest.mark.parametrize(
+    "kind,damage,counterexample",
+    [
+        ("tree-p", lambda seg: [], "tree-p edge (1, 0)-(0, 0) drawn 0 times, expected 1"),
+        ("tree-p", lambda seg: [seg, seg], "tree-p edge (1, 0)-(0, 0) drawn 2 times, expected 1"),
+        ("tree-p", _moved(2, 2), "segment 0: x = 3/2 is not an orange node position at height 2"),
+        ("tree-p", _moved(0, 1), "segment 0: x = 2 is not an orange node position at height 1"),
+        ("tree-q", lambda seg: [], "tree-q edge (1, 0)-(0, 0) drawn 0 times, expected 1"),
+        ("tree-q", lambda seg: [seg, seg], "tree-q edge (1, 0)-(0, 0) drawn 2 times, expected 1"),
+        ("tree-q", _moved(2, 2), "segment 2: y = 1 is not a brown node position at height 2"),
+        ("tree-q", _moved(1, 1), "segment 2: y = 3/2 is not a brown node position at height 1"),
+    ],
+    ids=["p-dropped", "p-duplicated", "p-z+2", "p-x+1", "q-dropped", "q-duplicated", "q-z+2", "q-y+1"],
+)
+def test_scene_agreement_fails_on_damaged_tree_segments(kind, damage, counterexample):
+    # tree endpoints invert to tree nodes, counted against the parent-child
+    # edges; the first segment of either tree joins node (1, 0) to (0, 0)
+    g = graph(2, 3, 3)
+    scene = build_scene(g)
+    index = next(i for i, seg in enumerate(scene.segments) if seg.kind == kind)
+    result = check_scene_graph_agreement(g, _damaged_scene(scene, index, damage))
+    assert result.status == "fail"
+    assert result.counterexample == counterexample
+
+
+@pytest.mark.parametrize(
+    "kind,top,bottom,counterexample",
+    [
+        ("tree-p", orange_position(2, 3, 2, 3), orange_position(2, 3, 1, 0),
+         "segment 0 joins non-adjacent tree-p nodes (2, 3), (1, 0)"),
+        ("tree-q", brown_position(3, 3, 2, 0), brown_position(3, 3, 1, 3),
+         "segment 2 joins non-adjacent tree-q nodes (2, 0), (1, 3)"),
+    ],
+    ids=["tree-p", "tree-q"],
+)
+def test_scene_agreement_fails_on_tree_segments_between_non_adjacent_nodes(kind, top, bottom, counterexample):
+    # node (1, 0) is the parent of orange nodes (2, 0) and (2, 1); brown node (1, 3) is a child of (2, 1)
+    g = graph(2, 3, 3)
+    scene = build_scene(g)
+    index = next(i for i, seg in enumerate(scene.segments) if seg.kind == kind)
+    segment = Segment(kind, *(tuple(int(2 * c) for c in point) for point in (top, bottom)))
+    result = check_scene_graph_agreement(g, _damaged_scene(scene, index, lambda seg: [segment]))
+    assert result.status == "fail"
+    assert result.counterexample == counterexample
+
+
 # ---------------------------------------------------------------------------
 # suite runner and report
 
@@ -427,6 +502,18 @@ def test_report_order_is_deterministic():
     forwards = run_checks(graph(), names=["counts", "level_condition", "scene_graph_agreement"])
     assert [e.name for e in backwards.entries] == [e.name for e in forwards.entries]
     assert [e.name for e in backwards.entries] == sorted(e.name for e in backwards.entries)
+
+
+@pytest.mark.parametrize("q,layers", [(2, 3), (3, 4)], ids=["DL(2,2) L=3", "DL(2,3) L=4"])
+@pytest.mark.parametrize("key", sorted(verify.CHECKS))
+def test_every_check_reports_through_one_protocol(key, q, layers):
+    # DL(2,2) L=3 skips local_homogeneity at radius 2, DL(2,3) L=4 skips lamplighter
+    result = verify.CHECKS[key](graph(2, q, layers), 2)
+    assert isinstance(result, CheckResult)
+    assert result.name == f"check_{key}"
+    radius = {"radius": 2} if key == "local_homogeneity" else {}
+    assert result.params == {"p": 2, "q": q, "layers": layers, **radius}
+    assert result.elapsed >= 0
 
 
 def test_report_text_is_stable_and_timing_free():
@@ -492,20 +579,14 @@ GRAPH_DAMAGES = {
     "same-height edge (2, 0, 0)-(2, 1, 0)": lambda g: MutatedGraph(g, add_edges=[((2, 0, 0), (2, 1, 0))]),
 }
 SEGMENT_DAMAGES = {
-    "moved by 2 in x": lambda seg: [Segment(seg.kind, (seg.a[0] + 2, seg.a[1], seg.a[2]), seg.b)],
-    "moved by 2 in y": lambda seg: [Segment(seg.kind, (seg.a[0], seg.a[1] + 2, seg.a[2]), seg.b)],
-    "moved by 6 in y": lambda seg: [Segment(seg.kind, (seg.a[0], seg.a[1] + 6, seg.a[2]), seg.b)],
-    "moved by 2 in z": lambda seg: [Segment(seg.kind, (seg.a[0], seg.a[1], seg.a[2] + 2), seg.b)],
-    "moved by 1 in x": lambda seg: [Segment(seg.kind, (seg.a[0] + 1, seg.a[1], seg.a[2]), seg.b)],
+    "moved by 2 in x": _moved(0, 2),
+    "moved by 2 in y": _moved(1, 2),
+    "moved by 6 in y": _moved(1, 6),
+    "moved by 2 in z": _moved(2, 2),
+    "moved by 1 in x": _moved(0, 1),
     "dropped": lambda seg: [],
     "duplicated": lambda seg: [seg, seg],
 }
-
-
-def _damaged_scene(scene, index, damage):
-    segments = list(scene.segments)
-    segments[index : index + 1] = damage(segments[index])
-    return Scene3D(scene.params, scene.view, tuple(segments))
 
 
 def render_golden_reports() -> str:
