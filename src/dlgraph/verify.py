@@ -20,6 +20,7 @@ suitable damage.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import json
 import time
@@ -110,22 +111,28 @@ class _Skip(Exception):
 
 
 def _check(*param_names: str) -> Callable:
-    """Turn a check body ``body(g, *args)`` into a check returning a :class:`CheckResult`.
+    """Turn a check body ``body(g, ...)`` into a check with the same
+    signature that returns a :class:`CheckResult`.
 
     The body returns its PASS detail, or raises :class:`_Fail` or
     :class:`_Skip`; any other exception passes through.  The result is named
-    after the body, and its params are p, q and layers plus the positional
-    arguments named by ``param_names``.
+    after the body, and its params are p, q and layers plus the arguments
+    named by ``param_names``.
     """
 
     def decorate(body: Callable) -> Callable:
+        signature = inspect.signature(body)
+
         @functools.wraps(body)
-        def check(g, *args) -> CheckResult:
+        def check(*args, **kwargs) -> CheckResult:
             started = time.perf_counter()
-            params = {"p": g.params.p, "q": g.params.q, "layers": g.params.layers, **dict(zip(param_names, args))}
+            arguments = signature.bind(*args, **kwargs).arguments
+            g = arguments["g"]
+            params = {"p": g.params.p, "q": g.params.q, "layers": g.params.layers}
+            params.update((name, arguments[name]) for name in param_names)
             status, counterexample = PASS, None
             try:
-                detail = body(g, *args)
+                detail = body(*args, **kwargs)
             except _Fail as exc:
                 status, counterexample, detail = FAIL, str(exc), None
             except _Skip as exc:

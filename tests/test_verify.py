@@ -516,6 +516,17 @@ def test_every_check_reports_through_one_protocol(key, q, layers):
     assert result.elapsed >= 0
 
 
+def test_checks_take_their_arguments_by_keyword():
+    g = graph(2, 3, 4)
+    result = check_local_homogeneity(g=g, radius=2)
+    assert (result.name, result.status) == ("check_local_homogeneity", "pass")
+    assert result.params == {"p": 2, "q": 3, "layers": 4, "radius": 2}
+    result = check_scene_graph_agreement(g, scene=build_scene(g))
+    assert (result.status, result.params) == ("pass", {"p": 2, "q": 3, "layers": 4})
+    with pytest.raises(TypeError):
+        check_counts(g, 2)
+
+
 def test_report_text_is_stable_and_timing_free():
     report = run_checks(graph(), names=["counts"])
     text = report.to_text()
