@@ -22,6 +22,7 @@ from .layout import (
     Scene3D,
     coordinate_rows,
 )
+from .tree import as_integer
 
 FORMATS = ("tikz", "json", "obj", "svg")
 
@@ -37,7 +38,9 @@ class ExportOptions:
 
     ``view`` of ``None`` falls back to the scene's own view.  ``colors``
     are TikZ style strings; ``svg_colors`` are the stroke values the SVG
-    writer uses instead.
+    writer uses instead.  ``decimal_digits`` must be an ``int`` or an object
+    with ``__index__`` (stored as the plain ``int``); floats and bools raise
+    ``TypeError``.
     """
 
     format: str = "tikz"
@@ -50,6 +53,7 @@ class ExportOptions:
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
+        object.__setattr__(self, "decimal_digits", as_integer(self.decimal_digits, "decimal_digits"))
         if self.decimal_digits < 1:
             raise ValueError(f"decimal_digits must be >= 1, got {self.decimal_digits}")
 

@@ -56,6 +56,11 @@ class DLParams:
             raise ValueError(f"q must be >= 2, got {self.q}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
+        if self.layers >= self.vertex_cap.bit_length():  # the count, at least 2**layers, exceeds the cap
+            raise CapExceededError(
+                f"DL({self.p},{self.q}) with layers={self.layers} holds at least 2**{self.layers} "
+                f"vertices (cap: {self.vertex_cap})"
+            )
         total = self.vertex_count
         if total > self.vertex_cap:
             raise CapExceededError(

@@ -230,7 +230,12 @@ def check_counts(g) -> dict:
 
 def _ball(g, center, radius: int, neighbor_cache: dict) -> dict:
     """BFS distances from ``center`` up to ``radius``; leaves the neighbours of
-    every ball vertex in ``neighbor_cache``."""
+    every ball vertex in ``neighbor_cache``.
+
+    ``dist`` lists the vertices in BFS order, so each vertex after the centre
+    follows a neighbour one step closer; :func:`_balls_isomorphic` maps them
+    in that order.
+    """
 
     def cached_neighbors(u):
         got = neighbor_cache.get(u)
@@ -255,29 +260,6 @@ def _ball(g, center, radius: int, neighbor_cache: dict) -> dict:
 def _induced(dist: dict, neighbor_cache: dict) -> tuple[dict, dict]:
     """A :func:`_ball` as (distance-from-center, induced adjacency sets)."""
     return dist, {u: frozenset(w for w in neighbor_cache[u] if w in dist) for u in dist}
-
-
-def _refined_labels(adjacency: dict, dist: dict, rounds: int = 3) -> dict:
-    """Iteratively refined (distance, degree) labels; invariant under centered isomorphism."""
-    labels = {u: (dist[u], len(adjacency[u])) for u in adjacency}
-    for _ in range(rounds):
-        labels = {u: (labels[u], tuple(sorted(labels[w] for w in adjacency[u]))) for u in adjacency}
-    return labels
-
-
-def _reference(ball: tuple[dict, dict]) -> tuple:
-    """(adjacency, refined labels, sorted label multiset, search order) of the reference ball.
-
-    Computed at most once per :func:`check_local_homogeneity` call, for the
-    first ball that :func:`_shape` does not match.
-    """
-    dist, adjacency = ball
-    labels = _refined_labels(adjacency, dist)
-    class_size = Counter(labels.values())
-    # Equal label multisets give both balls the same class sizes, so the
-    # search order can be fixed from the reference ball alone.
-    order = sorted(adjacency, key=lambda u: (class_size[labels[u]], dist[u], u))
-    return adjacency, labels, sorted(labels.values()), order
 
 
 def _tree_code(index: int, depth: int, root: int, shift: tuple[int, ...], branching: int) -> int:
@@ -334,18 +316,36 @@ def _shape(params, dist: dict, neighbor_cache: dict, center, radius: int) -> tup
     return frozenset(codes.values()), edges
 
 
-def _balls_isomorphic(reference: tuple, ball_b: tuple[dict, dict]) -> bool:
-    """Backtracking isomorphism test of a ball against a :func:`_reference`, pruned by refined labels."""
-    adj_a, labels_a, multiset_a, order = reference
-    dist_b, adj_b = ball_b
-    if len(adj_a) != len(adj_b):
-        return False
-    labels_b = _refined_labels(adj_b, dist_b)
-    if multiset_a != sorted(labels_b.values()):
+def _balls_isomorphic(ball_a: tuple[dict, dict], ball_b: tuple[dict, dict]) -> bool:
+    """Whether two :func:`_induced` balls are isomorphic by a map that keeps
+    the distance from the centre.
+
+    Colour refinement (1-dimensional Weisfeiler-Leman) of both balls
+    together, from each vertex's distance, runs to a stable partition; one
+    rank table numbers the colours of both balls, so they compare.  Unequal
+    colour counts rule out an isomorphism.  Otherwise a backtracking search
+    maps ``ball_a`` in BFS order, each vertex to an unused vertex of its
+    colour in ``ball_b``, so after the centre a mapped neighbour's image
+    prunes every choice.  Balls that are not isomorphic but that refinement
+    cannot tell apart may still take the search exponential time.
+    """
+    (dist_a, adj_a), (dist_b, adj_b) = ball_a, ball_b
+    colour_a, colour_b = dict(dist_a), dict(dist_b)
+    classes, rank = -1, {}
+    while len(rank) != classes:  # a stable partition keeps its number of classes
+        classes = len(rank)
+        signatures = [
+            {u: (colour[u], tuple(sorted(map(colour.__getitem__, adjacency[u])))) for u in adjacency}
+            for colour, adjacency in ((colour_a, adj_a), (colour_b, adj_b))
+        ]
+        rank = {signature: i for i, signature in enumerate(sorted({*signatures[0].values(), *signatures[1].values()}))}
+        colour_a, colour_b = ({u: rank[signature] for u, signature in side.items()} for side in signatures)
+    if Counter(colour_a.values()) != Counter(colour_b.values()):
         return False
     candidates: dict = {}
-    for u, label in labels_b.items():
-        candidates.setdefault(label, []).append(u)
+    for v, colour in colour_b.items():
+        candidates.setdefault(colour, []).append(v)
+    order = list(dist_a)
     mapping: dict = {}
     used: set = set()
 
@@ -354,7 +354,7 @@ def _balls_isomorphic(reference: tuple, ball_b: tuple[dict, dict]) -> bool:
             return True
         u = order[i]
         mapped_neighbors = [mapping[w] for w in adj_a[u] if w in mapping]
-        for v in candidates[labels_a[u]]:
+        for v in candidates[colour_a[u]]:
             if v in used:
                 continue
             if any(m not in adj_b[v] for m in mapped_neighbors):
@@ -383,7 +383,8 @@ def check_local_homogeneity(g, radius: int) -> dict:
     is vertex-transitive by products of tree automorphisms and height shifts,
     and :func:`_shape` carries each ball by one of them; equal shapes prove
     the isomorphism.  A ball the witness does not carry is decided by
-    exhaustive backtracking with distance/degree refinement pruning, which
+    :func:`_balls_isomorphic`: stable colour refinement of both balls
+    together, then an exhaustive backtracking search in BFS order, which
     alone can declare a failure.
     """
     if radius < 1:
@@ -396,14 +397,11 @@ def check_local_homogeneity(g, radius: int) -> dict:
     reference = interior[0]
     reference_ball = _ball(g, reference, radius, neighbor_cache)
     reference_shape = _shape(g.params, reference_ball, neighbor_cache, reference, radius)
-    prepared = None
     for v in interior[1:]:
         ball = _ball(g, v, radius, neighbor_cache)
         if reference_shape is not None and _shape(g.params, ball, neighbor_cache, v, radius) == reference_shape:
             continue
-        if prepared is None:
-            prepared = _reference(_induced(reference_ball, neighbor_cache))
-        if not _balls_isomorphic(prepared, _induced(ball, neighbor_cache)):
+        if not _balls_isomorphic(_induced(reference_ball, neighbor_cache), _induced(ball, neighbor_cache)):
             raise _Fail(f"ball around {tuple(v)} is not isomorphic to the ball around {tuple(reference)}")
     return {"interior_vertices": len(interior), "ball_size": len(reference_ball)}
 
@@ -558,7 +556,7 @@ def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> Verification
     ``radius`` is the ball radius of ``local_homogeneity``, which reports
     SKIP on a graph with fewer than 2*radius layers, so the default
     parameters stay usable.  ``radius`` is capped at :data:`MAX_BALL_RADIUS`
-    to keep the ball search exhaustive yet fast.
+    to keep the balls small for the exact search of :func:`_balls_isomorphic`.
     """
     if names is None:
         selected = list(CHECKS)

@@ -218,6 +218,15 @@ def test_cap_exceeded_exits_three(capsys):
     assert "vertices: 28672" in out
 
 
+@pytest.mark.parametrize("layers", ["100000", "1000000000"])
+def test_cap_exceeded_by_huge_layers_exits_three(capsys, layers):
+    # 2**layers alone exceeds the cap, so the count is neither summed nor printed
+    code, out, err = run(capsys, "stats", "-L", layers)
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err == f"error: DL(2,3) with layers={layers} holds at least 2**{layers} vertices (cap: 200000)\n"
+
+
 def test_unwritable_output_exits_four(tmp_path, capsys):
     target = tmp_path / "missing" / "out.tex"
     code, out, err = run(capsys, "export", "-o", str(target))

@@ -34,7 +34,7 @@ from dlgraph import (
     write_scene,
 )
 
-from support import project_point, reference_format_number, reference_svg
+from support import Index, project_point, reference_format_number, reference_svg
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -86,6 +86,14 @@ def test_export_options_validation():
         ExportOptions(format="png")
     with pytest.raises(ValueError):
         ExportOptions(decimal_digits=0)
+
+
+def test_export_options_check_decimal_digits_by_type():
+    for value in (True, 6.0):
+        with pytest.raises(TypeError, match=r"^decimal_digits must be an integer, got "):
+            ExportOptions(decimal_digits=value)
+    opts = ExportOptions(decimal_digits=Index(3))
+    assert type(opts.decimal_digits) is int and opts.decimal_digits == 3
 
 
 # ---------------------------------------------------------------------------

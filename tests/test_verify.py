@@ -8,6 +8,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlgraph import (
     CheckResult,
@@ -244,6 +246,90 @@ def test_local_homogeneity_searches_balls_the_translation_misses(monkeypatch):
     assert result.status == "pass"
     assert result.detail == {"interior_vertices": 36, "ball_size": 22}
     assert len(searched) == 35
+
+
+def test_local_homogeneity_searches_large_renamed_balls():
+    # at DL(3,3) L=6 the renamed reference sends all 728 other radius-3 balls to the search
+    g = graph(3, 3, 6)
+    swap = ((3, 0, 0), (3, 26, 26))
+    result = check_local_homogeneity(SwappedNames(g, *swap), 3)
+    assert result.status == "pass"
+    assert result.detail == {"interior_vertices": 729, "ball_size": 107}
+    assert result.elapsed <= 30
+    assert g.is_edge((3, 13, 13), (2, 4, 39))
+    damaged = SwappedNames(MutatedGraph(g, drop_edges=[((3, 13, 13), (2, 4, 39))]), *swap)
+    result = check_local_homogeneity(damaged, 3)
+    assert result.status == "fail"
+    assert result.counterexample == "ball around (3, 12, 13) is not isomorphic to the ball around (3, 26, 26)"
+
+
+# (p, q, layers, radius) of the graphs whose balls the isomorphism oracle compares
+ORACLE_BALLS = [(2, 2, 4, 2), (2, 3, 4, 2), (3, 3, 4, 2), (2, 2, 6, 3)]
+
+
+def _induced_ball(g, center, radius):
+    neighbor_cache: dict = {}
+    return verify._induced(verify._ball(g, center, radius, neighbor_cache), neighbor_cache)
+
+
+def _networkx_ball(nx, ball):
+    """``ball`` as a networkx graph whose nodes carry their distance from the centre."""
+    dist, adjacency = ball
+    nx_ball = nx.Graph()
+    nx_ball.add_nodes_from((u, {"dist": d}) for u, d in dist.items())
+    nx_ball.add_edges_from((u, w) for u in adjacency for w in adjacency[u])
+    return nx_ball
+
+
+def _same_distance(x, y) -> bool:
+    return x["dist"] == y["dist"]
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=st.sampled_from(ORACLE_BALLS), damage=st.sampled_from(["add", "remove", "move", "swap"]), data=st.data())
+def test_ball_search_agrees_with_networkx(case, damage, data):
+    # the second ball is damaged inside itself: an edge added, removed or
+    # moved, or two of its names other than the centre's swapped, which
+    # keeps it isomorphic; networkx decides isomorphism that keeps distances
+    nx = pytest.importorskip("networkx")
+    p, q, layers, radius = case
+    g = graph(p, q, layers)
+    interior = [v for v in g.vertices() if radius <= v.height <= layers - radius]
+    a, b = data.draw(st.sampled_from(interior)), data.draw(st.sampled_from(interior))
+    names = sorted(_induced_ball(g, b, radius)[0])
+    pairs = [(u, w) for i, u in enumerate(names) for w in names[i + 1 :]]
+    if damage == "swap":
+        u, w = data.draw(st.sampled_from([pair for pair in pairs if b not in pair]))
+        damaged = SwappedNames(g, u, w)
+    else:
+        edges = [pair for pair in pairs if g.is_edge(*pair)]
+        non_edges = [pair for pair in pairs if not g.is_edge(*pair)]
+        dropped = [data.draw(st.sampled_from(edges))] if damage in ("remove", "move") else []
+        added = [data.draw(st.sampled_from(non_edges))] if damage in ("add", "move") else []
+        damaged = MutatedGraph(g, add_edges=added, drop_edges=dropped)
+    ball_a, ball_b = _induced_ball(g, a, radius), _induced_ball(damaged, b, radius)
+    expected = nx.is_isomorphic(_networkx_ball(nx, ball_a), _networkx_ball(nx, ball_b), node_match=_same_distance)
+    assert verify._balls_isomorphic(ball_a, ball_b) == expected
+    if damage == "swap":
+        assert expected
+
+
+def test_ball_search_tells_apart_balls_colour_refinement_does_not():
+    # two edges near (3, 0, 3) trade endpoints: every degree and every stable
+    # colour stays, so the search alone finds that the balls are not isomorphic
+    nx = pytest.importorskip("networkx")
+    g = graph(2, 2, 6)
+    damaged = MutatedGraph(
+        g,
+        drop_edges=[((5, 2, 0), (4, 1, 0)), ((5, 0, 0), (4, 0, 0))],
+        add_edges=[((5, 0, 0), (4, 1, 0)), ((5, 2, 0), (4, 0, 0))],
+    )
+    ball_a, ball_b = _induced_ball(g, (3, 5, 7), 3), _induced_ball(damaged, (3, 0, 3), 3)
+    nx_a, nx_b = _networkx_ball(nx, ball_a), _networkx_ball(nx, ball_b)
+    stable = [nx.weisfeiler_lehman_graph_hash(nx_ball, node_attr="dist", iterations=len(nx_ball)) for nx_ball in (nx_a, nx_b)]
+    assert stable[0] == stable[1]
+    assert not nx.is_isomorphic(nx_a, nx_b, node_match=_same_distance)
+    assert not verify._balls_isomorphic(ball_a, ball_b)
 
 
 # ---------------------------------------------------------------------------
