@@ -56,9 +56,12 @@ class DLParams:
             raise ValueError(f"q must be >= 2, got {self.q}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if self.layers >= self.vertex_cap.bit_length():  # the count, at least 2**layers, exceeds the cap
+        # the count is at least max(p, q)**layers >= 2**bits, so it exceeds the cap
+        # before it is summed, let alone printed, once bits >= cap.bit_length()
+        bits = self.layers * (max(self.p, self.q).bit_length() - 1)
+        if bits >= self.vertex_cap.bit_length():
             raise CapExceededError(
-                f"DL({self.p},{self.q}) with layers={self.layers} holds at least 2**{self.layers} "
+                f"DL({self.p},{self.q}) with layers={self.layers} holds at least 2**{bits} "
                 f"vertices (cap: {self.vertex_cap})"
             )
         total = self.vertex_count

@@ -72,10 +72,9 @@ class LayeredTree:
             raise ValueError(f"branching must be >= 2, got {self.branching}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if self.layers >= self.level_cap.bit_length():  # the level, at least 2**layers, exceeds the cap
-            raise CapExceededError(
-                f"level {self.layers} would hold at least 2**{self.layers} vertices (cap: {self.level_cap})"
-            )
+        bits = self.layers * (self.branching.bit_length() - 1)  # branching**layers >= 2**bits
+        if bits >= self.level_cap.bit_length():
+            raise CapExceededError(f"level {self.layers} would hold at least 2**{bits} vertices (cap: {self.level_cap})")
         top = self.branching ** self.layers
         if top > self.level_cap:
             raise CapExceededError(

@@ -227,6 +227,14 @@ def test_cap_exceeded_by_huge_layers_exits_three(capsys, layers):
     assert err == f"error: DL(2,3) with layers={layers} holds at least 2**{layers} vertices (cap: 200000)\n"
 
 
+def test_cap_exceeded_by_huge_branching_exits_three(capsys):
+    # a 2001-digit p: the count would have over 6000 digits, past the int-to-str limit
+    code, out, err = run(capsys, "stats", "-p", str(10**2000), "-L", "3")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err.startswith("error: DL(1000") and err.endswith(") with layers=3 holds at least 2**19929 vertices (cap: 200000)\n")
+
+
 def test_unwritable_output_exits_four(tmp_path, capsys):
     target = tmp_path / "missing" / "out.tex"
     code, out, err = run(capsys, "export", "-o", str(target))

@@ -68,14 +68,17 @@ def test_vertex_cap_guards_build():
     DLParams(4, 4, 10, vertex_cap=20_000_000)
 
 
-def test_vertex_cap_rejects_huge_layers_without_counting():
-    # from layers >= vertex_cap.bit_length() on, 2**layers alone exceeds the cap
+def test_vertex_cap_rejects_huge_sizes_without_counting():
+    # max(p, q)**layers >= 2**bits, with bits = layers * (max(p, q).bit_length() - 1),
+    # alone exceeds the cap once bits >= vertex_cap.bit_length()
     with pytest.raises(CapExceededError, match=r"^DL\(2,3\) with layers=10 holds at least 2\*\*10 vertices \(cap: 1000\)$"):
         DLParams(2, 3, 10, vertex_cap=1000)
     with pytest.raises(CapExceededError, match=r"^DL\(2,2\) with layers=9 holds 5120 vertices \(cap: 1000\)$"):
         DLParams(2, 2, 9, vertex_cap=1000)
     with pytest.raises(CapExceededError, match=r"at least 2\*\*1000000000 vertices \(cap: 200000\)$"):
         DLParams(2, 3, 10**9)
+    with pytest.raises(CapExceededError, match=r"with layers=3 holds at least 2\*\*19929 vertices \(cap: 200000\)$"):
+        DLParams(10**2000, 2, 3)  # 10**2000 has 6644 bits
     assert DLParams(2, 2, 3, vertex_cap=32).vertex_count == 32  # a cap equal to the count admits it
 
 

@@ -96,10 +96,13 @@ def test_constructor_rejects_oversized_levels():
     LayeredTree(2, 21, level_cap=1 << 22)  # raised cap admits it
 
 
-def test_constructor_rejects_huge_layers_without_counting():
-    # from layers >= level_cap.bit_length() on, 2**layers alone exceeds the cap
+def test_constructor_rejects_huge_levels_without_counting():
+    # branching**layers >= 2**bits, with bits = layers * (branching.bit_length() - 1),
+    # alone exceeds the cap once bits >= level_cap.bit_length()
     with pytest.raises(CapExceededError, match=r"^level 20000 would hold at least 2\*\*20000 vertices \(cap: 1048576\)$"):
         LayeredTree(2, 20000)
+    with pytest.raises(CapExceededError, match=r"^level 2 would hold at least 2\*\*13286 vertices \(cap: 1048576\)$"):
+        LayeredTree(10**2000, 2)
     with pytest.raises(CapExceededError, match=r"^level 10 would hold 59049 vertices \(cap: 1024\)$"):
         LayeredTree(3, 10, level_cap=1024)
     assert LayeredTree(2, 10, level_cap=1024).level_size(10) == 1024  # a cap equal to the level admits it
