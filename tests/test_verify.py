@@ -33,6 +33,7 @@ from dlgraph import (
     run_checks,
 )
 from dlgraph import verify
+from dlgraph.cli import main
 from dlgraph.verify import _lamp_state
 
 from support import MutatedGraph
@@ -706,3 +707,23 @@ def render_golden_reports() -> str:
 
 def test_reports_match_golden():
     assert render_golden_reports() == (GOLDEN / "verify_reports.txt").read_text(encoding="utf-8")
+
+
+# golden/verify_cli.txt holds the full `dlgraph verify` stdout and exit code
+# for the graphs of the benchmark's verify workload and a radius-3 graph, so
+# ball_size, interior_vertices, dl_segments and slab_edges stay pinned at
+# the sizes where the checks' tables pay.
+CLI_GOLDEN_RUNS = [(2, 3, 6, 2), (2, 2, 8, 2), (3, 3, 6, 3)]
+
+
+def render_golden_cli_reports(capsys) -> str:
+    sections = []
+    for p, q, layers, radius in CLI_GOLDEN_RUNS:
+        argv = ["verify", "-p", str(p), "-q", str(q), "-L", str(layers), "-r", str(radius)]
+        code = main(argv)
+        sections.append(f"== dlgraph {' '.join(argv)} (exit {code}) ==\n{capsys.readouterr().out}")
+    return "".join(sections)
+
+
+def test_cli_reports_match_golden(capsys):
+    assert render_golden_cli_reports(capsys) == (GOLDEN / "verify_cli.txt").read_text(encoding="utf-8")
