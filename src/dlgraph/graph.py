@@ -83,6 +83,7 @@ class DLParams:
 
     def height_size(self, height: int) -> int:
         """Number of vertices drawn at ``height``."""
+        height = as_integer(height, "height")
         if not 0 <= height <= self.layers:
             raise ValueError(f"height {height} outside [0, {self.layers}]")
         return self.p**height * self.q ** (self.layers - height)

@@ -84,6 +84,7 @@ class LayeredTree:
 
     def level_size(self, level: int) -> int:
         """Number of vertices at ``level``."""
+        level = as_integer(level, "level")
         if not 0 <= level <= self.layers:
             raise ValueError(f"level {level} outside [0, {self.layers}]")
         return self.branching ** level

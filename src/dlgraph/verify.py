@@ -24,15 +24,16 @@ import inspect
 import itertools
 import json
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
 from .graph import DLVertex
 from .layout import (
-    KIND_DL, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, invert_doubled_position, invert_tree_position,
+    KIND_DL, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, coordinate_rows, invert_doubled_position,
+    invert_tree_position,
 )
-from .tree import LayeredTree, TreeAddress
+from .tree import LayeredTree, TreeAddress, as_integer
 
 PASS = "pass"
 FAIL = "fail"
@@ -236,24 +237,19 @@ def _ball(g, center, radius: int, neighbor_cache: dict) -> dict:
     follows a neighbour one step closer; :func:`_balls_isomorphic` maps them
     in that order.
     """
-
-    def cached_neighbors(u):
-        got = neighbor_cache.get(u)
-        if got is None:
-            got = neighbor_cache[u] = tuple(g.neighbors(u))
-        return got
-
     dist = {center: 0}
-    queue = deque([center])
-    while queue:
-        u = queue.popleft()
-        near = cached_neighbors(u)
-        if dist[u] == radius:
+    order = [center]
+    for u in order:  # the loop reaches the vertices it appends, in BFS order
+        near = neighbor_cache.get(u)
+        if near is None:
+            near = neighbor_cache[u] = tuple(g.neighbors(u))
+        d = dist[u] + 1
+        if d > radius:
             continue
         for w in near:
             if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+                dist[w] = d
+                order.append(w)
     return dist
 
 
@@ -280,7 +276,20 @@ def _tree_code(index: int, depth: int, root: int, shift: tuple[int, ...], branch
     return code
 
 
-def _shape(params, dist: dict, neighbor_cache: dict, center, radius: int) -> tuple[frozenset, frozenset] | None:
+def _code_rows(b: int, radius: int) -> list[list[list[int]]]:
+    """``rows[s][m][t] == _tree_code(t, m, 0, shift, b)`` for m = 0..2*radius and
+    t < b**m, ``shift`` the last ``radius`` base-b digits of ``s``: each row to depth
+    ``radius`` appends one shifted digit, deeper rows append unshifted ones."""
+    rows = []
+    for s in range(b**radius):
+        row = [[0]]
+        for i in reversed(range(radius)):
+            row.append([code * b + (c - s // b**i % b) % b for code in row[-1] for c in range(b)])
+        rows.append(row + [[code * b**n + low for code in row[-1] for low in range(b**n)] for n in range(1, radius + 1)])
+    return rows
+
+
+def _shape(params, dist: dict, neighbor_cache: dict, center, radius: int, rows: tuple) -> tuple[frozenset, frozenset] | None:
     """The vertex and edge sets of the ball ``dist`` around ``center`` (a
     :func:`_ball`), renamed by a translation that sends ``center`` to (0, 0, 0).
 
@@ -294,6 +303,9 @@ def _shape(params, dist: dict, neighbor_cache: dict, center, radius: int) -> tup
     of a DL automorphism (the two digit shifts and a height shift), so all
     such balls have the same shape.  None when a vertex is not an integer
     triple or lies more than ``radius`` heights from the centre.
+
+    A vertex inside both ancestors' subtrees reads its codes from ``rows`` (:func:`_code_rows` of p, q)
+    as the int ``(m * p**(2r) + orange) * q**(2r) + brown``, m = h' - h + r; any other keeps the triple.
     """
     h, j, k = center
     if not type(h) is type(j) is type(k) is int:
@@ -302,17 +314,22 @@ def _shape(params, dist: dict, neighbor_cache: dict, center, radius: int) -> tup
     orange_root, brown_root = j // p**radius, k // q**radius
     orange_shift = tuple(j // p**i % p for i in reversed(range(radius)))
     brown_shift = tuple(k // q**i % q for i in reversed(range(radius)))
+    orange_rows, brown_rows = rows[0][j % p**radius], rows[1][k % q**radius]
+    depth, orange_scale, brown_scale = 2 * radius, p ** (2 * radius), q ** (2 * radius)
     codes = {}
     for v in dist:
         height, orange, brown = v
         if not (type(height) is type(orange) is type(brown) is int and abs(height - h) <= radius):
             return None
-        codes[v] = (
-            height - h,
-            _tree_code(orange, height - h + radius, orange_root, orange_shift, p),
-            _tree_code(brown, h - height + radius, brown_root, brown_shift, q),
-        )
-    edges = frozenset((codes[u], codes[w]) for u in dist for w in neighbor_cache[u] if w in codes)
+        m = height - h + radius
+        orange_row, brown_row = orange_rows[m], brown_rows[depth - m]
+        t, u = orange - orange_root * len(orange_row), brown - brown_root * len(brown_row)
+        if 0 <= t < len(orange_row) and 0 <= u < len(brown_row):
+            codes[v] = (m * orange_scale + orange_row[t]) * brown_scale + brown_row[u]
+        else:
+            codes[v] = (height - h, _tree_code(orange, m, orange_root, orange_shift, p),
+                        _tree_code(brown, depth - m, brown_root, brown_shift, q))
+    edges = frozenset([(codes[u], codes[w]) for u in dist for w in neighbor_cache[u] if w in codes])
     return frozenset(codes.values()), edges
 
 
@@ -387,6 +404,7 @@ def check_local_homogeneity(g, radius: int) -> dict:
     together, then an exhaustive backtracking search in BFS order, which
     alone can declare a failure.
     """
+    radius = as_integer(radius, "radius")
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     L = g.params.layers
@@ -394,12 +412,13 @@ def check_local_homogeneity(g, radius: int) -> dict:
         raise _Skip(f"not applicable: layers < 2*radius ({L} < {2 * radius})")
     interior = [v for v in g.vertices() if radius <= v.height <= L - radius]
     neighbor_cache: dict = {}
+    rows = _code_rows(g.params.p, radius), _code_rows(g.params.q, radius)
     reference = interior[0]
     reference_ball = _ball(g, reference, radius, neighbor_cache)
-    reference_shape = _shape(g.params, reference_ball, neighbor_cache, reference, radius)
+    reference_shape = _shape(g.params, reference_ball, neighbor_cache, reference, radius, rows)
     for v in interior[1:]:
         ball = _ball(g, v, radius, neighbor_cache)
-        if reference_shape is not None and _shape(g.params, ball, neighbor_cache, v, radius) == reference_shape:
+        if reference_shape is not None and _shape(g.params, ball, neighbor_cache, v, radius, rows) == reference_shape:
             continue
         if not _balls_isomorphic(_induced(reference_ball, neighbor_cache), _induced(ball, neighbor_cache)):
             raise _Fail(f"ball around {tuple(v)} is not isomorphic to the ball around {tuple(reference)}")
@@ -449,11 +468,11 @@ def check_lamplighter(g) -> dict:
         h, j, k = v
         if not type(h) is type(j) is type(k) is int:  # a bool's type is bool, not int
             raise _Fail(f"vertex {tuple(v)} is not a triple of ints")
-        state = _lamp_state(DLVertex(*v), b, L)
+        state = _lamp_state(v, b, L)
         f, cur = state
         if len(f) != L or any(not 0 <= d < b for d in f) or not 0 <= cur <= L:
             raise _Fail(f"vertex {tuple(v)} encodes to out-of-range state {state}")
-        encoding[DLVertex(*v)] = state
+        encoding[v] = state
     if len(set(encoding.values())) != len(encoding):
         seen: dict = {}
         for v, state in encoding.items():
@@ -464,22 +483,22 @@ def check_lamplighter(g) -> dict:
     if len(encoding) != expected_states:
         raise _Fail(f"{len(encoding)} vertices vs {expected_states} slab states")
 
-    slab = _slab_edges(b, L)
-    image = set()
+    edges = set()
     for top, bottom in g.edges():
-        top, bottom = DLVertex(*top), DLVertex(*bottom)
         if top not in encoding or bottom not in encoding:
             raise _Fail(f"edge {tuple(top)}-{tuple(bottom)} has an endpoint that is not a vertex")
         (f_top, cur_top), (f_bot, cur_bot) = encoding[top], encoding[bottom]
-        edge = ((f_bot, cur_bot), (f_top, cur_top))
-        image.add(edge)
-        if cur_bot != cur_top - 1 or edge not in slab:
+        if cur_bot != cur_top - 1 or f_bot[:cur_bot] != f_top[:cur_bot] or f_bot[cur_bot + 1 :] != f_top[cur_bot + 1 :]:
             raise _Fail(f"edge {tuple(top)}-{tuple(bottom)} maps outside the slab")
-    if image != slab:
+        edges.add((top, bottom))
+    # the encoding is injective, so images inside the slab fill it iff they are as many as its L * b**(L+1) edges
+    if len(edges) != L * b ** (L + 1):
+        slab = _slab_edges(b, L)
+        image = {(encoding[bottom], encoding[top]) for top, bottom in g.edges()}
         missing = next(iter(slab - image), None)
         extra = next(iter(image - slab), None)
         raise _Fail(f"edge sets differ (missing: {missing}, extra: {extra})")
-    return {"states": expected_states, "slab_edges": len(slab)}
+    return {"states": expected_states, "slab_edges": len(edges)}
 
 
 @_check()
@@ -499,11 +518,15 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
     for n in range(1, L + 1):
         expected.update((KIND_TREE_P, (n, j), (n - 1, j // p)) for j in range(p**n))
         expected.update((KIND_TREE_Q, (n, k // q), (n - 1, k)) for k in range(q ** (L - n + 1)))
-    invert = {
-        KIND_TREE_P: functools.partial(invert_tree_position, scene.params, KIND_TREE_P),
-        KIND_TREE_Q: functools.partial(invert_tree_position, scene.params, KIND_TREE_Q),
-        KIND_DL: functools.partial(invert_doubled_position, scene.params),
-    }
+    invert = {kind: functools.partial(invert_tree_position, scene.params, kind) for kind in (KIND_TREE_P, KIND_TREE_Q)}
+    invert[KIND_DL] = functools.partial(invert_doubled_position, scene.params)
+    # every valid doubled endpoint of each kind and the node the inversion reads from it
+    xs, ys = coordinate_rows(scene.params)
+    drawn = {KIND_TREE_P: {}, KIND_TREE_Q: {}, KIND_DL: {}}
+    for h, (x_row, y_row) in enumerate(zip(xs, ys)):
+        drawn[KIND_TREE_P].update(((x, 0, 2 * h), (h, j)) for j, x in enumerate(x_row))
+        drawn[KIND_TREE_Q].update(((0, y, 2 * h), (h, k)) for k, y in enumerate(y_row))
+        drawn[KIND_DL].update(((x, y, 2 * h), DLVertex(h, j, k)) for j, x in enumerate(x_row) for k, y in enumerate(y_row))
     seen: dict = {}
     for i, (kind, a, b) in enumerate(scene.segments):
         if kind in (KIND_TREE_P, KIND_TREE_Q):
@@ -516,9 +539,15 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
         else:
             kind = KIND_DL
         try:
-            va, vb = invert[kind](a), invert[kind](b)
-        except (TypeError, ValueError) as exc:
-            raise _Fail(f"segment {i}: {exc}")
+            va, vb = drawn[kind][a], drawn[kind][b]
+        except (KeyError, TypeError):  # not a drawn point, or an unhashable one
+            va = None
+        # a float or bool equal to a lattice value finds its node too, so the types decide
+        if va is None or not type(a[0]) is type(a[1]) is type(a[2]) is type(b[0]) is type(b[1]) is type(b[2]) is int:
+            try:
+                va, vb = invert[kind](a), invert[kind](b)
+            except (TypeError, ValueError) as exc:
+                raise _Fail(f"segment {i}: {exc}")
         top, bottom = (va, vb) if va[0] > vb[0] else (vb, va)
         key = (kind, top, bottom)
         if top[0] - bottom[0] != 1 or key not in expected:
@@ -567,6 +596,7 @@ def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> Verification
             if key not in CHECKS:
                 raise ValueError(f"unknown check {raw!r}; available: {', '.join(CHECKS)}")
             selected.append(key)
+    radius = as_integer(radius, "radius")
     if not 1 <= radius <= MAX_BALL_RADIUS:
         raise ValueError(f"radius must be in [1, {MAX_BALL_RADIUS}], got {radius}")
 

@@ -62,6 +62,20 @@ def test_params_accept_index_objects_as_plain_ints():
         DLParams(Index(1), 3, 3)
 
 
+def test_height_size_counts_each_height():
+    params = DLParams(2, 3, 3)
+    assert [params.height_size(h) for h in range(4)] == [27, 18, 12, 8]
+    assert params.height_size(Index(1)) == 18
+    with pytest.raises(ValueError, match=r"^height 4 outside \[0, 3\]$"):
+        params.height_size(4)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "str"])
+def test_height_size_rejects_non_integer_heights(bad):
+    with pytest.raises(TypeError, match=rf"^height must be an integer, got {re.escape(repr(bad))}$"):
+        DLParams(2, 3, 3).height_size(bad)
+
+
 def test_vertex_cap_guards_build():
     with pytest.raises(CapExceededError):
         DLParams(4, 4, 10)  # 11 * 4**10 vertices

@@ -189,6 +189,18 @@ def test_level_sizes():
     assert sum(1 for _ in tree.vertices()) == 1 + 3 + 9 + 27 + 81
 
 
+@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=["float", "bool", "str"])
+def test_level_size_rejects_non_integer_levels(bad):
+    with pytest.raises(TypeError, match=rf"^level must be an integer, got {bad!r}$"):
+        LayeredTree(2, 3).level_size(bad)
+
+
+def test_level_size_accepts_index_objects():
+    assert LayeredTree(2, 3).level_size(Index(2)) == 4
+    with pytest.raises(ValueError, match=r"^level 4 outside \[0, 3\]$"):
+        LayeredTree(2, 3).level_size(Index(4))
+
+
 # ---------------------------------------------------------------------------
 # predecessor / successors
 

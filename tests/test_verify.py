@@ -36,7 +36,7 @@ from dlgraph import verify
 from dlgraph.cli import main
 from dlgraph.verify import _lamp_state
 
-from support import MutatedGraph
+from support import Index, MutatedGraph
 
 
 def graph(p=2, q=3, layers=3):
@@ -180,6 +180,21 @@ def test_local_homogeneity_rejects_shallow_graphs():
         check_local_homogeneity(graph(), 0)
 
 
+@pytest.mark.parametrize("bad", [2.0, True], ids=["float", "bool"])
+def test_radius_must_be_an_integer(bad):
+    g = graph(2, 3, 4)
+    with pytest.raises(TypeError, match=rf"^radius must be an integer, got {bad!r}$"):
+        run_checks(g, radius=bad)
+    with pytest.raises(TypeError, match=rf"^radius must be an integer, got {bad!r}$"):
+        check_local_homogeneity(g, bad)
+
+
+def test_radius_accepts_index_objects():
+    report = run_checks(graph(2, 3, 4), names=["local_homogeneity"], radius=Index(2))
+    assert [(entry.status, entry.params["radius"]) for entry in report.entries] == [("pass", 2)]
+    assert check_local_homogeneity(graph(2, 3, 4), Index(2)).detail == {"interior_vertices": 36, "ball_size": 22}
+
+
 def test_local_homogeneity_fails_on_removed_interior_edge():
     g = graph(2, 2, 4)
     assert g.is_edge((3, 7, 1), (2, 3, 3))
@@ -262,6 +277,64 @@ def test_local_homogeneity_searches_large_renamed_balls():
     result = check_local_homogeneity(damaged, 3)
     assert result.status == "fail"
     assert result.counterexample == "ball around (3, 12, 13) is not isomorphic to the ball around (3, 26, 26)"
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize("branching", [2, 3])
+def test_code_rows_are_tree_codes(branching, radius):
+    rows = verify._code_rows(branching, radius)
+    assert len(rows) == branching**radius
+    for s, row in enumerate(rows):
+        shift = tuple(s // branching**i % branching for i in reversed(range(radius)))
+        assert [len(codes) for codes in row] == [branching**m for m in range(2 * radius + 1)]
+        for m, codes in enumerate(row):
+            assert codes == [verify._tree_code(t, m, 0, shift, branching) for t in range(branching**m)]
+
+
+def _plain_code(params, center, radius, v):
+    """The renaming of :func:`verify._shape` in plain ``_tree_code`` form, one vertex."""
+    (h, j, k), (height, orange, brown), p, q = center, v, params.p, params.q
+    orange_shift = tuple(j // p**i % p for i in reversed(range(radius)))
+    brown_shift = tuple(k // q**i % q for i in reversed(range(radius)))
+    return (
+        height - h,
+        verify._tree_code(orange, height - h + radius, j // p**radius, orange_shift, p),
+        verify._tree_code(brown, h - height + radius, k // q**radius, brown_shift, q),
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(p=st.sampled_from([2, 3]), q=st.sampled_from([2, 3]), radius=st.integers(1, 3), data=st.data())
+def test_table_codes_agree_with_tree_codes(p, q, radius, data):
+    # vertices around two interior centres, inside and outside the centre's
+    # ancestor subtrees: the table-driven names recode the plain codes by one
+    # injective map, the same for both balls
+    layers = 2 * radius + 1
+    params = DLParams(p, q, layers)
+    rows = verify._code_rows(p, radius), verify._code_rows(q, radius)
+    recoding = set()
+    for _ in range(2):
+        h = data.draw(st.integers(radius, layers - radius))
+        center = DLVertex(h, data.draw(st.integers(0, p**h - 1)), data.draw(st.integers(0, q ** (layers - h) - 1)))
+        for _ in range(data.draw(st.integers(1, 8))):
+            height = data.draw(st.integers(h - radius, h + radius))
+            m = height - h + radius
+            inside = data.draw(st.booleans())
+            orange_first = center.orange // p**radius * p**m if inside else 0
+            orange = data.draw(st.integers(orange_first, orange_first + p**m - 1 if inside else p**height - 1))
+            brown_first = center.brown // q**radius * q ** (2 * radius - m) if inside else 0
+            brown = data.draw(st.integers(brown_first, brown_first + q ** (2 * radius - m) - 1 if inside else q ** (layers - height) - 1))
+            v = DLVertex(height, orange, brown)
+            plain = _plain_code(params, center, radius, v)
+            (code,) = verify._shape(params, {v: 0}, {v: ()}, center, radius, rows)[0]
+            if inside:
+                t = orange - center.orange // p**radius * p**m
+                assert rows[0][center.orange % p**radius][m][t] == plain[1]
+                u = brown - center.brown // q**radius * q ** (2 * radius - m)
+                assert rows[1][center.brown % q**radius][2 * radius - m][u] == plain[2]
+                assert type(code) is int
+            recoding.add((plain, code))
+    assert len({plain for plain, _ in recoding}) == len({code for _, code in recoding}) == len(recoding)
 
 
 # (p, q, layers, radius) of the graphs whose balls the isomorphism oracle compares
@@ -361,6 +434,38 @@ def test_lamplighter_fails_on_mutations():
     assert check_lamplighter(MutatedGraph(g, add_edges=[((2, 0, 0), (1, 1, 1))])).status == "fail"
 
 
+@pytest.mark.parametrize(
+    "top,bottom",
+    [((2, 1, 0), (1, 1, 0)), ((2, 0, 0), (1, 0, 2)), ((3, 0, 0), (1, 0, 0)), ((2, 0, 0), (2, 1, 0))],
+    ids=["below-the-cursor", "above-the-cursor", "two-heights-apart", "same-height"],
+)
+def test_lamplighter_fails_on_an_edge_outside_the_slab(top, bottom):
+    # a slab edge moves the cursor up one step and may change only the lamp it leaves:
+    # (2, 1, 0) and (1, 1, 0) encode to (0, 1, 0) and (1, 0, 0), which differ below the lower
+    # cursor 1; (2, 0, 0) and (1, 0, 2) to (0, 0, 0) and (0, 0, 1), which differ above it
+    result = check_lamplighter(MutatedGraph(graph(2, 2, 3), add_edges=[(top, bottom)]))
+    assert result.status == "fail"
+    assert result.counterexample == f"edge {top}-{bottom} maps outside the slab"
+
+
+@pytest.mark.parametrize(
+    "dropped,added,counterexample",
+    [
+        ([64], [7], "edge sets differ (missing: (((0, 0, 0, 0), 2), ((0, 0, 0, 0), 3)), extra: None)"),
+        ([0, -1, 40], [], "edge sets differ (missing: (((1, 1, 1, 1), 3), ((1, 1, 1, 1), 4)), extra: None)"),
+    ],
+    ids=["one-dropped-one-duplicated", "three-dropped"],
+)
+def test_lamplighter_names_a_missing_slab_edge(dropped, added, counterexample):
+    # a duplicated edge still maps into the slab, so only the dropped ones show, as slab edges nothing maps to
+    g = graph(2, 2, 4)
+    edges = list(g.edges())
+    damaged = MutatedGraph(g, drop_edges=[edges[i] for i in dropped], add_edges=[edges[i] for i in added])
+    result = check_lamplighter(damaged)
+    assert result.status == "fail"
+    assert result.counterexample == counterexample
+
+
 def test_lamplighter_fails_on_an_edge_to_a_missing_vertex():
     # (1, 3, 0) is not a vertex, but it encodes like (1, 1, 0), so its edge lands on a slab edge
     result = check_lamplighter(MutatedGraph(graph(2, 2, 3), add_edges=[((1, 3, 0), (0, 0, 0))]))
@@ -407,6 +512,28 @@ def test_scene_agreement_passes():
     result = check_scene_graph_agreement(g, build_scene(g))
     assert result.status == "pass"
     assert result.detail == {"dl_segments": 114}
+
+
+def test_scene_agreement_inverts_only_points_it_has_no_table_entry_for(monkeypatch):
+    calls = []
+
+    def counting(honest):
+        def invert(*args):
+            calls.append(args[-1])
+            return honest(*args)
+
+        return invert
+
+    for name in ("invert_doubled_position", "invert_tree_position"):
+        monkeypatch.setattr(verify, name, counting(getattr(verify, name)))
+    g = graph(2, 3, 4)
+    scene = build_scene(g)
+    assert check_scene_graph_agreement(g, scene).status == "pass"
+    assert calls == []
+    damaged, index = _with_endpoint(scene, "dl", lambda a: (float(a[0]), a[1], a[2]))
+    result = check_scene_graph_agreement(g, damaged)
+    assert result.counterexample.startswith(f"segment {index}: x = ")
+    assert calls == [damaged.segments[index].a]
 
 
 def test_scene_agreement_fails_on_corrupted_segment():
