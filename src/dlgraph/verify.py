@@ -522,11 +522,11 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
     invert[KIND_DL] = functools.partial(invert_doubled_position, scene.params)
     # every valid doubled endpoint of each kind and the node the inversion reads from it
     xs, ys = coordinate_rows(scene.params)
-    drawn = {KIND_TREE_P: {}, KIND_TREE_Q: {}, KIND_DL: {}}
+    points = {KIND_TREE_P: {}, KIND_TREE_Q: {}, KIND_DL: {}}
     for h, (x_row, y_row) in enumerate(zip(xs, ys)):
-        drawn[KIND_TREE_P].update(((x, 0, 2 * h), (h, j)) for j, x in enumerate(x_row))
-        drawn[KIND_TREE_Q].update(((0, y, 2 * h), (h, k)) for k, y in enumerate(y_row))
-        drawn[KIND_DL].update(((x, y, 2 * h), DLVertex(h, j, k)) for j, x in enumerate(x_row) for k, y in enumerate(y_row))
+        points[KIND_TREE_P].update(((x, 0, 2 * h), (h, j)) for j, x in enumerate(x_row))
+        points[KIND_TREE_Q].update(((0, y, 2 * h), (h, k)) for k, y in enumerate(y_row))
+        points[KIND_DL].update(((x, y, 2 * h), DLVertex(h, j, k)) for j, x in enumerate(x_row) for k, y in enumerate(y_row))
     seen: dict = {}
     for i, (kind, a, b) in enumerate(scene.segments):
         if kind in (KIND_TREE_P, KIND_TREE_Q):
@@ -539,7 +539,7 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
         else:
             kind = KIND_DL
         try:
-            va, vb = drawn[kind][a], drawn[kind][b]
+            va, vb = points[kind][a], points[kind][b]
         except (KeyError, TypeError):  # not a drawn point, or an unhashable one
             va = None
         # a float or bool equal to a lattice value finds its node too, so the types decide
