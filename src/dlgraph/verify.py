@@ -118,7 +118,7 @@ def _check(*param_names: str) -> Callable:
     The body returns its PASS detail, or raises :class:`_Fail` or
     :class:`_Skip`; any other exception passes through.  The result is named
     after the body, and its params are p, q and layers plus the arguments
-    named by ``param_names``.
+    named by ``param_names``, integer bounds that pass through ``as_integer`` first.
     """
 
     def decorate(body: Callable) -> Callable:
@@ -127,13 +127,13 @@ def _check(*param_names: str) -> Callable:
         @functools.wraps(body)
         def check(*args, **kwargs) -> CheckResult:
             started = time.perf_counter()
-            arguments = signature.bind(*args, **kwargs).arguments
-            g = arguments["g"]
-            params = {"p": g.params.p, "q": g.params.q, "layers": g.params.layers}
-            params.update((name, arguments[name]) for name in param_names)
+            bound = signature.bind(*args, **kwargs)
+            bound.arguments.update((name, as_integer(bound.arguments[name], name)) for name in param_names)
+            g = bound.arguments["g"]
+            params = {"p": g.params.p, "q": g.params.q, "layers": g.params.layers} | {name: bound.arguments[name] for name in param_names}
             status, counterexample = PASS, None
             try:
-                detail = body(*args, **kwargs)
+                detail = body(*bound.args, **bound.kwargs)
             except _Fail as exc:
                 status, counterexample, detail = FAIL, str(exc), None
             except _Skip as exc:
@@ -276,16 +276,16 @@ def _tree_code(index: int, depth: int, root: int, shift: tuple[int, ...], branch
     return code
 
 
-def _code_rows(b: int, radius: int) -> list[list[list[int]]]:
-    """``rows[s][m][t] == _tree_code(t, m, 0, shift, b)`` for m = 0..2*radius and
-    t < b**m, ``shift`` the last ``radius`` base-b digits of ``s``: each row to depth
-    ``radius`` appends one shifted digit, deeper rows append unshifted ones."""
+def _code_rows(b: int, radius: int) -> list[list[tuple[list[int], int, int]]]:
+    """``rows[s][m] == (row, step, b**m)`` with ``_tree_code(t, m, 0, shift, b) == row[t // step] * step + t % step``
+    for t < b**m and m <= 2*radius, ``shift`` the last ``radius`` base-b digits of ``s``.  Digits below depth ``radius``
+    are not shifted, so deeper depths reuse the depth-``radius`` row: about b**(2*radius) ints in all."""
     rows = []
     for s in range(b**radius):
         row = [[0]]
         for i in reversed(range(radius)):
             row.append([code * b + (c - s // b**i % b) % b for code in row[-1] for c in range(b)])
-        rows.append(row + [[code * b**n + low for code in row[-1] for low in range(b**n)] for n in range(1, radius + 1)])
+        rows.append([(codes, 1, b**m) for m, codes in enumerate(row)] + [(row[-1], b**n, b ** (radius + n)) for n in range(1, radius + 1)])
     return rows
 
 
@@ -304,7 +304,7 @@ def _shape(params, dist: dict, neighbor_cache: dict, center, radius: int, rows: 
     such balls have the same shape.  None when a vertex is not an integer
     triple or lies more than ``radius`` heights from the centre.
 
-    A vertex inside both ancestors' subtrees reads its codes from ``rows`` (:func:`_code_rows` of p, q)
+    A vertex inside both ancestors' subtrees reads its codes from ``rows`` (:func:`_code_rows` by branching)
     as the int ``(m * p**(2r) + orange) * q**(2r) + brown``, m = h' - h + r; any other keeps the triple.
     """
     h, j, k = center
@@ -314,7 +314,7 @@ def _shape(params, dist: dict, neighbor_cache: dict, center, radius: int, rows: 
     orange_root, brown_root = j // p**radius, k // q**radius
     orange_shift = tuple(j // p**i % p for i in reversed(range(radius)))
     brown_shift = tuple(k // q**i % q for i in reversed(range(radius)))
-    orange_rows, brown_rows = rows[0][j % p**radius], rows[1][k % q**radius]
+    orange_rows, brown_rows = rows[p][j % p**radius], rows[q][k % q**radius]
     depth, orange_scale, brown_scale = 2 * radius, p ** (2 * radius), q ** (2 * radius)
     codes = {}
     for v in dist:
@@ -322,13 +322,13 @@ def _shape(params, dist: dict, neighbor_cache: dict, center, radius: int, rows: 
         if not (type(height) is type(orange) is type(brown) is int and abs(height - h) <= radius):
             return None
         m = height - h + radius
-        orange_row, brown_row = orange_rows[m], brown_rows[depth - m]
-        t, u = orange - orange_root * len(orange_row), brown - brown_root * len(brown_row)
-        if 0 <= t < len(orange_row) and 0 <= u < len(brown_row):
-            codes[v] = (m * orange_scale + orange_row[t]) * brown_scale + brown_row[u]
+        (orange_row, orange_step, orange_size), (brown_row, brown_step, brown_size) = orange_rows[m], brown_rows[depth - m]
+        t, u = orange - orange_root * orange_size, brown - brown_root * brown_size
+        if 0 <= t < orange_size and 0 <= u < brown_size:
+            orange_code = orange_row[t // orange_step] * orange_step + t % orange_step
+            codes[v] = (m * orange_scale + orange_code) * brown_scale + brown_row[u // brown_step] * brown_step + u % brown_step
         else:
-            codes[v] = (height - h, _tree_code(orange, m, orange_root, orange_shift, p),
-                        _tree_code(brown, depth - m, brown_root, brown_shift, q))
+            codes[v] = (height - h, _tree_code(orange, m, orange_root, orange_shift, p), _tree_code(brown, depth - m, brown_root, brown_shift, q))
     edges = frozenset([(codes[u], codes[w]) for u in dist for w in neighbor_cache[u] if w in codes])
     return frozenset(codes.values()), edges
 
@@ -404,7 +404,6 @@ def check_local_homogeneity(g, radius: int) -> dict:
     together, then an exhaustive backtracking search in BFS order, which
     alone can declare a failure.
     """
-    radius = as_integer(radius, "radius")
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     L = g.params.layers
@@ -412,7 +411,7 @@ def check_local_homogeneity(g, radius: int) -> dict:
         raise _Skip(f"not applicable: layers < 2*radius ({L} < {2 * radius})")
     interior = [v for v in g.vertices() if radius <= v.height <= L - radius]
     neighbor_cache: dict = {}
-    rows = _code_rows(g.params.p, radius), _code_rows(g.params.q, radius)
+    rows = {b: _code_rows(b, radius) for b in {g.params.p, g.params.q}}
     reference = interior[0]
     reference_ball = _ball(g, reference, radius, neighbor_cache)
     reference_shape = _shape(g.params, reference_ball, neighbor_cache, reference, radius, rows)
@@ -472,7 +471,7 @@ def check_lamplighter(g) -> dict:
         f, cur = state
         if len(f) != L or any(not 0 <= d < b for d in f) or not 0 <= cur <= L:
             raise _Fail(f"vertex {tuple(v)} encodes to out-of-range state {state}")
-        encoding[v] = state
+        encoding[tuple(v)] = state  # a plain tuple also keys a vertex given as a list
     if len(set(encoding.values())) != len(encoding):
         seen: dict = {}
         for v, state in encoding.items():
@@ -485,6 +484,7 @@ def check_lamplighter(g) -> dict:
 
     edges = set()
     for top, bottom in g.edges():
+        top, bottom = tuple(top), tuple(bottom)
         if top not in encoding or bottom not in encoding:
             raise _Fail(f"edge {tuple(top)}-{tuple(bottom)} has an endpoint that is not a vertex")
         (f_top, cur_top), (f_bot, cur_bot) = encoding[top], encoding[bottom]
@@ -494,7 +494,7 @@ def check_lamplighter(g) -> dict:
     # the encoding is injective, so images inside the slab fill it iff they are as many as its L * b**(L+1) edges
     if len(edges) != L * b ** (L + 1):
         slab = _slab_edges(b, L)
-        image = {(encoding[bottom], encoding[top]) for top, bottom in g.edges()}
+        image = {(encoding[tuple(bottom)], encoding[tuple(top)]) for top, bottom in g.edges()}
         missing = next(iter(slab - image), None)
         extra = next(iter(image - slab), None)
         raise _Fail(f"edge sets differ (missing: {missing}, extra: {extra})")

@@ -5,6 +5,7 @@ deterministically."""
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,16 @@ def test_radius_accepts_index_objects():
     assert check_local_homogeneity(graph(2, 3, 4), Index(2)).detail == {"interior_vertices": 36, "ball_size": 22}
 
 
+@pytest.mark.parametrize("call", [lambda g: check_local_homogeneity(g, Index(2)), lambda g: check_local_homogeneity(g, radius=Index(2))],
+                         ids=["positional", "keyword"])
+def test_direct_check_records_an_index_radius_as_int(call):
+    result = call(graph(2, 3, 4))
+    assert type(result.params["radius"]) is int and result.params["radius"] == 2
+    report = verify.VerificationReport((result,))
+    assert report.to_text().startswith("[PASS] check_local_homogeneity(layers=4 p=2 q=3 radius=2)  ball_size=22 ")
+    assert json.loads(report.to_json())["checks"][0]["params"]["radius"] == 2
+
+
 def test_local_homogeneity_fails_on_removed_interior_edge():
     g = graph(2, 2, 4)
     assert g.is_edge((3, 7, 1), (2, 3, 3))
@@ -279,6 +290,39 @@ def test_local_homogeneity_searches_large_renamed_balls():
     assert result.counterexample == "ball around (3, 12, 13) is not isomorphic to the ball around (3, 26, 26)"
 
 
+def _table_code(rows, m, t):
+    """Code ``t`` at depth ``m`` read from one shift's :func:`verify._code_rows` entry."""
+    row, step, _ = rows[m]
+    return row[t // step] * step + t % step
+
+
+def test_local_homogeneity_keeps_large_branching_tables_small(monkeypatch):
+    # DL(20,2) L=4 is under the default cap; rows of every depth to 2r would hold
+    # about 67 million codes, rows to depth r hold 168,400, read by all 1600 balls
+    built = []
+    honest = verify._code_rows
+
+    def traced(branching, radius):
+        tracemalloc.start()
+        try:
+            rows = honest(branching, radius)
+            built.append((branching, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return rows
+
+    monkeypatch.setattr(verify, "_code_rows", traced)
+    result = check_local_homogeneity(graph(20, 2, 4), 2)
+    assert result.status == "pass"
+    assert result.detail == {"interior_vertices": 1600, "ball_size": 447}
+    assert result.elapsed <= 30
+    assert sorted(branching for branching, _ in built) == [2, 20]
+    assert all(peak <= 16 * 2**20 for _, peak in built)
+    built.clear()
+    assert check_local_homogeneity(graph(3, 3, 4), 2).status == "pass"
+    assert [branching for branching, _ in built] == [3]  # p = q builds one table for both trees
+
+
 @pytest.mark.parametrize("radius", [1, 2, 3])
 @pytest.mark.parametrize("branching", [2, 3])
 def test_code_rows_are_tree_codes(branching, radius):
@@ -286,9 +330,19 @@ def test_code_rows_are_tree_codes(branching, radius):
     assert len(rows) == branching**radius
     for s, row in enumerate(rows):
         shift = tuple(s // branching**i % branching for i in reversed(range(radius)))
-        assert [len(codes) for codes in row] == [branching**m for m in range(2 * radius + 1)]
-        for m, codes in enumerate(row):
+        assert [size for _, _, size in row] == [branching**m for m in range(2 * radius + 1)]
+        for m in range(2 * radius + 1):
+            codes = [_table_code(row, m, t) for t in range(branching**m)]
             assert codes == [verify._tree_code(t, m, 0, shift, branching) for t in range(branching**m)]
+
+
+@pytest.mark.parametrize("branching,radius", [(2, 3), (3, 3), (20, 2), (200, 1)])
+def test_code_rows_hold_rows_only_to_depth_radius(branching, radius):
+    # deeper depths share the depth-radius row, so the table stays within
+    # b**radius shifts times b**(radius+1) / (b-1) codes
+    rows = verify._code_rows(branching, radius)
+    stored = {id(row): len(row) for shift in rows for row, _, _ in shift}
+    assert sum(stored.values()) == branching**radius * (branching ** (radius + 1) - 1) // (branching - 1)
 
 
 def _plain_code(params, center, radius, v):
@@ -311,7 +365,7 @@ def test_table_codes_agree_with_tree_codes(p, q, radius, data):
     # injective map, the same for both balls
     layers = 2 * radius + 1
     params = DLParams(p, q, layers)
-    rows = verify._code_rows(p, radius), verify._code_rows(q, radius)
+    rows = {b: verify._code_rows(b, radius) for b in {p, q}}
     recoding = set()
     for _ in range(2):
         h = data.draw(st.integers(radius, layers - radius))
@@ -329,9 +383,9 @@ def test_table_codes_agree_with_tree_codes(p, q, radius, data):
             (code,) = verify._shape(params, {v: 0}, {v: ()}, center, radius, rows)[0]
             if inside:
                 t = orange - center.orange // p**radius * p**m
-                assert rows[0][center.orange % p**radius][m][t] == plain[1]
+                assert _table_code(rows[p][center.orange % p**radius], m, t) == plain[1]
                 u = brown - center.brown // q**radius * q ** (2 * radius - m)
-                assert rows[1][center.brown % q**radius][2 * radius - m][u] == plain[2]
+                assert _table_code(rows[q][center.brown % q**radius], 2 * radius - m, u) == plain[2]
                 assert type(code) is int
             recoding.add((plain, code))
     assert len({plain for plain, _ in recoding}) == len({code for _, code in recoding}) == len(recoding)
@@ -464,6 +518,33 @@ def test_lamplighter_names_a_missing_slab_edge(dropped, added, counterexample):
     result = check_lamplighter(damaged)
     assert result.status == "fail"
     assert result.counterexample == counterexample
+
+
+class ListVertices:
+    """A graph that yields its vertices and edge endpoints as lists."""
+
+    def __init__(self, base):
+        self.base = base
+        self.params = base.params
+
+    def vertices(self):
+        return (list(v) for v in self.base.vertices())
+
+    def edges(self):
+        return ((list(top), list(bottom)) for top, bottom in self.base.edges())
+
+    def neighbors(self, v) -> list:
+        return [list(w) for w in self.base.neighbors(tuple(v))]
+
+
+def test_lamplighter_reads_vertices_given_as_lists():
+    g = graph(2, 2, 4)
+    assert check_lamplighter(ListVertices(g)).detail == check_lamplighter(g).detail == {"states": 80, "slab_edges": 128}
+    edges = list(g.edges())
+    damaged = MutatedGraph(g, drop_edges=[edges[64]], add_edges=[edges[7]])
+    result = check_lamplighter(ListVertices(damaged))
+    assert result.counterexample == check_lamplighter(damaged).counterexample
+    assert result.counterexample == "edge sets differ (missing: (((0, 0, 0, 0), 2), ((0, 0, 0, 0), 3)), extra: None)"
 
 
 def test_lamplighter_fails_on_an_edge_to_a_missing_vertex():
