@@ -15,7 +15,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .export import DEFAULT_COLORS, DEFAULT_SVG_COLORS, FORMATS, ExportOptions, write_scene
+from .export import FORMATS, ExportOptions, write_scene
 from .graph import DEFAULT_VERTEX_CAP, DLGraph, DLParams
 from .layout import DEFAULT_VIEW, build_scene
 from .tree import CapExceededError
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--format", choices=FORMATS, default="tikz")
     export.add_argument("-o", "--output", default="-", help="output file ('-' for stdout)")
     export.add_argument("--view", nargs=2, type=_finite_float, metavar=("AZ", "EL"),
-                        default=None, help=f"azimuth/elevation in degrees (default {DEFAULT_VIEW})")
+                        default=DEFAULT_VIEW, help=f"azimuth/elevation in degrees (default {DEFAULT_VIEW})")
     export.add_argument("--colors", nargs=3, metavar=("TREE_P", "TREE_Q", "DL"), default=None,
                         help="per-kind colors: TikZ styles, or stroke values for --format svg")
     export.add_argument("--no-axis-labels", action="store_true", help="omit the x/y/z axis labels (tikz)")
@@ -115,22 +115,9 @@ def _cmd_stats(args) -> int:
 
 def _cmd_export(args) -> int:
     graph = DLGraph(DLParams(args.p, args.q, args.layers, vertex_cap=args.cap))
-    view = tuple(args.view) if args.view is not None else DEFAULT_VIEW
-    scene = build_scene(graph, view)
-    colors = DEFAULT_COLORS
-    svg_colors = DEFAULT_SVG_COLORS
-    if args.colors is not None:
-        if args.format == "svg":
-            svg_colors = tuple(args.colors)
-        else:
-            colors = tuple(args.colors)
-    opts = ExportOptions(
-        format=args.format,
-        colors=colors,
-        svg_colors=svg_colors,
-        axis_labels=not args.no_axis_labels,
-        decimal_digits=args.digits,
-    )
+    scene = build_scene(graph, args.view)
+    opts = ExportOptions(format=args.format, colors=args.colors, axis_labels=not args.no_axis_labels,
+                         decimal_digits=args.digits)
     with _open_sink(args.output) as sink:
         write_scene(scene, opts, sink)
     return EXIT_OK

@@ -34,25 +34,27 @@ DEFAULT_SVG_COLORS = ("#F5C089", "#B9AF8F", "#00688B")
 
 @dataclass(frozen=True)
 class ExportOptions:
-    """Rendering options shared by all formats.
+    """Rendering options shared by all formats; the view is the scene's.
 
-    ``view`` of ``None`` falls back to the scene's own view.  ``colors``
-    are TikZ style strings; ``svg_colors`` are the stroke values the SVG
-    writer uses instead.  ``decimal_digits`` must be an ``int`` or an object
-    with ``__index__`` (stored as the plain ``int``); floats and bools raise
-    ``TypeError``.
+    ``colors`` are the three per-kind styles (tree-p, tree-q, dl): TikZ style
+    strings, or stroke values for SVG.  ``None`` means the format's own
+    defaults, :data:`DEFAULT_COLORS` or :data:`DEFAULT_SVG_COLORS`.
+    ``decimal_digits`` must be an ``int`` or an object with ``__index__``
+    (stored as the plain ``int``); floats and bools raise ``TypeError``.
     """
 
     format: str = "tikz"
-    view: tuple | None = None
-    colors: tuple[str, str, str] = DEFAULT_COLORS
-    svg_colors: tuple[str, str, str] = DEFAULT_SVG_COLORS
+    colors: tuple[str, str, str] | None = None
     axis_labels: bool = True
     decimal_digits: int = 6
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
+        if self.colors is not None:
+            if not (isinstance(self.colors, (tuple, list)) and len(self.colors) == 3 and all(isinstance(c, str) for c in self.colors)):
+                raise TypeError(f"colors must be None or three strings, got {self.colors!r}")
+            object.__setattr__(self, "colors", tuple(self.colors))
         object.__setattr__(self, "decimal_digits", as_integer(self.decimal_digits, "decimal_digits"))
         if self.decimal_digits < 1:
             raise ValueError(f"decimal_digits must be >= 1, got {self.decimal_digits}")
@@ -74,12 +76,11 @@ def _format_ratio(num: int, den: int, digits: int) -> str:
 
 
 def format_number(value, digits: int = 6) -> str:
-    """Shortest decimal with at most ``digits`` fractional digits, trailing zeros trimmed."""
+    """Shortest decimal with at most ``digits`` fractional digits (an int, ``>= 0``), trailing zeros trimmed."""
+    digits = as_integer(digits, "digits")
+    if digits < 0:
+        raise ValueError(f"digits must be >= 0, got {digits}")
     return _format_ratio(*Fraction(value).as_integer_ratio(), digits)
-
-
-def _effective_view(scene: Scene3D, opts: ExportOptions) -> tuple:
-    return tuple(opts.view) if opts.view is not None else tuple(scene.view)
 
 
 def export_tikz(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
@@ -89,9 +90,9 @@ def export_tikz(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     an "on background layer" scope.  No TikZ-side arithmetic is emitted, so
     the bytes depend only on the scene and options.
     """
-    az, el = _effective_view(scene, opts)
+    az, el = scene.view
     digits = opts.decimal_digits
-    style = {KIND_TREE_P: opts.colors[0], KIND_TREE_Q: opts.colors[1], KIND_DL: opts.colors[2]}
+    style = dict(zip(KINDS, opts.colors or DEFAULT_COLORS))
     lines = [
         r"\documentclass[border=0mm]{standalone}",
         r"\usepackage[x11names]{xcolor}",
@@ -136,7 +137,7 @@ def export_json(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     """
     params = scene.params
     p, q, L = params.p, params.q, params.layers
-    az, el = _effective_view(scene, opts)
+    az, el = scene.view
     xs, ys = coordinate_rows(params)
     xs = [[x / 2 for x in row] for row in xs]
     ys = [[y / 2 for y in row] for row in ys]
@@ -230,9 +231,9 @@ def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     The viewBox is the projected bounding box with a 5% margin (unit box for
     a degenerate single-point scene); screen y points down, so v is negated.
     """
-    az, el = _effective_view(scene, opts)
+    az, el = scene.view
     digits = opts.decimal_digits
-    stroke = {KIND_TREE_P: opts.svg_colors[0], KIND_TREE_Q: opts.svg_colors[1], KIND_DL: opts.svg_colors[2]}
+    stroke = dict(zip(KINDS, opts.colors or DEFAULT_SVG_COLORS))
 
     # The camera sines (cos t = sin(t + 90)) are dyadic rationals, so over their
     # largest denominator s they are ints, and with doubled points u = (ca*2y - sa*2x) / 2s

@@ -19,8 +19,10 @@ the exact ``Fraction`` values, and rounding happens only at export time.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import NamedTuple
 
 from .graph import DLGraph, DLParams, DLVertex
@@ -55,13 +57,23 @@ class Scene3D:
     """Typed edge segments, every endpoint the doubled int tuple ``(2x, 2y, 2z)``,
     plus the view under which they are meant to be shown.
 
-    ``view`` is (azimuth degrees, elevation degrees); it is carried here but
-    interpreted only by exporters.
+    ``view`` is (azimuth degrees, elevation degrees), two real numbers that
+    fit a finite float, stored as a tuple; only exporters interpret it.
+    ``dataclasses.replace(scene, view=...)`` shows the same segments from
+    another view.
     """
 
     params: DLParams
     view: tuple
     segments: tuple[Segment, ...]
+
+    def __post_init__(self) -> None:
+        view = tuple(self.view)
+        if len(view) != 2 or not all(isinstance(a, Real) and not isinstance(a, bool) for a in view):
+            raise TypeError(f"view must be two real numbers (azimuth, elevation), got {self.view!r}")
+        if not all(abs(a) <= sys.float_info.max for a in view):  # false for nan, inf and what a float cannot hold
+            raise ValueError(f"view angles must be finite floats, got {self.view!r}")
+        object.__setattr__(self, "view", view)
 
 
 def _coordinate(spacing: int, index: int) -> int:
@@ -187,4 +199,4 @@ def build_scene(graph: DLGraph, view=DEFAULT_VIEW) -> Scene3D:
                 segments.append(Segment(KIND_TREE_Q, brown_top, (0, y, z_bottom)))
                 dl_bottoms = [(x, y, z_bottom) for x in x_bottom]
                 segments += [Segment(KIND_DL, top, dl_bottoms[j // p]) for j, top in enumerate(dl_tops)]
-    return Scene3D(params=params, view=tuple(view), segments=tuple(segments))
+    return Scene3D(params=params, view=view, segments=tuple(segments))

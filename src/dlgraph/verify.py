@@ -211,9 +211,7 @@ def check_level_condition(g) -> dict:
 @_check()
 def check_counts(g) -> dict:
     """Enumerated vertex/edge counts match the closed forms; handshake holds."""
-    p, q, L = g.params.p, g.params.q, g.params.layers
-    expected_v = sum(p**n * q ** (L - n) for n in range(L + 1))
-    expected_e = sum(p**n * q ** (L - n + 1) for n in range(1, L + 1))
+    expected_v, expected_e = g.params.vertex_count, g.params.edge_count
     enum_v = 0
     degree_sum = 0
     for v in g.vertices():
@@ -258,28 +256,10 @@ def _induced(dist: dict, neighbor_cache: dict) -> tuple[dict, dict]:
     return dist, {u: frozenset(w for w in neighbor_cache[u] if w in dist) for u in dist}
 
 
-def _tree_code(index: int, depth: int, root: int, shift: tuple[int, ...], branching: int) -> int:
-    """Tree node ``index``, ``depth`` levels above ``root``, read below ``root``
-    with its first ``len(shift)`` base-``branching`` digits shifted by
-    ``shift`` mod ``branching``.
-
-    For fixed arguments other than ``index`` this is a bijection of the
-    integers; on the subtree of ``root`` it is a tree automorphism, since a
-    level-wise digit shift preserves every prefix.
-    """
-    size = branching**depth
-    code = index - root * size
-    for s in shift[:depth]:
-        size //= branching
-        digit = code // size % branching
-        code += ((digit - s) % branching - digit) * size
-    return code
-
-
 def _code_rows(b: int, radius: int) -> list[list[tuple[list[int], int, int]]]:
-    """``rows[s][m] == (row, step, b**m)`` with ``_tree_code(t, m, 0, shift, b) == row[t // step] * step + t % step``
-    for t < b**m and m <= 2*radius, ``shift`` the last ``radius`` base-b digits of ``s``.  Digits below depth ``radius``
-    are not shifted, so deeper depths reuse the depth-``radius`` row: about b**(2*radius) ints in all."""
+    """``rows[s][m] == (row, step, b**m)``, m <= 2*radius: node t < b**m at depth m of a subtree has the code
+    ``row[t // step] * step + t % step``, t with its first ``radius`` base-b digits lowered mod b by those of ``s``, a
+    tree automorphism.  Lower digits are not shifted, so deeper depths reuse the depth-``radius`` row: about b**(2*radius) ints."""
     rows = []
     for s in range(b**radius):
         row = [[0]]
@@ -301,19 +281,20 @@ def _shape(params, dist: dict, neighbor_cache: dict, center, radius: int, rows: 
     injective, so two balls with equal shapes are isomorphic by a map that
     fixes the centre.  On an undamaged interior ball it is the restriction
     of a DL automorphism (the two digit shifts and a height shift), so all
-    such balls have the same shape.  None when a vertex is not an integer
-    triple or lies more than ``radius`` heights from the centre.
+    such balls have the same shape.
 
-    A vertex inside both ancestors' subtrees reads its codes from ``rows`` (:func:`_code_rows` by branching)
-    as the int ``(m * p**(2r) + orange) * q**(2r) + brown``, m = h' - h + r; any other keeps the triple.
+    A vertex reads its codes from ``rows`` (:func:`_code_rows` by branching)
+    and is named by the int ``(m * p**(2r) + orange) * q**(2r) + brown``,
+    m = h' - h + r.  None when a vertex is not an integer triple, lies more
+    than ``radius`` heights from the centre, or lies outside the subtree of
+    either ancestor; an undamaged ball has no such vertex, and the exact
+    search decides a ball that has one.
     """
     h, j, k = center
     if not type(h) is type(j) is type(k) is int:
         return None
     p, q = params.p, params.q
     orange_root, brown_root = j // p**radius, k // q**radius
-    orange_shift = tuple(j // p**i % p for i in reversed(range(radius)))
-    brown_shift = tuple(k // q**i % q for i in reversed(range(radius)))
     orange_rows, brown_rows = rows[p][j % p**radius], rows[q][k % q**radius]
     depth, orange_scale, brown_scale = 2 * radius, p ** (2 * radius), q ** (2 * radius)
     codes = {}
@@ -324,11 +305,10 @@ def _shape(params, dist: dict, neighbor_cache: dict, center, radius: int, rows: 
         m = height - h + radius
         (orange_row, orange_step, orange_size), (brown_row, brown_step, brown_size) = orange_rows[m], brown_rows[depth - m]
         t, u = orange - orange_root * orange_size, brown - brown_root * brown_size
-        if 0 <= t < orange_size and 0 <= u < brown_size:
-            orange_code = orange_row[t // orange_step] * orange_step + t % orange_step
-            codes[v] = (m * orange_scale + orange_code) * brown_scale + brown_row[u // brown_step] * brown_step + u % brown_step
-        else:
-            codes[v] = (height - h, _tree_code(orange, m, orange_root, orange_shift, p), _tree_code(brown, depth - m, brown_root, brown_shift, q))
+        if not (0 <= t < orange_size and 0 <= u < brown_size):
+            return None
+        orange_code = orange_row[t // orange_step] * orange_step + t % orange_step
+        codes[v] = (m * orange_scale + orange_code) * brown_scale + brown_row[u // brown_step] * brown_step + u % brown_step
     edges = frozenset([(codes[u], codes[w]) for u in dist for w in neighbor_cache[u] if w in codes])
     return frozenset(codes.values()), edges
 
@@ -413,15 +393,15 @@ def check_local_homogeneity(g, radius: int) -> dict:
     neighbor_cache: dict = {}
     rows = {b: _code_rows(b, radius) for b in {g.params.p, g.params.q}}
     reference = interior[0]
-    reference_ball = _ball(g, reference, radius, neighbor_cache)
-    reference_shape = _shape(g.params, reference_ball, neighbor_cache, reference, radius, rows)
+    reference_ball = _induced(_ball(g, reference, radius, neighbor_cache), neighbor_cache)
+    reference_shape = _shape(g.params, reference_ball[0], neighbor_cache, reference, radius, rows)
     for v in interior[1:]:
         ball = _ball(g, v, radius, neighbor_cache)
         if reference_shape is not None and _shape(g.params, ball, neighbor_cache, v, radius, rows) == reference_shape:
             continue
-        if not _balls_isomorphic(_induced(reference_ball, neighbor_cache), _induced(ball, neighbor_cache)):
+        if not _balls_isomorphic(reference_ball, _induced(ball, neighbor_cache)):
             raise _Fail(f"ball around {tuple(v)} is not isomorphic to the ball around {tuple(reference)}")
-    return {"interior_vertices": len(interior), "ball_size": len(reference_ball)}
+    return {"interior_vertices": len(interior), "ball_size": len(reference_ball[0])}
 
 
 def _lamp_state(v: DLVertex, b: int, layers: int) -> tuple[tuple[int, ...], int]:

@@ -1,6 +1,7 @@
 """Test helpers: damaged DL graphs for the checks' negative controls, an
-integer-like value that is not an ``int``, and a reference SVG writer in
-exact ``Fraction`` arithmetic for the integer one in the library."""
+integer-like value that is not an ``int``, the plain digit-shift tree code
+that the local-homogeneity tables must reproduce, and a reference SVG writer
+in exact ``Fraction`` arithmetic for the integer one in the library."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from dlgraph import KIND_DL, KIND_TREE_P, KIND_TREE_Q, DLGraph, DLVertex, ExportOptions, Scene3D
+from dlgraph.export import DEFAULT_SVG_COLORS
 
 
 class Index:
@@ -76,6 +78,24 @@ class MutatedGraph:
         return self.base.is_edge(a, b)
 
 
+def tree_code(index: int, depth: int, root: int, shift: tuple[int, ...], branching: int) -> int:
+    """Tree node ``index``, ``depth`` levels above ``root``, read below ``root``
+    with its first ``len(shift)`` base-``branching`` digits shifted by
+    ``shift`` mod ``branching``.
+
+    For fixed arguments other than ``index`` this is a bijection of the
+    integers; on the subtree of ``root`` it is a tree automorphism, since a
+    level-wise digit shift preserves every prefix.
+    """
+    size = branching**depth
+    code = index - root * size
+    for s in shift[:depth]:
+        size //= branching
+        digit = code // size % branching
+        code += ((digit - s) % branching - digit) * size
+    return code
+
+
 # ---------------------------------------------------------------------------
 # reference SVG: the projection evaluated point by point in Fraction arithmetic
 
@@ -122,9 +142,9 @@ def project_point(point, azimuth_deg, elevation_deg) -> tuple[Fraction, Fraction
 
 def reference_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     """What ``export_svg`` must print, from the halved scene points projected one by one."""
-    az, el = tuple(opts.view) if opts.view is not None else tuple(scene.view)
+    az, el = scene.view
     fmt = lambda value: reference_format_number(value, opts.decimal_digits)  # noqa: E731
-    stroke = dict(zip((KIND_TREE_P, KIND_TREE_Q, KIND_DL), opts.svg_colors))
+    stroke = dict(zip((KIND_TREE_P, KIND_TREE_Q, KIND_DL), opts.colors or DEFAULT_SVG_COLORS))
     camera = _camera(az, el)
     projected = {kind: [] for kind in stroke}
     us, vs = [], []

@@ -3,6 +3,7 @@ well-formedness, the SVG camera, and byte-level determinism."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -33,6 +34,7 @@ from dlgraph import (
     render,
     write_scene,
 )
+from dlgraph.export import DEFAULT_COLORS, DEFAULT_SVG_COLORS
 
 from support import Index, project_point, reference_format_number, reference_svg
 
@@ -86,6 +88,34 @@ def test_export_options_validation():
         ExportOptions(format="png")
     with pytest.raises(ValueError):
         ExportOptions(decimal_digits=0)
+
+
+@pytest.mark.parametrize(
+    "colors",
+    [("red",), ("red", "green", "blue", "gray"), ("red", "green", 3), "rgb", ["red", None, "blue"]],
+    ids=["one", "four", "non-str", "str", "none-inside"],
+)
+def test_export_options_check_colors(colors):
+    with pytest.raises(TypeError, match=r"^colors must be None or three strings, got "):
+        ExportOptions(colors=colors)
+
+
+def test_export_options_colors_default_per_format():
+    assert ExportOptions().colors is None
+    assert ExportOptions(colors=["a", "b", "c"]).colors == ("a", "b", "c")
+    scene = tiny_scene()
+    assert render(scene, ExportOptions(colors=DEFAULT_COLORS)) == render(scene, ExportOptions())
+    svg = ExportOptions(format="svg", colors=DEFAULT_SVG_COLORS)
+    assert render(scene, svg) == render(scene, ExportOptions(format="svg"))
+
+
+def test_format_number_checks_digits():
+    with pytest.raises(ValueError, match=r"^digits must be >= 0, got -1$"):
+        format_number(1.5, -1)
+    for digits in (2.0, True):
+        with pytest.raises(TypeError, match=r"^digits must be an integer, got "):
+            format_number(1.5, digits)
+    assert format_number(Fraction(1, 3), Index(2)) == "0.33"
 
 
 def test_export_options_check_decimal_digits_by_type():
@@ -212,7 +242,7 @@ def test_tikz_options():
     assert "xlabel" not in doc and "ylabel" not in doc and "zlabel" not in doc
     doc = export_tikz(reference_scene(), ExportOptions(colors=("red", "green", "blue")))
     assert r"\addplot3[red,thick]" in doc and r"\addplot3[blue,thick]" in doc
-    doc = export_tikz(reference_scene(), ExportOptions(view=(30, 60)))
+    doc = export_tikz(dataclasses.replace(reference_scene(), view=(30, 60)))
     assert "view={30}{60}" in doc
 
 
@@ -342,7 +372,7 @@ def test_svg_cardinal_projections_are_exact():
     assert project_point((3, 5, 7), 180, 0) == (-5, 7)
     assert project_point((3, 5, 7), 0, 90) == (5, -3)  # v = cos(90)*z - sin(90)*x
     # the writer prints those exact values: at view (0, 0), u = y and screen y = -z
-    doc = export_svg(tiny_scene(), ExportOptions(format="svg", view=(0, 0)))
+    doc = export_svg(dataclasses.replace(tiny_scene(), view=(0, 0)), ExportOptions(format="svg"))
     first = re.search(r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"/>', doc).groups()
     seg = next(seg for seg in tiny_scene().segments if seg.kind == KIND_TREE_Q)
     assert first == tuple(format_number(Fraction(c, 2)) for c in (seg.a[1], -seg.a[2], seg.b[1], -seg.b[2]))
@@ -372,15 +402,15 @@ VIEW_ANGLES = st.one_of(
 @settings(deadline=None, max_examples=60)
 @given(size=st.sampled_from([(2, 2, 2), (2, 3, 2)]), az=VIEW_ANGLES, el=VIEW_ANGLES, digits=st.integers(1, 8))
 def test_svg_matches_the_fraction_reference(size, az, el, digits):
-    scene = build_scene(DLGraph(DLParams(*size)))
-    opts = ExportOptions(format="svg", view=(az, el), decimal_digits=digits)
+    scene = dataclasses.replace(build_scene(DLGraph(DLParams(*size))), view=(az, el))
+    opts = ExportOptions(format="svg", decimal_digits=digits)
     assert export_svg(scene, opts) == reference_svg(scene, opts)
 
 
 @pytest.mark.parametrize("view", [(165, 10), (33.3, -12.5), (0, 90), (-90.0, -0.0)])
 def test_svg_matches_the_fraction_reference_on_the_reference_scene(view):
-    scene = reference_scene()
-    opts = ExportOptions(format="svg", view=view)
+    scene = dataclasses.replace(reference_scene(), view=view)
+    opts = ExportOptions(format="svg")
     assert export_svg(scene, opts) == reference_svg(scene, opts)
     point_scene = Scene3D(scene.params, scene.view, scene.segments[:0])
     assert export_svg(point_scene, opts) == reference_svg(point_scene, opts)
@@ -394,7 +424,7 @@ def test_svg_degenerate_scene_gets_unit_viewbox():
 
 
 def test_svg_respects_color_overrides():
-    doc = export_svg(reference_scene(), ExportOptions(format="svg", svg_colors=("#111111", "#222222", "#333333")))
+    doc = export_svg(reference_scene(), ExportOptions(format="svg", colors=("#111111", "#222222", "#333333")))
     assert '#222222' in doc and '#111111' in doc and '#333333' in doc
 
 

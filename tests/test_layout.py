@@ -3,6 +3,7 @@ coordinate inversion that ties segments back to graph edges."""
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -161,6 +162,33 @@ def test_scene_planes_and_view():
             assert seg.a[1] == seg.b[1] == 0
         elif seg.kind == KIND_TREE_Q:
             assert seg.a[0] == seg.b[0] == 0
+
+
+@pytest.mark.parametrize(
+    "view,error",
+    [
+        ((float("nan"), 0), ValueError),
+        ((0, float("-inf")), ValueError),
+        ((10**400, 0), ValueError),
+        (("a", 0), TypeError),
+        ((True, 0), TypeError),
+        ((1, 2, 3), TypeError),
+        ((1,), TypeError),
+    ],
+    ids=["nan", "inf", "huge", "str", "bool", "three", "one"],
+)
+def test_scene_rejects_a_bad_view(view, error):
+    with pytest.raises(error, match=r"^view"):
+        scene_for(2, 2, 1, view=view)
+
+
+def test_scene_view_is_a_tuple_and_replace_revalidates_it():
+    scene = scene_for(2, 2, 1, view=[Fraction(1, 3), 10**300])
+    assert scene.view == (Fraction(1, 3), 10**300) and type(scene.view) is tuple
+    turned = dataclasses.replace(scene, view=(0, 90))
+    assert turned.view == (0, 90) and turned.segments is scene.segments
+    with pytest.raises(ValueError, match=r"^view angles must be finite floats, got \(nan, 0\)$"):
+        dataclasses.replace(scene, view=(float("nan"), 0))
 
 
 def test_segments_connect_consecutive_heights():

@@ -37,7 +37,7 @@ from dlgraph import verify
 from dlgraph.cli import main
 from dlgraph.verify import _lamp_state
 
-from support import Index, MutatedGraph
+from support import Index, MutatedGraph, tree_code
 
 
 def graph(p=2, q=3, layers=3):
@@ -275,6 +275,21 @@ def test_local_homogeneity_searches_balls_the_translation_misses(monkeypatch):
     assert len(searched) == 35
 
 
+def test_local_homogeneity_induces_the_reference_ball_once(monkeypatch):
+    centres = []
+    honest = verify._induced
+
+    def counting(dist, neighbor_cache):
+        centres.append(next(iter(dist)))  # a ball lists its centre first
+        return honest(dist, neighbor_cache)
+
+    monkeypatch.setattr(verify, "_induced", counting)
+    result = check_local_homogeneity(SwappedNames(graph(2, 3, 4), (2, 0, 0), (2, 3, 8)), 2)
+    assert result.status == "pass"
+    # the reference ball, then each of the 35 searched balls, once each
+    assert len(centres) == len(set(centres)) == 36
+
+
 def test_local_homogeneity_searches_large_renamed_balls():
     # at DL(3,3) L=6 the renamed reference sends all 728 other radius-3 balls to the search
     g = graph(3, 3, 6)
@@ -333,7 +348,7 @@ def test_code_rows_are_tree_codes(branching, radius):
         assert [size for _, _, size in row] == [branching**m for m in range(2 * radius + 1)]
         for m in range(2 * radius + 1):
             codes = [_table_code(row, m, t) for t in range(branching**m)]
-            assert codes == [verify._tree_code(t, m, 0, shift, branching) for t in range(branching**m)]
+            assert codes == [tree_code(t, m, 0, shift, branching) for t in range(branching**m)]
 
 
 @pytest.mark.parametrize("branching,radius", [(2, 3), (3, 3), (20, 2), (200, 1)])
@@ -346,14 +361,14 @@ def test_code_rows_hold_rows_only_to_depth_radius(branching, radius):
 
 
 def _plain_code(params, center, radius, v):
-    """The renaming of :func:`verify._shape` in plain ``_tree_code`` form, one vertex."""
+    """The renaming of :func:`verify._shape` in plain :func:`support.tree_code` form, one vertex."""
     (h, j, k), (height, orange, brown), p, q = center, v, params.p, params.q
     orange_shift = tuple(j // p**i % p for i in reversed(range(radius)))
     brown_shift = tuple(k // q**i % q for i in reversed(range(radius)))
     return (
         height - h,
-        verify._tree_code(orange, height - h + radius, j // p**radius, orange_shift, p),
-        verify._tree_code(brown, h - height + radius, k // q**radius, brown_shift, q),
+        tree_code(orange, height - h + radius, j // p**radius, orange_shift, p),
+        tree_code(brown, h - height + radius, k // q**radius, brown_shift, q),
     )
 
 
@@ -361,8 +376,9 @@ def _plain_code(params, center, radius, v):
 @given(p=st.sampled_from([2, 3]), q=st.sampled_from([2, 3]), radius=st.integers(1, 3), data=st.data())
 def test_table_codes_agree_with_tree_codes(p, q, radius, data):
     # vertices around two interior centres, inside and outside the centre's
-    # ancestor subtrees: the table-driven names recode the plain codes by one
-    # injective map, the same for both balls
+    # ancestor subtrees: inside, the table-driven names recode the plain codes
+    # by one injective map, the same for both balls; a vertex outside has no
+    # table name, so its ball has no shape
     layers = 2 * radius + 1
     params = DLParams(p, q, layers)
     rows = {b: verify._code_rows(b, radius) for b in {p, q}}
@@ -380,13 +396,16 @@ def test_table_codes_agree_with_tree_codes(p, q, radius, data):
             brown = data.draw(st.integers(brown_first, brown_first + q ** (2 * radius - m) - 1 if inside else q ** (layers - height) - 1))
             v = DLVertex(height, orange, brown)
             plain = _plain_code(params, center, radius, v)
-            (code,) = verify._shape(params, {v: 0}, {v: ()}, center, radius, rows)[0]
-            if inside:
-                t = orange - center.orange // p**radius * p**m
-                assert _table_code(rows[p][center.orange % p**radius], m, t) == plain[1]
-                u = brown - center.brown // q**radius * q ** (2 * radius - m)
-                assert _table_code(rows[q][center.brown % q**radius], 2 * radius - m, u) == plain[2]
-                assert type(code) is int
+            shape = verify._shape(params, {v: 0}, {v: ()}, center, radius, rows)
+            t = orange - center.orange // p**radius * p**m
+            u = brown - center.brown // q**radius * q ** (2 * radius - m)
+            if not (0 <= t < p**m and 0 <= u < q ** (2 * radius - m)):  # an "outside" draw may land inside
+                assert shape is None
+                continue
+            (code,) = shape[0]
+            assert _table_code(rows[p][center.orange % p**radius], m, t) == plain[1]
+            assert _table_code(rows[q][center.brown % q**radius], 2 * radius - m, u) == plain[2]
+            assert type(code) is int
             recoding.add((plain, code))
     assert len({plain for plain, _ in recoding}) == len({code for _, code in recoding}) == len(recoding)
 
