@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import DLVertex
+from .graph import DLGraph, DLVertex
 from .layout import (
     KIND_DL, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, coordinate_rows, invert_doubled_position,
     invert_tree_position,
@@ -256,63 +256,6 @@ def _induced(dist: dict, neighbor_cache: dict) -> tuple[dict, dict]:
     return dist, {u: frozenset(w for w in neighbor_cache[u] if w in dist) for u in dist}
 
 
-def _code_rows(b: int, radius: int) -> list[list[tuple[list[int], int, int]]]:
-    """``rows[s][m] == (row, step, b**m)``, m <= 2*radius: node t < b**m at depth m of a subtree has the code
-    ``row[t // step] * step + t % step``, t with its first ``radius`` base-b digits lowered mod b by those of ``s``, a
-    tree automorphism.  Lower digits are not shifted, so deeper depths reuse the depth-``radius`` row: about b**(2*radius) ints."""
-    rows = []
-    for s in range(b**radius):
-        row = [[0]]
-        for i in reversed(range(radius)):
-            row.append([code * b + (c - s // b**i % b) % b for code in row[-1] for c in range(b)])
-        rows.append([(codes, 1, b**m) for m, codes in enumerate(row)] + [(row[-1], b**n, b ** (radius + n)) for n in range(1, radius + 1)])
-    return rows
-
-
-def _shape(params, dist: dict, neighbor_cache: dict, center, radius: int, rows: tuple) -> tuple[frozenset, frozenset] | None:
-    """The vertex and edge sets of the ball ``dist`` around ``center`` (a
-    :func:`_ball`), renamed by a translation that sends ``center`` to (0, 0, 0).
-
-    A ball vertex (h', j', k') around the centre (h, j, k) becomes
-    (h' - h, orange code, brown code).  The orange code reads ``j'`` below
-    the centre's orange ancestor A at level h - radius and shifts its first
-    ``radius`` digits by the centre's own; the brown code does the same on
-    the q-tree at internal levels L - h' and L - h.  The renaming is
-    injective, so two balls with equal shapes are isomorphic by a map that
-    fixes the centre.  On an undamaged interior ball it is the restriction
-    of a DL automorphism (the two digit shifts and a height shift), so all
-    such balls have the same shape.
-
-    A vertex reads its codes from ``rows`` (:func:`_code_rows` by branching)
-    and is named by the int ``(m * p**(2r) + orange) * q**(2r) + brown``,
-    m = h' - h + r.  None when a vertex is not an integer triple, lies more
-    than ``radius`` heights from the centre, or lies outside the subtree of
-    either ancestor; an undamaged ball has no such vertex, and the exact
-    search decides a ball that has one.
-    """
-    h, j, k = center
-    if not type(h) is type(j) is type(k) is int:
-        return None
-    p, q = params.p, params.q
-    orange_root, brown_root = j // p**radius, k // q**radius
-    orange_rows, brown_rows = rows[p][j % p**radius], rows[q][k % q**radius]
-    depth, orange_scale, brown_scale = 2 * radius, p ** (2 * radius), q ** (2 * radius)
-    codes = {}
-    for v in dist:
-        height, orange, brown = v
-        if not (type(height) is type(orange) is type(brown) is int and abs(height - h) <= radius):
-            return None
-        m = height - h + radius
-        (orange_row, orange_step, orange_size), (brown_row, brown_step, brown_size) = orange_rows[m], brown_rows[depth - m]
-        t, u = orange - orange_root * orange_size, brown - brown_root * brown_size
-        if not (0 <= t < orange_size and 0 <= u < brown_size):
-            return None
-        orange_code = orange_row[t // orange_step] * orange_step + t % orange_step
-        codes[v] = (m * orange_scale + orange_code) * brown_scale + brown_row[u // brown_step] * brown_step + u % brown_step
-    edges = frozenset([(codes[u], codes[w]) for u in dist for w in neighbor_cache[u] if w in codes])
-    return frozenset(codes.values()), edges
-
-
 def _balls_isomorphic(ball_a: tuple[dict, dict], ball_b: tuple[dict, dict]) -> bool:
     """Whether two :func:`_induced` balls are isomorphic by a map that keeps
     the distance from the centre.
@@ -375,31 +318,53 @@ def check_local_homogeneity(g, radius: int) -> dict:
 
     Interior means radius <= h <= layers - radius, where the truncation ball
     coincides with the ball of the untruncated graph; a graph with fewer
-    than 2*radius layers has no interior, and the check reports SKIP.  Each ball is compared
-    with a fixed reference ball.  First comes a translation witness: DL(p, q)
-    is vertex-transitive by products of tree automorphisms and height shifts,
-    and :func:`_shape` carries each ball by one of them; equal shapes prove
-    the isomorphism.  A ball the witness does not carry is decided by
-    :func:`_balls_isomorphic`: stable colour refinement of both balls
-    together, then an exhaustive backtracking search in BFS order, which
-    alone can declare a failure.
+    than 2*radius layers has no interior, and the check reports SKIP.  Each
+    ball is compared with a fixed reference ball.
+
+    DL(p, q) is vertex-transitive, so every interior ball of the undamaged
+    truncation is the same ball.  One pass therefore compares the neighbour
+    list of each distinct vertex ``vertices()`` yields with the list the
+    parameters imply, and marks the vertex if the lists differ in any way or
+    the parameters do not imply it.  A centre is certified when no marked
+    vertex lies within undamaged distance ``radius``: an unmarked vertex has
+    exactly the implied list, so its ball is the undamaged ball.  Every
+    other ball is decided by :func:`_balls_isomorphic`, stable colour
+    refinement of both balls together and then an exhaustive backtracking
+    search in BFS order, which alone can declare a failure.  If the
+    reference ball is not certified, or some implied vertex was never
+    compared, every ball goes to the search.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     L = g.params.layers
     if L < 2 * radius:
         raise _Skip(f"not applicable: layers < 2*radius ({L} < {2 * radius})")
-    interior = [v for v in g.vertices() if radius <= v.height <= L - radius]
-    neighbor_cache: dict = {}
-    rows = {b: _code_rows(b, radius) for b in {g.params.p, g.params.q}}
+    implied = DLGraph(g.params)
+    interior, neighbor_cache, near_damage, compared = [], {}, set(), 0
+    for v in g.vertices():
+        if radius <= v.height <= L - radius:
+            interior.append(v)
+        if v in neighbor_cache:  # a vertex listed twice keeps its first list
+            continue
+        near = neighbor_cache[v] = tuple(g.neighbors(v))
+        try:
+            expected = tuple(implied.neighbors(v))
+            compared += 1  # distinct implied vertices: vertex_count once each is listed
+        except (TypeError, ValueError):
+            expected = None
+        if near != expected:
+            near_damage.add(v)
+    frontier = {v for v in near_damage if v in implied}
+    for _ in range(radius):
+        frontier = {w for u in frontier for w in implied.neighbors(u)} - near_damage
+        near_damage |= frontier
     reference = interior[0]
     reference_ball = _induced(_ball(g, reference, radius, neighbor_cache), neighbor_cache)
-    reference_shape = _shape(g.params, reference_ball[0], neighbor_cache, reference, radius, rows)
+    certified = compared == g.params.vertex_count and reference not in near_damage
     for v in interior[1:]:
-        ball = _ball(g, v, radius, neighbor_cache)
-        if reference_shape is not None and _shape(g.params, ball, neighbor_cache, v, radius, rows) == reference_shape:
+        if certified and v not in near_damage:
             continue
-        if not _balls_isomorphic(reference_ball, _induced(ball, neighbor_cache)):
+        if not _balls_isomorphic(reference_ball, _induced(_ball(g, v, radius, neighbor_cache), neighbor_cache)):
             raise _Fail(f"ball around {tuple(v)} is not isomorphic to the ball around {tuple(reference)}")
     return {"interior_vertices": len(interior), "ball_size": len(reference_ball[0])}
 

@@ -1,7 +1,8 @@
 """Test helpers: damaged DL graphs for the checks' negative controls, an
-integer-like value that is not an ``int``, the plain digit-shift tree code
-that the local-homogeneity tables must reproduce, and a reference SVG writer
-in exact ``Fraction`` arithmetic for the integer one in the library."""
+integer-like value that is not an ``int``, the local-homogeneity verdict of
+an exhaustive ball search as the oracle for the library's check, and a
+reference SVG writer in exact ``Fraction`` arithmetic for the integer one in
+the library."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from dlgraph import KIND_DL, KIND_TREE_P, KIND_TREE_Q, DLGraph, DLVertex, ExportOptions, Scene3D
+from dlgraph import verify
 from dlgraph.export import DEFAULT_SVG_COLORS
 
 
@@ -78,22 +80,19 @@ class MutatedGraph:
         return self.base.is_edge(a, b)
 
 
-def tree_code(index: int, depth: int, root: int, shift: tuple[int, ...], branching: int) -> int:
-    """Tree node ``index``, ``depth`` levels above ``root``, read below ``root``
-    with its first ``len(shift)`` base-``branching`` digits shifted by
-    ``shift`` mod ``branching``.
-
-    For fixed arguments other than ``index`` this is a bijection of the
-    integers; on the subtree of ``root`` it is a tree automorphism, since a
-    level-wise digit shift preserves every prefix.
-    """
-    size = branching**depth
-    code = index - root * size
-    for s in shift[:depth]:
-        size //= branching
-        digit = code // size % branching
-        code += ((digit - s) % branching - digit) * size
-    return code
+def homogeneity_by_search(g, radius: int) -> tuple[str, str | None, dict | None]:
+    """(status, counterexample, detail) that ``check_local_homogeneity`` must
+    report on a graph with an interior: every interior ball after the first
+    is sent to the exact search, with no neighbour-list pass in front."""
+    L = g.params.layers
+    interior = [v for v in g.vertices() if radius <= v.height <= L - radius]
+    neighbor_cache: dict = {}
+    reference = interior[0]
+    reference_ball = verify._induced(verify._ball(g, reference, radius, neighbor_cache), neighbor_cache)
+    for v in interior[1:]:
+        if not verify._balls_isomorphic(reference_ball, verify._induced(verify._ball(g, v, radius, neighbor_cache), neighbor_cache)):
+            return "fail", f"ball around {tuple(v)} is not isomorphic to the ball around {tuple(reference)}", None
+    return "pass", None, {"interior_vertices": len(interior), "ball_size": len(reference_ball[0])}
 
 
 # ---------------------------------------------------------------------------

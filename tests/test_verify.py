@@ -5,7 +5,6 @@ deterministically."""
 from __future__ import annotations
 
 import json
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,7 +36,7 @@ from dlgraph import verify
 from dlgraph.cli import main
 from dlgraph.verify import _lamp_state
 
-from support import Index, MutatedGraph, tree_code
+from support import Index, MutatedGraph, homogeneity_by_search
 
 
 def graph(p=2, q=3, layers=3):
@@ -232,13 +231,17 @@ def test_local_homogeneity_fails_on_added_vertex(extra):
     assert "ball around" in result.counterexample
 
 
-@pytest.mark.parametrize("p,q,layers,radius", [(2, 3, 6, 2), (2, 2, 8, 2), (3, 3, 6, 3), (3, 2, 5, 1)])
+@pytest.mark.parametrize("p,q,layers,radius", [(2, 3, 6, 2), (2, 2, 8, 2), (3, 3, 6, 3), (3, 2, 5, 1), (20, 2, 4, 2)])
 def test_local_homogeneity_proves_undamaged_balls_by_translation(monkeypatch, p, q, layers, radius):
     def no_search(reference, ball):
-        raise AssertionError("the translation witness should carry every undamaged ball")
+        raise AssertionError("the neighbour-list pass should certify every undamaged ball")
 
     monkeypatch.setattr(verify, "_balls_isomorphic", no_search)
-    assert check_local_homogeneity(graph(p, q, layers), radius).status == "pass"
+    result = check_local_homogeneity(graph(p, q, layers), radius)
+    assert result.status == "pass"
+    assert result.elapsed <= 30
+    if (p, q, layers) == (20, 2, 4):  # 177,776 vertices, under the default cap
+        assert result.detail == {"interior_vertices": 1600, "ball_size": 447}
 
 
 class SwappedNames:
@@ -260,15 +263,21 @@ class SwappedNames:
         return [self.rename(w) for w in self.base.neighbors(self.rename(DLVertex(*v)))]
 
 
-def test_local_homogeneity_searches_balls_the_translation_misses(monkeypatch):
+def _searched_centres(monkeypatch) -> list:
+    """Record the centre of every ball that ``check_local_homogeneity`` sends to the search."""
     searched = []
     honest = verify._balls_isomorphic
 
     def counting(reference, ball):
-        searched.append(ball)
+        searched.append(next(iter(ball[0])))  # a ball lists its centre first
         return honest(reference, ball)
 
     monkeypatch.setattr(verify, "_balls_isomorphic", counting)
+    return searched
+
+
+def test_local_homogeneity_searches_balls_the_translation_misses(monkeypatch):
+    searched = _searched_centres(monkeypatch)
     result = check_local_homogeneity(SwappedNames(graph(2, 3, 4), (2, 0, 0), (2, 3, 8)), 2)
     assert result.status == "pass"
     assert result.detail == {"interior_vertices": 36, "ball_size": 22}
@@ -305,109 +314,91 @@ def test_local_homogeneity_searches_large_renamed_balls():
     assert result.counterexample == "ball around (3, 12, 13) is not isomorphic to the ball around (3, 26, 26)"
 
 
-def _table_code(rows, m, t):
-    """Code ``t`` at depth ``m`` read from one shift's :func:`verify._code_rows` entry."""
-    row, step, _ = rows[m]
-    return row[t // step] * step + t % step
+class ReversedNeighbors:
+    """A DL graph that lists the honest neighbours of one vertex in reverse order."""
+
+    def __init__(self, base: DLGraph, w):
+        self.base = base
+        self.params = base.params
+        self.w = DLVertex(*w)
+
+    def vertices(self):
+        return self.base.vertices()
+
+    def neighbors(self, v) -> list[DLVertex]:
+        near = self.base.neighbors(v)
+        return near[::-1] if v == self.w else near
 
 
-def test_local_homogeneity_keeps_large_branching_tables_small(monkeypatch):
-    # DL(20,2) L=4 is under the default cap; rows of every depth to 2r would hold
-    # about 67 million codes, rows to depth r hold 168,400, read by all 1600 balls
-    built = []
-    honest = verify._code_rows
+class OmittedVertex:
+    """A DL graph whose ``vertices()`` leaves out one vertex; its neighbour lists are honest."""
 
-    def traced(branching, radius):
-        tracemalloc.start()
-        try:
-            rows = honest(branching, radius)
-            built.append((branching, tracemalloc.get_traced_memory()[1]))
-        finally:
-            tracemalloc.stop()
-        return rows
+    def __init__(self, base: DLGraph, omitted):
+        self.base = base
+        self.params = base.params
+        self.omitted = DLVertex(*omitted)
 
-    monkeypatch.setattr(verify, "_code_rows", traced)
-    result = check_local_homogeneity(graph(20, 2, 4), 2)
+    def vertices(self):
+        return (v for v in self.base.vertices() if v != self.omitted)
+
+    def neighbors(self, v) -> list[DLVertex]:
+        return self.base.neighbors(v)
+
+
+def test_local_homogeneity_searches_only_balls_near_a_reordered_list(monkeypatch):
+    # a list in another order is a difference, so every centre within r of w
+    # is uncertified; its ball is still the undamaged ball, so the check passes
+    g, w, radius = graph(2, 2, 6), DLVertex(3, 5, 2), 2
+    searched = _searched_centres(monkeypatch)
+    result = check_local_homogeneity(ReversedNeighbors(g, w), radius)
     assert result.status == "pass"
-    assert result.detail == {"interior_vertices": 1600, "ball_size": 447}
-    assert result.elapsed <= 30
-    assert sorted(branching for branching, _ in built) == [2, 20]
-    assert all(peak <= 16 * 2**20 for _, peak in built)
-    built.clear()
-    assert check_local_homogeneity(graph(3, 3, 4), 2).status == "pass"
-    assert [branching for branching, _ in built] == [3]  # p = q builds one table for both trees
+    interior = [v for v in g.vertices() if radius <= v.height <= 6 - radius]
+    assert searched == [v for v in interior[1:] if g.bfs_distance(v, w) <= radius]
+    assert len(searched) == 7
 
 
-@pytest.mark.parametrize("radius", [1, 2, 3])
-@pytest.mark.parametrize("branching", [2, 3])
-def test_code_rows_are_tree_codes(branching, radius):
-    rows = verify._code_rows(branching, radius)
-    assert len(rows) == branching**radius
-    for s, row in enumerate(rows):
-        shift = tuple(s // branching**i % branching for i in reversed(range(radius)))
-        assert [size for _, _, size in row] == [branching**m for m in range(2 * radius + 1)]
-        for m in range(2 * radius + 1):
-            codes = [_table_code(row, m, t) for t in range(branching**m)]
-            assert codes == [tree_code(t, m, 0, shift, branching) for t in range(branching**m)]
+def test_local_homogeneity_searches_every_ball_when_a_vertex_is_never_listed(monkeypatch):
+    # (0, 0, 0) is no centre at r = 2, but no pass compares its list, so no ball is certified
+    g = OmittedVertex(graph(2, 3, 4), (0, 0, 0))
+    expected = homogeneity_by_search(g, 2)
+    searched = _searched_centres(monkeypatch)
+    result = check_local_homogeneity(g, 2)
+    assert (result.status, result.counterexample, result.detail) == expected
+    assert expected[0] == "pass"
+    assert searched == [v for v in g.vertices() if v.height == 2][1:]
 
 
-@pytest.mark.parametrize("branching,radius", [(2, 3), (3, 3), (20, 2), (200, 1)])
-def test_code_rows_hold_rows_only_to_depth_radius(branching, radius):
-    # deeper depths share the depth-radius row, so the table stays within
-    # b**radius shifts times b**(radius+1) / (b-1) codes
-    rows = verify._code_rows(branching, radius)
-    stored = {id(row): len(row) for shift in rows for row, _, _ in shift}
-    assert sum(stored.values()) == branching**radius * (branching ** (radius + 1) - 1) // (branching - 1)
+# (p, q, layers) of the graphs the damage oracle compares at radius 1 and 2
+DAMAGE_GRAPHS = [(2, 2, 4), (2, 3, 4), (3, 2, 4), (3, 3, 4), (2, 2, 6)]
 
 
-def _plain_code(params, center, radius, v):
-    """The renaming of :func:`verify._shape` in plain :func:`support.tree_code` form, one vertex."""
-    (h, j, k), (height, orange, brown), p, q = center, v, params.p, params.q
-    orange_shift = tuple(j // p**i % p for i in reversed(range(radius)))
-    brown_shift = tuple(k // q**i % q for i in reversed(range(radius)))
-    return (
-        height - h,
-        tree_code(orange, height - h + radius, j // p**radius, orange_shift, p),
-        tree_code(brown, h - height + radius, k // q**radius, brown_shift, q),
-    )
-
-
-@settings(deadline=None, max_examples=200)
-@given(p=st.sampled_from([2, 3]), q=st.sampled_from([2, 3]), radius=st.integers(1, 3), data=st.data())
-def test_table_codes_agree_with_tree_codes(p, q, radius, data):
-    # vertices around two interior centres, inside and outside the centre's
-    # ancestor subtrees: inside, the table-driven names recode the plain codes
-    # by one injective map, the same for both balls; a vertex outside has no
-    # table name, so its ball has no shape
-    layers = 2 * radius + 1
-    params = DLParams(p, q, layers)
-    rows = {b: verify._code_rows(b, radius) for b in {p, q}}
-    recoding = set()
-    for _ in range(2):
-        h = data.draw(st.integers(radius, layers - radius))
-        center = DLVertex(h, data.draw(st.integers(0, p**h - 1)), data.draw(st.integers(0, q ** (layers - h) - 1)))
-        for _ in range(data.draw(st.integers(1, 8))):
-            height = data.draw(st.integers(h - radius, h + radius))
-            m = height - h + radius
-            inside = data.draw(st.booleans())
-            orange_first = center.orange // p**radius * p**m if inside else 0
-            orange = data.draw(st.integers(orange_first, orange_first + p**m - 1 if inside else p**height - 1))
-            brown_first = center.brown // q**radius * q ** (2 * radius - m) if inside else 0
-            brown = data.draw(st.integers(brown_first, brown_first + q ** (2 * radius - m) - 1 if inside else q ** (layers - height) - 1))
-            v = DLVertex(height, orange, brown)
-            plain = _plain_code(params, center, radius, v)
-            shape = verify._shape(params, {v: 0}, {v: ()}, center, radius, rows)
-            t = orange - center.orange // p**radius * p**m
-            u = brown - center.brown // q**radius * q ** (2 * radius - m)
-            if not (0 <= t < p**m and 0 <= u < q ** (2 * radius - m)):  # an "outside" draw may land inside
-                assert shape is None
-                continue
-            (code,) = shape[0]
-            assert _table_code(rows[p][center.orange % p**radius], m, t) == plain[1]
-            assert _table_code(rows[q][center.brown % q**radius], 2 * radius - m, u) == plain[2]
-            assert type(code) is int
-            recoding.add((plain, code))
-    assert len({plain for plain, _ in recoding}) == len({code for _, code in recoding}) == len(recoding)
+@settings(deadline=None, max_examples=100)
+@given(
+    case=st.sampled_from(DAMAGE_GRAPHS),
+    radius=st.sampled_from([1, 2]),
+    damage=st.sampled_from(["drop", "add", "move", "out-of-range", "non-integer", "duplicate"]),
+    data=st.data(),
+)
+def test_local_homogeneity_agrees_with_searching_every_ball(case, radius, damage, data):
+    # the certified balls skip the search, so status, counterexample and detail
+    # must be those of a check that searches every interior ball
+    p, q, layers = case
+    g = graph(p, q, layers)
+    vertices = list(g.vertices())
+    vertex = st.sampled_from(vertices)
+    count = data.draw(st.integers(1, 2))
+    dropped = [data.draw(st.sampled_from(list(g.edges()))) for _ in range(count)] if damage in ("drop", "move") else []
+    added = [(data.draw(vertex), data.draw(vertex)) for _ in range(count)] if damage in ("add", "move") else []
+    extra = []
+    if damage in ("out-of-range", "non-integer"):
+        h = data.draw(st.integers(0, layers))
+        extra = [(h, p**h, 0) if damage == "out-of-range" else (h + 0.5, 0, 0)]
+        added = [(extra[0], data.draw(vertex))]
+    elif damage == "duplicate":
+        extra = [data.draw(vertex)]
+    damaged = MutatedGraph(g, add_edges=added, drop_edges=dropped, add_vertices=extra)
+    result = check_local_homogeneity(damaged, radius)
+    assert (result.status, result.counterexample, result.detail) == homogeneity_by_search(damaged, radius)
 
 
 # (p, q, layers, radius) of the graphs whose balls the isomorphism oracle compares
