@@ -13,7 +13,6 @@ from .layout import (
     brown_position,
     build_scene,
     dl_position,
-    invert_dl_position,
     invert_doubled_position,
     orange_position,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "export_svg",
     "export_tikz",
     "format_number",
-    "invert_dl_position",
     "invert_doubled_position",
     "orange_position",
     "render",

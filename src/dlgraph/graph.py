@@ -19,7 +19,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .tree import CapExceededError, TreeAddress, as_integer
+from .tree import CapExceededError, as_integer
 
 DEFAULT_VERTEX_CAP = 200_000
 
@@ -81,13 +81,6 @@ class DLParams:
         L = self.layers
         return sum(self.p**n * self.q ** (L - n + 1) for n in range(1, L + 1))
 
-    def height_size(self, height: int) -> int:
-        """Number of vertices drawn at ``height``."""
-        height = as_integer(height, "height")
-        if not 0 <= height <= self.layers:
-            raise ValueError(f"height {height} outside [0, {self.layers}]")
-        return self.p**height * self.q ** (self.layers - height)
-
 
 @dataclass(frozen=True)
 class Census:
@@ -114,10 +107,6 @@ class DLGraph:
         self.p, self.q, self.layers = p, q, L
         self._orange_sizes = [p**h for h in range(L + 1)]
         self._brown_sizes = [q ** (L - h) for h in range(L + 1)]
-        offsets = [0]
-        for h in range(L + 1):
-            offsets.append(offsets[-1] + self._orange_sizes[h] * self._brown_sizes[h])
-        self._offsets = offsets
 
     def validate(self, vertex) -> DLVertex:
         """Return ``vertex`` as a :class:`DLVertex`, rejecting non-integer and out-of-range components.
@@ -145,27 +134,12 @@ class DLGraph:
             return False
         return True
 
-    def orange_address(self, vertex) -> TreeAddress:
-        """The orange component as a p-tree address (level = height)."""
-        v = self.validate(vertex)
-        return TreeAddress(v.height, v.orange)
-
-    def brown_address(self, vertex) -> TreeAddress:
-        """The brown component as a q-tree address (internal level = layers - height)."""
-        v = self.validate(vertex)
-        return TreeAddress(self.layers - v.height, v.brown)
-
     def vertices(self) -> Iterator[DLVertex]:
         """All vertices in ascending (height, orange, brown) order."""
         for h in range(self.layers + 1):
             for j in range(self._orange_sizes[h]):
                 for k in range(self._brown_sizes[h]):
                     yield DLVertex(h, j, k)
-
-    def vertex_index(self, vertex) -> int:
-        """Rank of ``vertex`` in the canonical enumeration order."""
-        h, j, k = self.validate(vertex)
-        return self._offsets[h] + j * self._brown_sizes[h] + k
 
     def edges(self) -> Iterator[tuple[DLVertex, DLVertex]]:
         """Each edge once, higher endpoint first, in deterministic order."""
@@ -199,9 +173,6 @@ class DLGraph:
             for c in range(p):
                 out.append(DLVertex(h + 1, base + c, up_brown))
         return out
-
-    def degree(self, vertex) -> int:
-        return len(self.neighbors(vertex))
 
     def is_edge(self, a, b) -> bool:
         """True iff the heights differ by 1 and both tree components move along tree edges."""

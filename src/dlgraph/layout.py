@@ -169,13 +169,6 @@ def invert_tree_position(params: DLParams, kind: str, point) -> tuple[int, int]:
     return h, k
 
 
-def invert_dl_position(params: DLParams, point) -> DLVertex:
-    """Recover the DL vertex drawn at ``point``; raises ValueError off-lattice."""
-    doubled = (2 * Fraction(c) for c in point)
-    # a coordinate that doubles to a non-integer stays a Fraction, which the inversion rejects
-    return invert_doubled_position(params, tuple(d.numerator if d.denominator == 1 else d for d in doubled))
-
-
 def build_scene(graph: DLGraph, view=DEFAULT_VIEW) -> Scene3D:
     """Lay out the graph as typed segments, in drawing order.
 

@@ -68,9 +68,6 @@ class MutatedGraph:
                 out.append(a)
         return sorted(set(out))
 
-    def degree(self, vertex) -> int:
-        return len(self.neighbors(vertex))
-
     def is_edge(self, a, b) -> bool:
         pair = frozenset((DLVertex(*a), DLVertex(*b)))
         if pair in self._dropped:

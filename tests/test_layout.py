@@ -19,7 +19,6 @@ from dlgraph import (
     brown_position,
     build_scene,
     dl_position,
-    invert_dl_position,
     invert_doubled_position,
     orange_position,
 )
@@ -258,43 +257,13 @@ def test_dl_segments_invert_to_the_edge_set(p, q, layers):
 def test_inversion_round_trips_vertices(p, q, layers):
     params = DLParams(p, q, layers)
     for v in DLGraph(params).vertices():
-        assert invert_dl_position(params, dl_position(params, v)) == v
         assert invert_doubled_position(params, tuple(int(2 * c) for c in dl_position(params, v))) == v
-
-
-def test_inversion_rejects_off_lattice_points():
-    params = DLParams(2, 3, 3)
-    good = dl_position(params, DLVertex(1, 0, 0))
-    assert good == (Fraction(3, 2), 1, 1)
-    with pytest.raises(ValueError, match=r"^x = 7/4 is not an orange node position at height 1$"):
-        invert_dl_position(params, (good.x + Fraction(1, 4), good.y, good.z))
-    with pytest.raises(ValueError, match=r"^z = 1/2 is not a drawing height$"):
-        invert_dl_position(params, (good.x, good.y, Fraction(1, 2)))
-    with pytest.raises(ValueError, match=r"^y = 101 is not a brown node position at height 1$"):
-        invert_dl_position(params, (good.x, good.y + 100, good.z))
-    # a half-integer, but between two orange nodes
-    with pytest.raises(ValueError, match=r"^x = 2 is not an orange node position at height 1$"):
-        invert_dl_position(params, (good.x + Fraction(1, 2), good.y, good.z))
-    # brown index k = q**(L-h) = 9, one spacing past the last node
-    with pytest.raises(ValueError, match=r"^y = 28 is not a brown node position at height 1$"):
-        invert_dl_position(params, (good.x, good.y + 9 * 3, good.z))
-    # orange index j = -1
-    with pytest.raises(ValueError, match=r"^x = -5/2 is not an orange node position at height 1$"):
-        invert_dl_position(params, (good.x - 4, good.y, good.z))
-    with pytest.raises(ValueError, match=r"^z = 4 is not a drawing height$"):
-        invert_dl_position(params, (good.x, good.y, 4))
-    # plain int and float coordinates are read exactly
-    assert invert_dl_position(params, (5, 13, 3)) == DLVertex(3, 5, 0)
-    assert invert_dl_position(params, (5.0, 13.0, 3.0)) == DLVertex(3, 5, 0)
-    assert invert_dl_position(params, (1.5, 1, 1)) == DLVertex(1, 0, 0)
-    with pytest.raises(ValueError, match=r"^z = 1/2 is not a drawing height$"):
-        invert_dl_position(params, (1.5, 1.0, 0.5))
 
 
 def test_doubled_inversion_rejects_off_lattice_and_non_int_coordinates():
     params = DLParams(2, 3, 3)
     assert invert_doubled_position(params, (3, 2, 2)) == DLVertex(1, 0, 0)
-    # the messages name the undoubled coordinate, as invert_dl_position does
+    # the messages name the undoubled coordinate
     with pytest.raises(ValueError, match=r"^z = 1/2 is not a drawing height$"):
         invert_doubled_position(params, (3, 2, 1))
     with pytest.raises(ValueError, match=r"^z = 4 is not a drawing height$"):
@@ -303,6 +272,12 @@ def test_doubled_inversion_rejects_off_lattice_and_non_int_coordinates():
         invert_doubled_position(params, (4, 2, 2))
     with pytest.raises(ValueError, match=r"^y = 101 is not a brown node position at height 1$"):
         invert_doubled_position(params, (3, 202, 2))
+    # orange index j = -1
+    with pytest.raises(ValueError, match=r"^x = -5/2 is not an orange node position at height 1$"):
+        invert_doubled_position(params, (-5, 2, 2))
+    # brown index k = q**(L-h) = 9, one spacing past the last node
+    with pytest.raises(ValueError, match=r"^y = 28 is not a brown node position at height 1$"):
+        invert_doubled_position(params, (3, 56, 2))
     # a float or a bool is not a doubled coordinate, even where its value is on the lattice
     for bad in [(3.0, 2, 2), (3, 2.0, 2), (3, 2, 2.0), (3, 2, True), (True, 0, 6)]:
         with pytest.raises(ValueError, match="is not a"):

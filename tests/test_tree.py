@@ -405,8 +405,8 @@ def test_distance_symmetry_and_confluent_consistency(data):
 @settings(deadline=None, max_examples=200)
 @given(data=st.data())
 def test_busemann_cocycle(data):
-    # b(x, o) = b(x, o2) + b(o2, o): the identity that lets check_level_condition
-    # compare each vertex against a single brown basepoint
+    # b(x, o) = b(x, o2) + b(o2, o): a change of basepoint shifts every
+    # relative height by the same constant
     tree = data.draw(st.tuples(st.integers(2, 3), st.integers(1, 8)).map(lambda t: LayeredTree(*t)))
     x, o, o2 = (TreeAddress(*data.draw(address_in(tree))) for _ in range(3))
     assert tree.busemann(x, o) == tree.busemann(x, o2) + tree.busemann(o2, o)

@@ -16,11 +16,8 @@ from dlgraph import (
     DLGraph,
     DLParams,
     DLVertex,
-    LayeredTree,
-    ROOT,
     Scene3D,
     Segment,
-    TreeAddress,
     brown_position,
     build_scene,
     check_counts,
@@ -84,55 +81,33 @@ def test_level_condition_passes(p, q, layers):
 
 
 def test_level_condition_counts_all_pairings():
-    # one horocycle sweep over the 27 brown basepoints, then one brown
-    # evaluation per vertex
+    # the 27 brown basepoints, then one pairing per validated vertex
     result = check_level_condition(graph(2, 3, 3))
     assert result.detail == {"basepoints": 27, "pairings": 27 + 65}
 
 
 def test_level_condition_fails_on_mismatched_pair():
-    # brown index 5 cannot sit at height 3 (the brown slot there has 1 vertex)
-    result = check_level_condition(MutatedGraph(graph(), add_vertices=[(3, 0, 5)]))
-    assert result.status == "fail"
-    assert "(3, 0, 5)" in result.counterexample
+    # validating both tree addresses decides every failure: a height outside
+    # the truncation, a non-integer index, or an index outside its level
+    cases = {
+        # brown index 5 cannot sit at height 3 (the brown slot there has 1 vertex)
+        (3, 0, 5): "index 5 outside [0, 3**0) at level 0",
+        (-1, 0, 0): "level -1 outside [0, 3]",
+        (4, 0, 0): "level 4 outside [0, 3]",
+        (1, True, 0): "index must be an integer, got True",
+        (1, 0, None): "index must be an integer, got None",
+        (2, 4, 0): "index 4 outside [0, 2**2) at level 2",
+    }
+    for vertex, reason in cases.items():
+        result = check_level_condition(MutatedGraph(graph(), add_vertices=[vertex]))
+        assert result.status == "fail"
+        assert result.counterexample == f"vertex {vertex} is not a height-matched tree pair: {reason}"
 
 
 def test_level_condition_fails_on_non_integer_vertex():
     result = check_level_condition(MutatedGraph(graph(), add_vertices=[(1.0, 0, 0)]))
     assert result.status == "fail"
     assert "(1.0, 0, 0)" in result.counterexample
-
-
-def test_level_condition_sweep_fails_on_basepoint_off_the_horocycle(monkeypatch):
-    honest = LayeredTree.busemann
-    off = TreeAddress(3, 13)
-
-    def busemann(self, x, o=ROOT):
-        shift = 1 if self.branching == 3 and tuple(o) == off else 0
-        return honest(self, x, o) + shift
-
-    monkeypatch.setattr(LayeredTree, "busemann", busemann)
-    result = check_level_condition(graph(2, 3, 3))
-    assert result.status == "fail"
-    assert "brown basepoint (3, 13)" in result.counterexample
-    assert "(3, 0)" in result.counterexample
-    assert "shift 1" in result.counterexample
-
-
-def test_level_condition_fails_on_wrong_brown_height(monkeypatch):
-    honest = LayeredTree.busemann
-    wrong = TreeAddress(2, 4)  # the brown component of the vertices (1, j, 4)
-
-    def busemann(self, x, o=ROOT):
-        shift = 1 if self.branching == 3 and tuple(x) == wrong else 0
-        return honest(self, x, o) + shift
-
-    monkeypatch.setattr(LayeredTree, "busemann", busemann)
-    result = check_level_condition(graph(2, 3, 3))
-    assert result.status == "fail"
-    assert result.counterexample == (
-        "vertex (1, 0, 4) with brown basepoint (3, 0): brown relative height 0 != -1"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +537,14 @@ def test_lamplighter_fails_on_an_edge_to_a_missing_vertex():
     result = check_lamplighter(MutatedGraph(graph(2, 2, 3), add_edges=[((1, 3, 0), (0, 0, 0))]))
     assert result.status == "fail"
     assert result.counterexample == "edge (1, 3, 0)-(0, 0, 0) has an endpoint that is not a vertex"
+
+
+@pytest.mark.parametrize("vertex", [(5, 0, 0), (-1, 0, 0)], ids=["above-the-top", "below-the-bottom"])
+def test_lamplighter_fails_on_a_cursor_outside_the_slab(vertex):
+    # the digits are taken mod b, so only the cursor, the height, can leave its range
+    result = check_lamplighter(MutatedGraph(graph(2, 2, 4), add_vertices=[vertex]))
+    assert result.status == "fail"
+    assert result.counterexample == f"vertex {vertex} encodes to out-of-range state ((0, 0, 0, 0, 0), {vertex[0]})"
 
 
 def test_lamplighter_fails_on_a_non_integer_vertex():
