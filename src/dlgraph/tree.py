@@ -140,12 +140,8 @@ class LayeredTree:
 
     def confluent(self, first, second) -> TreeAddress:
         """Where the predecessor rays from the two vertices meet: their nearest common ancestor."""
-        return self._confluent(self.validate(first), self.validate(second))
-
-    def _confluent(self, a: TreeAddress, b: TreeAddress) -> TreeAddress:
-        """:meth:`confluent` of two addresses already validated."""
-        la, ia = a
-        lb, ib = b
+        la, ia = self.validate(first)
+        lb, ib = self.validate(second)
         while la > lb:
             ia //= self.branching
             la -= 1
@@ -162,7 +158,7 @@ class LayeredTree:
         """Graph distance (unit edge length): both vertices climb to the confluent."""
         a = self.validate(first)
         b = self.validate(second)
-        c = self._confluent(a, b)
+        c = self.confluent(a, b)
         return (a.level - c.level) + (b.level - c.level)
 
     def busemann(self, x, o: TreeAddress = ROOT) -> int:

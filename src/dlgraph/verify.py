@@ -4,8 +4,8 @@ Each check is a pure function returning a :class:`CheckResult`; a failed
 check always carries a concrete counterexample (a vertex, edge, segment or
 pair), and a check that does not apply to the graph reports SKIP with its
 reason.  :func:`run_checks` assembles a :class:`VerificationReport` whose
-entries are merged deterministically (ordered by check name, then
-parameters) regardless of execution order.
+entries are merged deterministically (ordered by check name) regardless of
+execution order.
 
 Every check body is wrapped by :func:`_check`: it returns its PASS detail or
 raises :class:`_Fail` or :class:`_Skip`, and the wrapper times it and builds
@@ -53,10 +53,6 @@ class CheckResult:
     counterexample: str | None
     elapsed: float
     detail: dict | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
 
 
 @dataclass(frozen=True)
@@ -176,9 +172,9 @@ def check_level_condition(g) -> dict:
     q**L basepoints and one pairing per validated vertex on top of them.
     """
     p, q, L = g.params.p, g.params.q, g.params.layers
-    cap = max(g.params.vertex_cap, p**L, q**L)
-    orange = LayeredTree(p, L, level_cap=cap)
-    brown = LayeredTree(q, L, level_cap=cap)
+    # p**L and q**L are the sizes of heights L and 0, so neither exceeds vertex_cap
+    orange = LayeredTree(p, L, level_cap=g.params.vertex_cap)
+    brown = LayeredTree(q, L, level_cap=g.params.vertex_cap)
     basepoints = checked = q**L
     for v in g.vertices():
         try:
@@ -209,9 +205,10 @@ def check_counts(g) -> dict:
     return {"vertices": enum_v, "edges": enum_e, "degree_sum": degree_sum}
 
 
-def _ball(g, center, radius: int, neighbor_cache: dict) -> dict:
-    """BFS distances from ``center`` up to ``radius``; leaves the neighbours of
-    every ball vertex in ``neighbor_cache``.
+def _ball(g, center, radius: int, neighbor_cache: dict) -> tuple[dict, dict]:
+    """The ball of ``radius`` around ``center`` as (BFS distance from the
+    centre, induced adjacency sets); leaves the neighbours of every ball
+    vertex in ``neighbor_cache``.
 
     ``dist`` lists the vertices in BFS order, so each vertex after the centre
     follows a neighbour one step closer; :func:`_balls_isomorphic` maps them
@@ -230,16 +227,11 @@ def _ball(g, center, radius: int, neighbor_cache: dict) -> dict:
             if w not in dist:
                 dist[w] = d
                 order.append(w)
-    return dist
-
-
-def _induced(dist: dict, neighbor_cache: dict) -> tuple[dict, dict]:
-    """A :func:`_ball` as (distance-from-center, induced adjacency sets)."""
     return dist, {u: frozenset(w for w in neighbor_cache[u] if w in dist) for u in dist}
 
 
 def _balls_isomorphic(ball_a: tuple[dict, dict], ball_b: tuple[dict, dict]) -> bool:
-    """Whether two :func:`_induced` balls are isomorphic by a map that keeps
+    """Whether two :func:`_ball` pairs are isomorphic by a map that keeps
     the distance from the centre.
 
     Colour refinement (1-dimensional Weisfeiler-Leman) of both balls
@@ -341,12 +333,12 @@ def check_local_homogeneity(g, radius: int) -> dict:
         frontier = {w for u in frontier for w in implied.neighbors(u)} - near_damage
         near_damage |= frontier
     reference = interior[0]
-    reference_ball = _induced(_ball(g, reference, radius, neighbor_cache), neighbor_cache)
+    reference_ball = _ball(g, reference, radius, neighbor_cache)
     certified = compared == g.params.vertex_count and reference not in near_damage
     for v in interior[1:]:
         if certified and v not in near_damage:
             continue
-        if not _balls_isomorphic(reference_ball, _induced(_ball(g, v, radius, neighbor_cache), neighbor_cache)):
+        if not _balls_isomorphic(reference_ball, _ball(g, v, radius, neighbor_cache)):
             raise _Fail(f"ball around {tuple(v)} is not isomorphic to the ball around {tuple(reference)}")
     return {"interior_vertices": len(interior), "ball_size": len(reference_ball[0])}
 
@@ -356,11 +348,17 @@ def _lamp_state(v: DLVertex, b: int, layers: int) -> tuple[tuple[int, ...], int]
 
     The orange index contributes the digits below the cursor (most
     significant first), the brown index the digits at and above it (least
-    significant first).
+    significant first).  Each digit is one ``divmod`` by b.
     """
     h, j, k = v
-    digits = [(j // b ** (h - 1 - i)) % b for i in range(h)]
-    digits += [(k // b ** (i - h)) % b for i in range(h, layers)]
+    digits = []
+    for _ in range(h):
+        j, digit = divmod(j, b)
+        digits.append(digit)
+    digits.reverse()
+    for _ in range(h, layers):
+        k, digit = divmod(k, b)
+        digits.append(digit)
     return tuple(digits), h
 
 
@@ -399,12 +397,11 @@ def check_lamplighter(g) -> dict:
         if not 0 <= cur <= L:  # digits are taken mod b, and there are L of them iff 0 <= h <= L
             raise _Fail(f"vertex {tuple(v)} encodes to out-of-range state {state}")
         encoding[tuple(v)] = state  # a plain tuple also keys a vertex given as a list
-    if len(set(encoding.values())) != len(encoding):
-        seen: dict = {}
-        for v, state in encoding.items():
-            if state in seen:
-                raise _Fail(f"vertices {tuple(seen[state])} and {tuple(v)} collide on {state}")
-            seen[state] = v
+    seen: dict = {}
+    for v, state in encoding.items():
+        if state in seen:
+            raise _Fail(f"vertices {tuple(seen[state])} and {tuple(v)} collide on {state}")
+        seen[state] = v
     expected_states = (L + 1) * b**L
     if len(encoding) != expected_states:
         raise _Fail(f"{len(encoding)} vertices vs {expected_states} slab states")
@@ -414,17 +411,13 @@ def check_lamplighter(g) -> dict:
         top, bottom = tuple(top), tuple(bottom)
         if top not in encoding or bottom not in encoding:
             raise _Fail(f"edge {tuple(top)}-{tuple(bottom)} has an endpoint that is not a vertex")
-        (f_top, cur_top), (f_bot, cur_bot) = encoding[top], encoding[bottom]
+        image = (f_bot, cur_bot), (f_top, cur_top) = encoding[bottom], encoding[top]
         if cur_bot != cur_top - 1 or f_bot[:cur_bot] != f_top[:cur_bot] or f_bot[cur_bot + 1 :] != f_top[cur_bot + 1 :]:
             raise _Fail(f"edge {tuple(top)}-{tuple(bottom)} maps outside the slab")
-        edges.add((top, bottom))
-    # the encoding is injective, so images inside the slab fill it iff they are as many as its L * b**(L+1) edges
+        edges.add(image)
+    # the images are distinct and inside the slab, so none is extra, and they fill it iff they number its L * b**(L+1) edges
     if len(edges) != L * b ** (L + 1):
-        slab = _slab_edges(b, L)
-        image = {(encoding[tuple(bottom)], encoding[tuple(top)]) for top, bottom in g.edges()}
-        missing = next(iter(slab - image), None)
-        extra = next(iter(image - slab), None)
-        raise _Fail(f"edge sets differ (missing: {missing}, extra: {extra})")
+        raise _Fail(f"edge sets differ (missing: {next(iter(_slab_edges(b, L) - edges))}, extra: None)")
     return {"states": expected_states, "slab_edges": len(edges)}
 
 
@@ -502,10 +495,6 @@ CHECKS: dict[str, Callable] = {
 }
 
 
-def _sort_key(entry: CheckResult):
-    return entry.name, tuple((k, str(v)) for k, v in sorted(entry.params.items()))
-
-
 def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> VerificationReport:
     """Run the selected checks (all, by default) and merge them deterministically.
 
@@ -528,5 +517,5 @@ def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> Verification
         raise ValueError(f"radius must be in [1, {MAX_BALL_RADIUS}], got {radius}")
 
     entries = [CHECKS[key](g, radius) for key in selected]
-    return VerificationReport(tuple(sorted(entries, key=_sort_key)))
+    return VerificationReport(tuple(sorted(entries, key=lambda entry: entry.name)))
 

@@ -1,7 +1,7 @@
 """Test helpers: damaged DL graphs for the checks' negative controls, an
 integer-like value that is not an ``int``, the local-homogeneity verdict of
-an exhaustive ball search as the oracle for the library's check, and a
-reference SVG writer in exact ``Fraction`` arithmetic for the integer one in
+an exhaustive ball search as the oracle for the library's check, a lamp
+state read digit by digit through powers of b, and a reference SVG writer in exact ``Fraction`` arithmetic for the integer one in
 the library."""
 
 from __future__ import annotations
@@ -85,11 +85,20 @@ def homogeneity_by_search(g, radius: int) -> tuple[str, str | None, dict | None]
     interior = [v for v in g.vertices() if radius <= v.height <= L - radius]
     neighbor_cache: dict = {}
     reference = interior[0]
-    reference_ball = verify._induced(verify._ball(g, reference, radius, neighbor_cache), neighbor_cache)
+    reference_ball = verify._ball(g, reference, radius, neighbor_cache)
     for v in interior[1:]:
-        if not verify._balls_isomorphic(reference_ball, verify._induced(verify._ball(g, v, radius, neighbor_cache), neighbor_cache)):
+        if not verify._balls_isomorphic(reference_ball, verify._ball(g, v, radius, neighbor_cache)):
             return "fail", f"ball around {tuple(v)} is not isomorphic to the ball around {tuple(reference)}", None
     return "pass", None, {"interior_vertices": len(interior), "ball_size": len(reference_ball[0])}
+
+
+def lamp_state_by_powers(v, b: int, layers: int) -> tuple[tuple[int, ...], int]:
+    """What ``verify._lamp_state`` must return, each digit read by one
+    division by a power of b."""
+    h, j, k = v
+    digits = [(j // b ** (h - 1 - i)) % b for i in range(h)]
+    digits += [(k // b ** (i - h)) % b for i in range(h, layers)]
+    return tuple(digits), h
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,20 @@ def test_write_scene_writes_utf8_bytes(tmp_path):
     assert target.read_bytes().decode("utf-8") == export_json(scene)
 
 
+class RefusingSink:
+    """A byte sink whose ``write`` takes nothing and says so by returning 0."""
+
+    def write(self, data) -> int:
+        return 0
+
+
+def test_write_scene_raises_when_the_sink_takes_nothing():
+    scene = build_scene(DLGraph(DLParams(2, 3, 1)))
+    with pytest.raises(OSError) as excinfo:
+        write_scene(scene, ExportOptions(format="obj"), RefusingSink())
+    assert str(excinfo.value) == "output sink accepted no bytes (177 left to write)"
+
+
 @pytest.mark.parametrize("format", ["tikz", "json", "obj", "svg"])
 def test_exports_are_deterministic(format):
     opts = ExportOptions(format=format)

@@ -65,6 +65,9 @@ def test_position_validation():
         orange_position(2, 3, 2, 4)
     with pytest.raises(ValueError):
         brown_position(3, 3, 1, 9)
+    with pytest.raises(ValueError) as excinfo:
+        brown_position(3, 3, 4, 0)
+    assert str(excinfo.value) == "height 4 outside [0, 3]"
 
 
 @pytest.mark.parametrize("bad", [1.0, True])

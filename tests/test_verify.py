@@ -33,7 +33,7 @@ from dlgraph import verify
 from dlgraph.cli import main
 from dlgraph.verify import _lamp_state
 
-from support import Index, MutatedGraph, homogeneity_by_search
+from support import Index, MutatedGraph, homogeneity_by_search, lamp_state_by_powers
 
 
 def graph(p=2, q=3, layers=3):
@@ -124,11 +124,32 @@ def test_counts_tiny():
     assert result.detail == {"vertices": 4, "edges": 4, "degree_sum": 8}
 
 
+class RepeatedNeighbor:
+    """A DL graph that lists the first honest neighbour of one vertex twice."""
+
+    def __init__(self, base: DLGraph, w):
+        self.base = base
+        self.params = base.params
+        self.w = DLVertex(*w)
+
+    def vertices(self):
+        return self.base.vertices()
+
+    def edges(self):
+        return self.base.edges()
+
+    def neighbors(self, v) -> list[DLVertex]:
+        near = self.base.neighbors(v)
+        return [near[0], *near] if v == self.w else near
+
+
 def test_counts_fail_on_mutations():
     g = graph()
     assert check_counts(MutatedGraph(g, drop_edges=[next(g.edges())])).status == "fail"
     assert check_counts(MutatedGraph(g, add_edges=[((2, 0, 0), (1, 1, 2))])).status == "fail"
     assert check_counts(MutatedGraph(g, add_vertices=[(0, 0, 27)])).status == "fail"
+    # vertex and edge counts still match their closed forms, so only the handshake shows a repeated neighbour
+    assert check_counts(RepeatedNeighbor(g, (1, 0, 0))).counterexample == "degree sum 229 != 2*|E| = 228"
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +282,13 @@ def test_local_homogeneity_searches_balls_the_translation_misses(monkeypatch):
 
 def test_local_homogeneity_induces_the_reference_ball_once(monkeypatch):
     centres = []
-    honest = verify._induced
+    honest = verify._ball
 
-    def counting(dist, neighbor_cache):
-        centres.append(next(iter(dist)))  # a ball lists its centre first
-        return honest(dist, neighbor_cache)
+    def counting(g, center, radius, neighbor_cache):
+        centres.append(center)
+        return honest(g, center, radius, neighbor_cache)
 
-    monkeypatch.setattr(verify, "_induced", counting)
+    monkeypatch.setattr(verify, "_ball", counting)
     result = check_local_homogeneity(SwappedNames(graph(2, 3, 4), (2, 0, 0), (2, 3, 8)), 2)
     assert result.status == "pass"
     # the reference ball, then each of the 35 searched balls, once each
@@ -381,8 +402,7 @@ ORACLE_BALLS = [(2, 2, 4, 2), (2, 3, 4, 2), (3, 3, 4, 2), (2, 2, 6, 3)]
 
 
 def _induced_ball(g, center, radius):
-    neighbor_cache: dict = {}
-    return verify._induced(verify._ball(g, center, radius, neighbor_cache), neighbor_cache)
+    return verify._ball(g, center, radius, {})
 
 
 def _networkx_ball(nx, ball):
@@ -471,6 +491,7 @@ def test_lamplighter_fails_on_mutations():
     assert check_lamplighter(MutatedGraph(g, drop_edges=[next(g.edges())])).status == "fail"
     assert not g.is_edge((2, 0, 0), (1, 1, 1))
     assert check_lamplighter(MutatedGraph(g, add_edges=[((2, 0, 0), (1, 1, 1))])).status == "fail"
+    assert check_lamplighter(OmittedVertex(g, (0, 0, 0))).counterexample == "31 vertices vs 32 slab states"
 
 
 @pytest.mark.parametrize(
@@ -547,6 +568,14 @@ def test_lamplighter_fails_on_a_cursor_outside_the_slab(vertex):
     assert result.counterexample == f"vertex {vertex} encodes to out-of-range state ((0, 0, 0, 0, 0), {vertex[0]})"
 
 
+def test_lamplighter_encodes_a_far_height_vertex_in_linear_time():
+    # one divmod per digit: a vertex 10**5 heights up is encoded, and refused, at once
+    result = check_lamplighter(MutatedGraph(graph(2, 2, 4), add_vertices=[(10**5, 0, 0)]))
+    assert result.status == "fail"
+    assert result.counterexample == f"vertex (100000, 0, 0) encodes to out-of-range state {((0,) * 100000, 100000)}"
+    assert result.elapsed <= 2
+
+
 def test_lamplighter_fails_on_a_non_integer_vertex():
     mutated = MutatedGraph(graph(2, 2, 3), add_vertices=[(1.0, 0, 0)])
     result = check_lamplighter(mutated)
@@ -569,6 +598,17 @@ def test_lamp_encoding_move_semantics():
         assert f_top[position] == top.orange % b
         assert f_bot[position] == bottom.brown % b
         assert all(f_top[i] == f_bot[i] for i in range(layers) if i != position)
+
+
+@given(
+    st.integers(-40, 80),
+    st.integers(-(10**12), 10**12),
+    st.integers(-(10**12), 10**12),
+    st.integers(2, 7),
+    st.integers(0, 40),
+)
+def test_lamp_encoding_matches_the_digits_read_through_powers(h, j, k, b, layers):
+    assert _lamp_state((h, j, k), b, layers) == lamp_state_by_powers((h, j, k), b, layers)
 
 
 def test_lamp_encoding_is_injective():
@@ -649,6 +689,10 @@ def test_scene_agreement_checks_tree_planes():
     result = check_scene_graph_agreement(g, Scene3D(scene.params, scene.view, tuple(segments)))
     assert result.status == "fail"
     assert "y=0" in result.counterexample
+    moved, _ = _with_endpoint(scene, "tree-q", lambda a: (a[0] + 2, a[1], a[2]))  # x moved by 1
+    result = check_scene_graph_agreement(g, moved)
+    assert result.status == "fail"
+    assert result.counterexample == "segment 2 (tree-q) leaves the plane x=0"
 
 
 def _with_endpoint(scene, kind, endpoint):
