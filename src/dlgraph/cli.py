@@ -15,7 +15,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .export import FORMATS, ExportOptions, write_scene
+from .export import FORMATS, MAX_DIGITS, ExportOptions, write_scene
 from .graph import DEFAULT_VERTEX_CAP, DLGraph, DLParams
 from .layout import DEFAULT_VIEW, build_scene
 from .tree import CapExceededError
@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     params.add_argument("-q", type=int, default=3, help="branching of the tree in the plane x=0 (default 3)")
     params.add_argument("-L", "--layers", type=int, default=3, help="number of height steps (default 3)")
     params.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP,
-                        help=f"maximum vertex count (default {DEFAULT_VERTEX_CAP})")
+                        help=f"maximum vertex count, and maximum edge count per height step on average "
+                             f"(default {DEFAULT_VERTEX_CAP})")
 
     stats = sub.add_parser("stats", parents=[params], help="print the vertex/edge census")
     stats.set_defaults(handler=_cmd_stats)
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--colors", nargs=3, metavar=("TREE_P", "TREE_Q", "DL"), default=None,
                         help="per-kind colors: TikZ styles, or stroke values for --format svg")
     export.add_argument("--no-axis-labels", action="store_true", help="omit the x/y/z axis labels (tikz)")
-    export.add_argument("--digits", type=int, default=6, help="max fractional digits (default 6)")
+    export.add_argument("--digits", type=int, default=6, help=f"max fractional digits, 1-{MAX_DIGITS} (default 6)")
     export.set_defaults(handler=_cmd_export)
 
     verify = sub.add_parser("verify", parents=[params], help="run the structural checks")
@@ -115,9 +116,9 @@ def _cmd_stats(args) -> int:
 
 def _cmd_export(args) -> int:
     graph = DLGraph(DLParams(args.p, args.q, args.layers, vertex_cap=args.cap))
-    scene = build_scene(graph, args.view)
     opts = ExportOptions(format=args.format, colors=args.colors, axis_labels=not args.no_axis_labels,
                          decimal_digits=args.digits)
+    scene = build_scene(graph, args.view)
     with _open_sink(args.output) as sink:
         write_scene(scene, opts, sink)
     return EXIT_OK

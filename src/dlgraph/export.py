@@ -25,6 +25,9 @@ from .layout import (
 from .tree import as_integer
 
 FORMATS = ("tikz", "json", "obj", "svg")
+# Most fractional digits a number may be printed with: 10**digits is computed
+# per call, and far below Python's 4300-digit int-to-str limit.
+MAX_DIGITS = 1000
 
 # TikZ styles per segment kind (tree-p, tree-q, dl).
 DEFAULT_COLORS = ("Orange!20", "MFCB!20", "DeepSkyBlue4")
@@ -40,7 +43,8 @@ class ExportOptions:
     strings, or stroke values for SVG.  ``None`` means the format's own
     defaults, :data:`DEFAULT_COLORS` or :data:`DEFAULT_SVG_COLORS`.
     ``decimal_digits`` must be an ``int`` or an object with ``__index__``
-    (stored as the plain ``int``); floats and bools raise ``TypeError``.
+    (stored as the plain ``int``) in ``1 .. MAX_DIGITS``; floats and bools
+    raise ``TypeError``.
     """
 
     format: str = "tikz"
@@ -58,6 +62,8 @@ class ExportOptions:
         object.__setattr__(self, "decimal_digits", as_integer(self.decimal_digits, "decimal_digits"))
         if self.decimal_digits < 1:
             raise ValueError(f"decimal_digits must be >= 1, got {self.decimal_digits}")
+        if self.decimal_digits > MAX_DIGITS:
+            raise ValueError(f"decimal_digits must be <= {MAX_DIGITS}, got {self.decimal_digits}")
 
 
 def _format_ratio(num: int, den: int, digits: int) -> str:
@@ -76,10 +82,12 @@ def _format_ratio(num: int, den: int, digits: int) -> str:
 
 
 def format_number(value, digits: int = 6) -> str:
-    """Shortest decimal with at most ``digits`` fractional digits (an int, ``>= 0``), trailing zeros trimmed."""
+    """Shortest decimal with at most ``digits`` fractional digits (an int in ``0 .. MAX_DIGITS``), trailing zeros trimmed."""
     digits = as_integer(digits, "digits")
     if digits < 0:
         raise ValueError(f"digits must be >= 0, got {digits}")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"digits must be <= {MAX_DIGITS}, got {digits}")
     return _format_ratio(*Fraction(value).as_integer_ratio(), digits)
 
 

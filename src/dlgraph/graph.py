@@ -19,7 +19,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .tree import CapExceededError, as_integer
+from .tree import as_integer, check_cap
 
 DEFAULT_VERTEX_CAP = 200_000
 
@@ -39,7 +39,8 @@ class DLParams:
     Each field must be an ``int`` or an object with ``__index__`` (stored as
     the plain ``int``); floats and bools raise ``TypeError``.  The truncation
     holds ``sum(p**n * q**(layers-n))`` vertices; construction is rejected
-    outright when that exceeds ``vertex_cap``.
+    outright when that exceeds ``vertex_cap``, or when its ``edge_count``
+    exceeds ``layers * vertex_cap``.
     """
 
     p: int
@@ -56,20 +57,12 @@ class DLParams:
             raise ValueError(f"q must be >= 2, got {self.q}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
-        # the count is at least max(p, q)**layers >= 2**bits, so it exceeds the cap
-        # before it is summed, let alone printed, once bits >= cap.bit_length()
-        bits = self.layers * (max(self.p, self.q).bit_length() - 1)
-        if bits >= self.vertex_cap.bit_length():
-            raise CapExceededError(
-                f"DL({self.p},{self.q}) with layers={self.layers} holds at least 2**{bits} "
-                f"vertices (cap: {self.vertex_cap})"
-            )
-        total = self.vertex_count
-        if total > self.vertex_cap:
-            raise CapExceededError(
-                f"DL({self.p},{self.q}) with layers={self.layers} holds {total} "
-                f"vertices (cap: {self.vertex_cap})"
-            )
+        subject = f"DL({self.p},{self.q}) with layers={self.layers} holds {{}}"
+        bits = self.layers * (max(self.p, self.q).bit_length() - 1)  # max(p, q)**layers >= 2**bits
+        check_cap(f"{subject} vertices (cap: {self.vertex_cap})", bits, lambda: self.vertex_count, self.vertex_cap)
+        # each of the layers terms of the edge sum is now at most q * vertex_cap, so it needs no 2**bits stage
+        check_cap(f"{subject} edges (cap: {self.layers} x {self.vertex_cap})", 0, lambda: self.edge_count,
+                  self.layers * self.vertex_cap)
 
     @property
     def vertex_count(self) -> int:
@@ -143,10 +136,10 @@ class DLGraph:
 
     def edges(self) -> Iterator[tuple[DLVertex, DLVertex]]:
         """Each edge once, higher endpoint first, in deterministic order."""
-        p, q, L = self.p, self.q, self.layers
-        for h in range(1, L + 1):
-            for j in range(p**h):
-                for k in range(q ** (L - h)):
+        p, q = self.p, self.q
+        for h in range(1, self.layers + 1):
+            for j in range(self._orange_sizes[h]):
+                for k in range(self._brown_sizes[h]):
                     top = DLVertex(h, j, k)
                     down_orange = j // p
                     for c in range(q):

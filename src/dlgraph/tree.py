@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 DEFAULT_LEVEL_CAP = 1 << 20
 
@@ -48,6 +48,15 @@ def as_integer(value, what: str) -> int:
         raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
+def check_cap(message: str, bits: int, count: Callable[[], int], cap: int) -> None:
+    """Raise :class:`CapExceededError` with ``message.format(size)`` if a size of at least ``2**bits``,
+    exactly ``count()``, exceeds ``cap``; the bound decides first, so a size too large to sum is never counted."""
+    if bits >= cap.bit_length():
+        raise CapExceededError(message.format(f"at least 2**{bits}"))
+    if (size := count()) > cap:
+        raise CapExceededError(message.format(size))
+
+
 @dataclass(frozen=True)
 class LayeredTree:
     """Depth-``layers`` truncation of the homogeneous tree with ``branching`` children per vertex.
@@ -73,13 +82,8 @@ class LayeredTree:
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
         bits = self.layers * (self.branching.bit_length() - 1)  # branching**layers >= 2**bits
-        if bits >= self.level_cap.bit_length():
-            raise CapExceededError(f"level {self.layers} would hold at least 2**{bits} vertices (cap: {self.level_cap})")
-        top = self.branching ** self.layers
-        if top > self.level_cap:
-            raise CapExceededError(
-                f"level {self.layers} would hold {top} vertices (cap: {self.level_cap})"
-            )
+        check_cap(f"level {self.layers} would hold {{}} vertices (cap: {self.level_cap})", bits,
+                  lambda: self.branching**self.layers, self.level_cap)
         object.__setattr__(self, "_level_sizes", tuple(self.branching**h for h in range(self.layers + 1)))
 
     def level_size(self, level: int) -> int:
@@ -87,7 +91,7 @@ class LayeredTree:
         level = as_integer(level, "level")
         if not 0 <= level <= self.layers:
             raise ValueError(f"level {level} outside [0, {self.layers}]")
-        return self.branching ** level
+        return self._level_sizes[level]
 
     def validate(self, address) -> TreeAddress:
         """Return ``address`` as a :class:`TreeAddress`, rejecting non-integer and out-of-range values.
@@ -115,8 +119,8 @@ class LayeredTree:
 
     def vertices(self) -> Iterator[TreeAddress]:
         """All addresses in (level, index) order."""
-        for level in range(self.layers + 1):
-            for index in range(self.branching ** level):
+        for level, size in enumerate(self._level_sizes):
+            for index in range(size):
                 yield TreeAddress(level, index)
 
     def predecessor(self, address) -> TreeAddress | None:

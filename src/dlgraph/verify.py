@@ -12,7 +12,8 @@ raises :class:`_Fail` or :class:`_Skip`, and the wrapper times it and builds
 the result.
 
 A check reads its graph only through ``params``, ``vertices()``,
-``edges()`` and ``neighbors()``, so the tests can hand it a deliberately
+``edges()`` and ``neighbors()``, and reads each vertex only as its
+``(h, j, k)`` triple, so the tests can hand it a deliberately
 damaged graph with the same interface; every check has to fail on a
 suitable damage.
 """
@@ -33,7 +34,7 @@ from .layout import (
     KIND_DL, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, coordinate_rows, invert_doubled_position,
     invert_tree_position,
 )
-from .tree import LayeredTree, TreeAddress, as_integer
+from .tree import LayeredTree, as_integer
 
 PASS = "pass"
 FAIL = "fail"
@@ -147,7 +148,8 @@ def check_degree_law(g) -> dict:
     p, q, L = g.params.p, g.params.q, g.params.layers
     histogram: dict[int, int] = {}
     for v in g.vertices():
-        expected = (q if v.height > 0 else 0) + (p if v.height < L else 0)
+        h, _, _ = v
+        expected = (q if h > 0 else 0) + (p if h < L else 0)
         actual = len(g.neighbors(v))
         histogram[actual] = histogram.get(actual, 0) + 1
         if actual != expected:
@@ -177,9 +179,10 @@ def check_level_condition(g) -> dict:
     brown = LayeredTree(q, L, level_cap=g.params.vertex_cap)
     basepoints = checked = q**L
     for v in g.vertices():
+        h, j, k = v
         try:
-            orange.validate(TreeAddress(v.height, v.orange))
-            brown.validate(TreeAddress(L - v.height, v.brown))
+            orange.validate((h, j))
+            brown.validate((L - h, k))
         except (TypeError, ValueError) as exc:
             raise _Fail(f"vertex {tuple(v)} is not a height-matched tree pair: {exc}")
         checked += 1
@@ -316,7 +319,8 @@ def check_local_homogeneity(g, radius: int) -> dict:
     implied = DLGraph(g.params)
     interior, neighbor_cache, near_damage, compared = [], {}, set(), 0
     for v in g.vertices():
-        if radius <= v.height <= L - radius:
+        h, _, _ = v
+        if radius <= h <= L - radius:
             interior.append(v)
         if v in neighbor_cache:  # a vertex listed twice keeps its first list
             continue
@@ -392,11 +396,9 @@ def check_lamplighter(g) -> dict:
         h, j, k = v
         if not type(h) is type(j) is type(k) is int:  # a bool's type is bool, not int
             raise _Fail(f"vertex {tuple(v)} is not a triple of ints")
-        state = _lamp_state(v, b, L)
-        f, cur = state
-        if not 0 <= cur <= L:  # digits are taken mod b, and there are L of them iff 0 <= h <= L
-            raise _Fail(f"vertex {tuple(v)} encodes to out-of-range state {state}")
-        encoding[tuple(v)] = state  # a plain tuple also keys a vertex given as a list
+        if not 0 <= h <= L:  # digits are taken mod b, so only the cursor h can leave the slab
+            raise _Fail(f"vertex {tuple(v)} has cursor {h} outside [0, {L}]")
+        encoding[tuple(v)] = _lamp_state(v, b, L)  # a plain tuple also keys a vertex given as a list
     seen: dict = {}
     for v, state in encoding.items():
         if state in seen:

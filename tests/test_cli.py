@@ -235,6 +235,24 @@ def test_cap_exceeded_by_huge_branching_exits_three(capsys):
     assert err.startswith("error: DL(1000") and err.endswith(") with layers=3 holds at least 2**19929 vertices (cap: 200000)\n")
 
 
+@pytest.mark.parametrize("command", ["stats", "export", "verify"])
+def test_edge_cap_exceeded_exits_three(capsys, command):
+    # 20,000 vertices pass the vertex cap, but 10**8 edges exceed 1 x 200000
+    code, out, err = run(capsys, command, "-p", "10000", "-q", "10000", "-L", "1")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err == "error: DL(10000,10000) with layers=1 holds 100000000 edges (cap: 1 x 200000)\n"
+
+
+@pytest.mark.parametrize("digits", ["0", "1001", "100000000"])
+def test_digits_outside_their_range_exit_two(capsys, digits):
+    code, out, err = run(capsys, "export", "--digits", digits)
+    assert code == EXIT_USAGE
+    assert out == ""
+    bound = ">= 1" if digits == "0" else "<= 1000"
+    assert err == f"error: decimal_digits must be {bound}, got {digits}\n"
+
+
 def test_unwritable_output_exits_four(tmp_path, capsys):
     target = tmp_path / "missing" / "out.tex"
     code, out, err = run(capsys, "export", "-o", str(target))

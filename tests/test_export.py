@@ -34,7 +34,7 @@ from dlgraph import (
     render,
     write_scene,
 )
-from dlgraph.export import DEFAULT_COLORS, DEFAULT_SVG_COLORS
+from dlgraph.export import DEFAULT_COLORS, DEFAULT_SVG_COLORS, MAX_DIGITS
 
 from support import Index, project_point, reference_format_number, reference_svg
 
@@ -116,6 +116,18 @@ def test_format_number_checks_digits():
         with pytest.raises(TypeError, match=r"^digits must be an integer, got "):
             format_number(1.5, digits)
     assert format_number(Fraction(1, 3), Index(2)) == "0.33"
+
+
+def test_digits_are_bounded_by_max_digits():
+    assert MAX_DIGITS == 1000
+    assert format_number(Fraction(1, 3), MAX_DIGITS) == "0." + "3" * 1000
+    with pytest.raises(ValueError, match=r"^digits must be <= 1000, got 1001$"):
+        format_number(1.5, 1001)
+    assert ExportOptions(decimal_digits=MAX_DIGITS).decimal_digits == 1000
+    with pytest.raises(ValueError, match=r"^decimal_digits must be <= 1000, got 1001$"):
+        ExportOptions(decimal_digits=1001)
+    with pytest.raises(ValueError, match=r"^decimal_digits must be <= 1000, got 100000000$"):
+        ExportOptions(decimal_digits=10**8)
 
 
 def test_export_options_check_decimal_digits_by_type():

@@ -84,6 +84,22 @@ def test_vertex_cap_rejects_huge_sizes_without_counting():
     assert DLParams(2, 2, 3, vertex_cap=32).vertex_count == 32  # a cap equal to the count admits it
 
 
+def test_edge_count_is_capped_at_layers_times_vertex_cap():
+    # DL(8,8) L=2: 192 vertices and 1024 edges, so a vertex cap of 512 admits exactly 2 x 512 edges
+    assert DLParams(8, 8, 2, vertex_cap=512).edge_count == 1024  # an edge count equal to the bound is admitted
+    with pytest.raises(CapExceededError, match=r"^DL\(8,8\) with layers=2 holds 1024 edges \(cap: 2 x 511\)$"):
+        DLParams(8, 8, 2, vertex_cap=511)
+    with pytest.raises(CapExceededError, match=r"^DL\(10000,10000\) with layers=1 holds 100000000 edges \(cap: 1 x 200000\)$"):
+        DLParams(10000, 10000, 1)  # 20,000 vertices pass the default cap
+    with pytest.raises(CapExceededError, match=r"^DL\(448,448\) with layers=1 holds 200704 edges \(cap: 1 x 200000\)$"):
+        DLParams(448, 448, 1)
+
+
+@pytest.mark.parametrize(("p", "q", "layers", "edges"), [(2, 3, 10, 348_150), (20, 2, 4, 355_520), (447, 447, 1, 199_809)])
+def test_edge_cap_admits_the_documented_sizes(p, q, layers, edges):
+    assert DLParams(p, q, layers).edge_count == edges  # under the default cap of 200000
+
+
 @pytest.mark.parametrize("p", [2, 3, 4])
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("layers", [1, 2, 3, 4])

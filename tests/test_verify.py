@@ -553,6 +553,38 @@ def test_lamplighter_reads_vertices_given_as_lists():
     assert result.counterexample == "edge sets differ (missing: (((0, 0, 0, 0), 2), ((0, 0, 0, 0), 3)), extra: None)"
 
 
+class PlainTuples:
+    """A graph that yields its vertices, edge endpoints and neighbours as plain ``(h, j, k)`` tuples."""
+
+    def __init__(self, base):
+        self.base = base
+        self.params = base.params
+
+    def vertices(self):
+        return (tuple(v) for v in self.base.vertices())
+
+    def edges(self):
+        return ((tuple(top), tuple(bottom)) for top, bottom in self.base.edges())
+
+    def neighbors(self, v) -> list:
+        return [tuple(w) for w in self.base.neighbors(v)]
+
+
+@pytest.mark.parametrize(
+    ("make", "radius"),
+    [
+        (lambda: graph(2, 2, 4), 2),
+        (lambda: graph(2, 3, 4), 1),
+        (lambda: MutatedGraph(graph(2, 2, 4), drop_edges=[((3, 7, 1), (2, 3, 3))], add_vertices=[(5, 0, 0)]), 2),
+    ],
+    ids=["DL(2,2)-L4-r2", "DL(2,3)-L4-r1", "damaged"],
+)
+def test_checks_read_vertices_as_plain_triples(make, radius):
+    # the checks read a vertex only as its (h, j, k) triple, never by attribute name
+    g = make()
+    assert run_checks(PlainTuples(g), radius=radius).to_text() == run_checks(g, radius=radius).to_text()
+
+
 def test_lamplighter_fails_on_an_edge_to_a_missing_vertex():
     # (1, 3, 0) is not a vertex, but it encodes like (1, 1, 0), so its edge lands on a slab edge
     result = check_lamplighter(MutatedGraph(graph(2, 2, 3), add_edges=[((1, 3, 0), (0, 0, 0))]))
@@ -565,14 +597,14 @@ def test_lamplighter_fails_on_a_cursor_outside_the_slab(vertex):
     # the digits are taken mod b, so only the cursor, the height, can leave its range
     result = check_lamplighter(MutatedGraph(graph(2, 2, 4), add_vertices=[vertex]))
     assert result.status == "fail"
-    assert result.counterexample == f"vertex {vertex} encodes to out-of-range state ((0, 0, 0, 0, 0), {vertex[0]})"
+    assert result.counterexample == f"vertex {vertex} has cursor {vertex[0]} outside [0, 4]"
 
 
 def test_lamplighter_encodes_a_far_height_vertex_in_linear_time():
-    # one divmod per digit: a vertex 10**5 heights up is encoded, and refused, at once
+    # the cursor is tested before the encoding: a vertex 10**5 heights up is refused at once, in one short line
     result = check_lamplighter(MutatedGraph(graph(2, 2, 4), add_vertices=[(10**5, 0, 0)]))
     assert result.status == "fail"
-    assert result.counterexample == f"vertex (100000, 0, 0) encodes to out-of-range state {((0,) * 100000, 100000)}"
+    assert result.counterexample == "vertex (100000, 0, 0) has cursor 100000 outside [0, 4]"
     assert result.elapsed <= 2
 
 
