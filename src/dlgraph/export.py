@@ -131,8 +131,8 @@ def export_tikz(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
 
 
 def _json_number(value):
-    frac = Fraction(value)
-    return int(frac) if frac.denominator == 1 else float(frac)
+    num, den = value.as_integer_ratio()
+    return num if den == 1 else num / den
 
 
 def export_json(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
@@ -150,14 +150,13 @@ def export_json(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     xs = [[x / 2 for x in row] for row in xs]
     ys = [[y / 2 for y in row] for row in ys]
 
-    widths = [len(row) for row in ys]
-    offsets = [0]
-    for h in range(L + 1):
-        offsets.append(offsets[-1] + len(xs[h]) * widths[h])
+    first = [0]  # id of the first vertex at each height
+    for h in range(L):
+        first.append(first[-1] + len(xs[h]) * len(ys[h]))
 
     def vertex_id(h: int, j: int, k: int) -> int:
         """Rank of vertex (h, j, k) in ``DLGraph.vertices()``."""
-        return offsets[h] + j * widths[h] + k
+        return first[h] + j * len(ys[h]) + k
 
     vertices = [
         {"id": vertex_id(h, j, k), "h": h, "orange": j, "brown": k, "pos": [x, y, float(h)]}
@@ -181,20 +180,15 @@ def export_json(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
 def _tree_block(b: int, positions: list[list[list[float]]]) -> dict:
     """Nodes and parent->child edges of one tree layer; ``positions[level][index]``
     is the drawn position of a node."""
-    offsets = [0]
-    for row in positions:
-        offsets.append(offsets[-1] + len(row))
-
-    def node_id(level: int, index: int) -> int:
-        return offsets[level] + index
-
     nodes = []
     edges = []
+    above = 0  # id of the first node one level up
     for level, row in enumerate(positions):
         for index, pos in enumerate(row):
-            nodes.append({"id": node_id(level, index), "level": level, "index": index, "pos": pos})
             if level > 0:
-                edges.append({"a": node_id(level - 1, index // b), "b": node_id(level, index)})
+                edges.append({"a": above + index // b, "b": len(nodes)})
+            nodes.append({"id": len(nodes), "level": level, "index": index, "pos": pos})
+        above = len(nodes) - len(row)
     return {"nodes": nodes, "edges": edges}
 
 
@@ -218,19 +212,14 @@ def export_obj(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CARDINAL_SINE = {
-    Fraction(0): Fraction(0),
-    Fraction(90): Fraction(1),
-    Fraction(180): Fraction(0),
-    Fraction(270): Fraction(-1),
-}
-
-
-def _sin_deg(angle) -> Fraction:
-    rem = Fraction(angle) % 360
-    if rem in _CARDINAL_SINE:
-        return _CARDINAL_SINE[rem]
-    return Fraction(math.sin(math.radians(float(angle))))
+def _sin_cos(angle) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(sin, cos) of ``angle`` degrees as integer ratios: exact at multiples of 90,
+    elsewhere the float sines of ``angle`` and ``angle + 90`` (cos t = sin(t + 90))."""
+    num, den = angle.as_integer_ratio()
+    quarters, rest = divmod(num, 90 * den)
+    if rest == 0:  # sin is 0, 1, 0, -1 at 0, 90, 180 and 270 degrees
+        return ((0, 1, 0, -1)[quarters % 4], 1), ((0, 1, 0, -1)[(quarters + 1) % 4], 1)
+    return math.sin(math.radians(angle)).as_integer_ratio(), math.sin(math.radians(angle + 90)).as_integer_ratio()
 
 
 def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
@@ -238,17 +227,20 @@ def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
 
     The viewBox is the projected bounding box with a 5% margin (unit box for
     a degenerate single-point scene); screen y points down, so v is negated.
+    Stroke values are XML-escaped.
     """
+    import html  # here, not at the top: html loads its entity table, which no other writer needs
+
     az, el = scene.view
     digits = opts.decimal_digits
-    stroke = dict(zip(KINDS, opts.colors or DEFAULT_SVG_COLORS))
+    stroke = {kind: html.escape(color, quote=True) for kind, color in zip(KINDS, opts.colors or DEFAULT_SVG_COLORS)}
 
     # The camera sines (cos t = sin(t + 90)) are dyadic rationals, so over their
     # largest denominator s they are ints, and with doubled points u = (ca*2y - sa*2x) / 2s
     # and v = (ce*s*2z - se*(ca*2x + sa*2y)) / 2s**2 are ints over fixed denominators.
-    camera = (_sin_deg(az), _sin_deg(Fraction(az) + 90), _sin_deg(el), _sin_deg(Fraction(el) + 90))
-    s = max(c.denominator for c in camera)
-    sa, ca, se, ce = (c.numerator * (s // c.denominator) for c in camera)
+    camera = (*_sin_cos(az), *_sin_cos(el))
+    s = max(den for _, den in camera)
+    sa, ca, se, ce = (num * (s // den) for num, den in camera)
     ces, u_den, v_den = ce * s, 2 * s, 2 * s * s
     projected: dict[str, list[tuple[int, int, int, int]]] = {kind: [] for kind in KINDS}
     us, vs = [], []
@@ -262,28 +254,24 @@ def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     if not us:
         us = vs = [0]
 
-    umin, umax = Fraction(min(us), u_den), Fraction(max(us), u_den)
-    vmin, vmax = Fraction(min(vs), v_den), Fraction(max(vs), v_den)
-    width, height = umax - umin, vmax - vmin
-    margin_u = width / 20 if width else Fraction(1, 2)
-    margin_v = height / 20 if height else Fraction(1, 2)
-    box_w = width + 2 * margin_u
-    box_h = height + 2 * margin_v
+    # Frame values are over 20 * v_den, with u scaled by s onto v_den: a margin (a twentieth of
+    # its side) is the side's extent over v_den, or 1/2 when that is 0; the stroke is a 400th of the larger side.
+    width, height = s * (max(us) - min(us)), max(vs) - min(vs)
+    margin_u, margin_v = width or 10 * v_den, height or 10 * v_den
+    box_w, box_h = 20 * width + 2 * margin_u, 20 * height + 2 * margin_v
     # screen y grows downward: flip v.
-    box = (umin - margin_u, -vmax - margin_v, box_w, box_h)
-    stroke_width = max(box_w, box_h) / 400
+    box = (20 * s * min(us) - margin_u, -20 * max(vs) - margin_v, box_w, box_h)
+    view_box = " ".join(_format_ratio(c, 20 * v_den, digits) for c in box)
+    stroke_width = _format_ratio(max(box_w, box_h), 8000 * v_den, digits)
 
-    fmt = lambda value: format_number(value, digits)  # noqa: E731
     fu = lambda num: _format_ratio(num, u_den, digits)  # noqa: E731
     fv = lambda num: _format_ratio(num, v_den, digits)  # noqa: E731
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(box[0])} {fmt(box[1])} {fmt(box[2])} {fmt(box[3])}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view_box}">',
     ]
     for kind in (KIND_TREE_Q, KIND_TREE_P, KIND_DL):
-        lines.append(
-            f'  <g fill="none" stroke="{stroke[kind]}" stroke-width="{fmt(stroke_width)}" stroke-linecap="round">'
-        )
+        lines.append(f'  <g fill="none" stroke="{stroke[kind]}" stroke-width="{stroke_width}" stroke-linecap="round">')
         for ua, va, ub, vb in projected[kind]:
             lines.append(
                 f'    <line x1="{fu(ua)}" y1="{fv(-va)}" x2="{fu(ub)}" y2="{fv(-vb)}"/>'

@@ -57,12 +57,13 @@ class DLParams:
             raise ValueError(f"q must be >= 2, got {self.q}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
-        subject = f"DL({self.p},{self.q}) with layers={self.layers} holds {{}}"
+        subject = "DL({p},{q}) with layers={layers} holds {size}"
+        numbers = {"p": self.p, "q": self.q, "layers": self.layers, "cap": self.vertex_cap}
         bits = self.layers * (max(self.p, self.q).bit_length() - 1)  # max(p, q)**layers >= 2**bits
-        check_cap(f"{subject} vertices (cap: {self.vertex_cap})", bits, lambda: self.vertex_count, self.vertex_cap)
+        check_cap(subject + " vertices (cap: {cap})", bits, lambda: self.vertex_count, self.vertex_cap, **numbers)
         # each of the layers terms of the edge sum is now at most q * vertex_cap, so it needs no 2**bits stage
-        check_cap(f"{subject} edges (cap: {self.layers} x {self.vertex_cap})", 0, lambda: self.edge_count,
-                  self.layers * self.vertex_cap)
+        check_cap(subject + " edges (cap: {layers} x {cap})", 0, lambda: self.edge_count,
+                  self.layers * self.vertex_cap, **numbers)
 
     @property
     def vertex_count(self) -> int:

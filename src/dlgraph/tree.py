@@ -48,13 +48,25 @@ def as_integer(value, what: str) -> int:
         raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
-def check_cap(message: str, bits: int, count: Callable[[], int], cap: int) -> None:
-    """Raise :class:`CapExceededError` with ``message.format(size)`` if a size of at least ``2**bits``,
-    exactly ``count()``, exceeds ``cap``; the bound decides first, so a size too large to sum is never counted."""
+def _decimal(n: int) -> str:
+    """``str(n)``, or ``n`` named by its bit length when it has too many digits for ``str()``."""
+    try:
+        return str(n)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit int>"
+
+
+def check_cap(message: str, bits: int, count: Callable[[], int], cap: int, /, **numbers: int) -> None:
+    """Raise :class:`CapExceededError` if a size of at least ``2**bits``, exactly ``count()``, exceeds ``cap``;
+    the bound decides first, so a size too large to sum is never counted.  The message is
+    ``message.format(size=..., **numbers)``, built only when raised, with each int through :func:`_decimal`."""
     if bits >= cap.bit_length():
-        raise CapExceededError(message.format(f"at least 2**{bits}"))
-    if (size := count()) > cap:
-        raise CapExceededError(message.format(size))
+        size = f"at least 2**{_decimal(bits)}"
+    elif (total := count()) > cap:
+        size = _decimal(total)
+    else:
+        return
+    raise CapExceededError(message.format(size=size, **{name: _decimal(n) for name, n in numbers.items()}))
 
 
 @dataclass(frozen=True)
@@ -82,8 +94,8 @@ class LayeredTree:
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
         bits = self.layers * (self.branching.bit_length() - 1)  # branching**layers >= 2**bits
-        check_cap(f"level {self.layers} would hold {{}} vertices (cap: {self.level_cap})", bits,
-                  lambda: self.branching**self.layers, self.level_cap)
+        check_cap("level {layers} would hold {size} vertices (cap: {cap})", bits, lambda: self.branching**self.layers,
+                  self.level_cap, layers=self.layers, cap=self.level_cap)
         object.__setattr__(self, "_level_sizes", tuple(self.branching**h for h in range(self.layers + 1)))
 
     def level_size(self, level: int) -> int:

@@ -319,3 +319,13 @@ def test_export_into_a_reader_that_stops_early_exits_four(unbuffered):
     assert proc.wait(timeout=120) == EXIT_OUTPUT
     assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: [Errno 32] Broken pipe"]
     assert "Traceback" not in err
+
+
+def test_the_cli_imports_only_the_standard_library():
+    # -S skips site, whose .pth files may import third-party modules (certifi, say) before dlgraph is imported
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import dlgraph.cli; "
+            "new = {name.partition('.')[0] for name in set(sys.modules) - before} - {'dlgraph'}; "
+            "print(sorted(new - sys.stdlib_module_names))")
+    src = Path(dlgraph.__file__).parent.parent
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -9,6 +9,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,12 @@ def test_tikz_options():
 # ---------------------------------------------------------------------------
 # JSON
 
+@pytest.mark.parametrize("view", [(-0.0, 90.0), (Fraction(1, 3), 1e300), (2.0**60, 0.5)])
+def test_json_view_is_an_int_when_whole_else_a_float(view):
+    doc = json.loads(export_json(dataclasses.replace(reference_scene(), view=view)))
+    assert doc["view"] == [int(f) if (f := Fraction(v)).denominator == 1 else float(f) for v in view]
+
+
 def test_json_census_and_ids():
     doc = json.loads(export_json(reference_scene()))
     assert doc["params"] == {"p": 2, "q": 3, "layers": 3}
@@ -403,9 +410,11 @@ def test_svg_projection_is_exactly_linear():
         assert vm == (va + vb) / 2
 
 
-# views in [-720, 720]: arbitrary floats, the cardinal angles and their negative zeros
+# views in [-720, 720]: arbitrary floats, ints and fractions, the cardinal angles and their negative zeros
 VIEW_ANGLES = st.one_of(
     st.floats(min_value=-720, max_value=720, allow_nan=False),
+    st.integers(-720, 720),
+    st.fractions(-720, 720),
     st.integers(-8, 8).map(lambda n: 90.0 * n),
     st.just(-0.0),
 )
@@ -433,6 +442,13 @@ def test_svg_degenerate_scene_gets_unit_viewbox():
     point_scene = Scene3D(scene.params, scene.view, scene.segments[:0])
     doc = export_svg(point_scene)
     assert 'viewBox="-0.5 -0.5 1 1"' in doc
+
+
+def test_svg_escapes_stroke_values():
+    colors = ('#000" onload="alert(1)', "a&b", "c<d")
+    doc = export_svg(reference_scene(), ExportOptions(format="svg", colors=colors))
+    groups = ElementTree.fromstring(doc).findall("{http://www.w3.org/2000/svg}g")
+    assert [g.get("stroke") for g in groups] == [colors[1], colors[0], colors[2]]  # drawn tree-q, tree-p, dl
 
 
 def test_svg_respects_color_overrides():

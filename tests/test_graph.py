@@ -10,7 +10,7 @@ from collections import Counter, deque
 import pytest
 
 import dlgraph
-from dlgraph import CapExceededError, DLGraph, DLParams, DLVertex
+from dlgraph import CapExceededError, DLGraph, DLParams, DLVertex, LayeredTree
 
 from support import Index
 
@@ -82,6 +82,22 @@ def test_vertex_cap_rejects_huge_sizes_without_counting():
     with pytest.raises(CapExceededError, match=r"with layers=3 holds at least 2\*\*19929 vertices \(cap: 200000\)$"):
         DLParams(10**2000, 2, 3)  # 10**2000 has 6644 bits
     assert DLParams(2, 2, 3, vertex_cap=32).vertex_count == 32  # a cap equal to the count admits it
+
+
+def test_cap_messages_name_ints_too_long_for_str_by_bit_length():
+    # 10**5000 has more digits than str() prints by default; a cap that size admits a small graph,
+    # and a field that size fails the cap with a short message, not with str()'s ValueError
+    assert DLParams(2, 3, 3, vertex_cap=10**5000).vertex_count == 65
+    assert LayeredTree(2, 3, level_cap=10**5000).level_size(3) == 8
+    huge = [lambda: DLParams(10**5000, 2, 3), lambda: DLParams(2, 10**5000, 3), lambda: DLParams(2, 3, 10**5000),
+            lambda: LayeredTree(2, 10**5000)]
+    for build in huge:
+        with pytest.raises(CapExceededError) as caught:
+            build()
+        message = str(caught.value)
+        assert "\n" not in message and len(message) < 200
+        assert "<16610-bit int>" in message
+    assert str(caught.value) == "level <16610-bit int> would hold at least 2**<16610-bit int> vertices (cap: 1048576)"
 
 
 def test_edge_count_is_capped_at_layers_times_vertex_cap():
