@@ -1,7 +1,7 @@
 """Finite Diestel-Leader graph truncations: construction, layout, export, verification."""
 
 from .export import ExportOptions, export_json, export_obj, export_svg, export_tikz, format_number, render, write_scene
-from .graph import Census, DLGraph, DLParams, DLVertex
+from .graph import Census, DLGraph, DLParams
 from .layout import (
     DEFAULT_VIEW,
     KIND_DL,
@@ -16,7 +16,7 @@ from .layout import (
     invert_doubled_position,
     orange_position,
 )
-from .tree import ROOT, CapExceededError, LayeredTree, TreeAddress
+from .tree import ROOT, CapExceededError, LayeredTree
 from .verify import (
     CheckResult,
     VerificationReport,
@@ -38,7 +38,6 @@ __all__ = [
     "DEFAULT_VIEW",
     "DLGraph",
     "DLParams",
-    "DLVertex",
     "ExportOptions",
     "KIND_DL",
     "KIND_TREE_P",
@@ -48,7 +47,6 @@ __all__ = [
     "ROOT",
     "Scene3D",
     "Segment",
-    "TreeAddress",
     "VerificationReport",
     "brown_position",
     "build_scene",

@@ -22,7 +22,7 @@ from .layout import (
     Scene3D,
     coordinate_rows,
 )
-from .tree import as_integer
+from .tree import _decimal, as_integer
 
 FORMATS = ("tikz", "json", "obj", "svg")
 # Most fractional digits a number may be printed with: 10**digits is computed
@@ -61,9 +61,9 @@ class ExportOptions:
             object.__setattr__(self, "colors", tuple(self.colors))
         object.__setattr__(self, "decimal_digits", as_integer(self.decimal_digits, "decimal_digits"))
         if self.decimal_digits < 1:
-            raise ValueError(f"decimal_digits must be >= 1, got {self.decimal_digits}")
+            raise ValueError(f"decimal_digits must be >= 1, got {_decimal(self.decimal_digits)}")
         if self.decimal_digits > MAX_DIGITS:
-            raise ValueError(f"decimal_digits must be <= {MAX_DIGITS}, got {self.decimal_digits}")
+            raise ValueError(f"decimal_digits must be <= {MAX_DIGITS}, got {_decimal(self.decimal_digits)}")
 
 
 def _format_ratio(num: int, den: int, digits: int) -> str:
@@ -85,9 +85,9 @@ def format_number(value, digits: int = 6) -> str:
     """Shortest decimal with at most ``digits`` fractional digits (an int in ``0 .. MAX_DIGITS``), trailing zeros trimmed."""
     digits = as_integer(digits, "digits")
     if digits < 0:
-        raise ValueError(f"digits must be >= 0, got {digits}")
+        raise ValueError(f"digits must be >= 0, got {_decimal(digits)}")
     if digits > MAX_DIGITS:
-        raise ValueError(f"digits must be <= {MAX_DIGITS}, got {digits}")
+        raise ValueError(f"digits must be <= {MAX_DIGITS}, got {_decimal(digits)}")
     return _format_ratio(*Fraction(value).as_integer_ratio(), digits)
 
 

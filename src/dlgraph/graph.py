@@ -6,7 +6,9 @@ stored upside down (internal brown level = layers - h), so both components
 sit at the same drawing height.  Two vertices are adjacent when both
 components move along a tree edge at once: stepping down one height, the
 orange component passes to its predecessor while the brown component passes
-to one of its q children.
+to one of its q children.  A vertex is the plain int triple ``(h, j, k)``:
+height h, orange index j and brown index k, the brown component at internal
+level layers - h.
 
 The truncation keeps heights 0..layers with complete slices; interior
 vertices have degree p + q, the bottom slice (h = 0) degree p and the top
@@ -17,19 +19,11 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .tree import as_integer, check_cap
+from .tree import _decimal, as_integer, check_cap
 
 DEFAULT_VERTEX_CAP = 200_000
-
-
-class DLVertex(NamedTuple):
-    """(height, orange index, brown index); the brown component lives at internal level layers - height."""
-
-    height: int
-    orange: int
-    brown: int
 
 
 @dataclass(frozen=True)
@@ -52,11 +46,11 @@ class DLParams:
         for name in ("p", "q", "layers", "vertex_cap"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
+            raise ValueError(f"p must be >= 2, got {_decimal(self.p)}")
         if self.q < 2:
-            raise ValueError(f"q must be >= 2, got {self.q}")
+            raise ValueError(f"q must be >= 2, got {_decimal(self.q)}")
         if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
+            raise ValueError(f"layers must be >= 1, got {_decimal(self.layers)}")
         subject = "DL({p},{q}) with layers={layers} holds {size}"
         numbers = {"p": self.p, "q": self.q, "layers": self.layers, "cap": self.vertex_cap}
         bits = self.layers * (max(self.p, self.q).bit_length() - 1)  # max(p, q)**layers >= 2**bits
@@ -102,24 +96,18 @@ class DLGraph:
         self._orange_sizes = [p**h for h in range(L + 1)]
         self._brown_sizes = [q ** (L - h) for h in range(L + 1)]
 
-    def validate(self, vertex) -> DLVertex:
-        """Return ``vertex`` as a :class:`DLVertex`, rejecting non-integer and out-of-range components.
-
-        A :class:`DLVertex` of plain ints is range-checked and returned as is.
-        """
-        if type(vertex) is not DLVertex:
-            vertex = DLVertex(*vertex)
+    def validate(self, vertex) -> tuple[int, int, int]:
+        """Return ``vertex`` as an ``(h, j, k)`` tuple of ints, rejecting non-integer and out-of-range components."""
         h, j, k = vertex
         if not type(h) is type(j) is type(k) is int:  # a bool's type is bool, not int
-            vertex = DLVertex(as_integer(h, "height"), as_integer(j, "orange index"), as_integer(k, "brown index"))
-            h, j, k = vertex
+            h, j, k = as_integer(h, "height"), as_integer(j, "orange index"), as_integer(k, "brown index")
         if not 0 <= h <= self.layers:
-            raise ValueError(f"height {h} outside [0, {self.layers}]")
+            raise ValueError(f"height {_decimal(h)} outside [0, {self.layers}]")
         if not 0 <= j < self._orange_sizes[h]:
-            raise ValueError(f"orange index {j} invalid at height {h}")
+            raise ValueError(f"orange index {_decimal(j)} invalid at height {h}")
         if not 0 <= k < self._brown_sizes[h]:
-            raise ValueError(f"brown index {k} invalid at height {h}")
-        return vertex
+            raise ValueError(f"brown index {_decimal(k)} invalid at height {h}")
+        return h, j, k
 
     def __contains__(self, vertex) -> bool:
         try:
@@ -128,25 +116,25 @@ class DLGraph:
             return False
         return True
 
-    def vertices(self) -> Iterator[DLVertex]:
+    def vertices(self) -> Iterator[tuple[int, int, int]]:
         """All vertices in ascending (height, orange, brown) order."""
         for h in range(self.layers + 1):
             for j in range(self._orange_sizes[h]):
                 for k in range(self._brown_sizes[h]):
-                    yield DLVertex(h, j, k)
+                    yield h, j, k
 
-    def edges(self) -> Iterator[tuple[DLVertex, DLVertex]]:
+    def edges(self) -> Iterator[tuple[tuple[int, int, int], tuple[int, int, int]]]:
         """Each edge once, higher endpoint first, in deterministic order."""
         p, q = self.p, self.q
         for h in range(1, self.layers + 1):
             for j in range(self._orange_sizes[h]):
                 for k in range(self._brown_sizes[h]):
-                    top = DLVertex(h, j, k)
+                    top = (h, j, k)
                     down_orange = j // p
                     for c in range(q):
-                        yield top, DLVertex(h - 1, down_orange, k * q + c)
+                        yield top, (h - 1, down_orange, k * q + c)
 
-    def neighbors(self, vertex) -> list[DLVertex]:
+    def neighbors(self, vertex) -> list[tuple[int, int, int]]:
         """Adjacent vertices in ascending (height, orange, brown) order.
 
         Down-moves fix the orange predecessor and pick one of q brown
@@ -160,21 +148,21 @@ class DLGraph:
             down_orange = j // p
             base = k * q
             for c in range(q):
-                out.append(DLVertex(h - 1, down_orange, base + c))
+                out.append((h - 1, down_orange, base + c))
         if h < self.layers:
             up_brown = k // q
             base = j * p
             for c in range(p):
-                out.append(DLVertex(h + 1, base + c, up_brown))
+                out.append((h + 1, base + c, up_brown))
         return out
 
     def is_edge(self, a, b) -> bool:
         """True iff the heights differ by 1 and both tree components move along tree edges."""
         va, vb = self.validate(a), self.validate(b)
-        if abs(va.height - vb.height) != 1:
+        if abs(va[0] - vb[0]) != 1:
             return False
-        top, bottom = (va, vb) if va.height > vb.height else (vb, va)
-        return bottom.orange == top.orange // self.p and bottom.brown // self.q == top.brown
+        (_, j_top, k_top), (_, j_bottom, k_bottom) = (va, vb) if va[0] > vb[0] else (vb, va)
+        return j_bottom == j_top // self.p and k_bottom // self.q == k_top
 
     def bfs_distance(self, a, b) -> int:
         """Shortest-path length within the truncation (plain breadth-first search).
@@ -205,7 +193,7 @@ class DLGraph:
         heights = [0] * (self.layers + 1)
         histogram: Counter[int] = Counter()
         for v in self.vertices():
-            heights[v.height] += 1
+            heights[v[0]] += 1
             histogram[len(self.neighbors(v))] += 1
         edge_count = sum(1 for _ in self.edges())
         return Census(

@@ -25,8 +25,8 @@ from fractions import Fraction
 from numbers import Real
 from typing import NamedTuple
 
-from .graph import DLGraph, DLParams, DLVertex
-from .tree import as_integer
+from .graph import DLGraph, DLParams
+from .tree import _decimal, as_integer
 
 KIND_TREE_P = "tree-p"
 KIND_TREE_Q = "tree-q"
@@ -96,10 +96,10 @@ def _row_index(doubled, spacing: int, count: int) -> int | None:
 
 
 def _halved(doubled) -> str:
-    """``doubled / 2`` for an error message, printed as ``str(Fraction)`` prints it."""
+    """``doubled / 2`` for an error message, printed as ``str(Fraction)`` prints it (a long int by its bit length)."""
     if type(doubled) is not int:
         return str(doubled / 2)
-    return f"{doubled}/2" if doubled & 1 else str(doubled >> 1)
+    return f"{_decimal(doubled)}/2" if doubled & 1 else _decimal(doubled >> 1)
 
 
 def coordinate_rows(params: DLParams) -> tuple[list[list[int]], list[list[int]]]:
@@ -115,9 +115,9 @@ def orange_position(p: int, layers: int, level: int, index: int) -> Point3:
     """Position of orange node ``index`` at ``level``, in the plane y = 0."""
     level, index = as_integer(level, "level"), as_integer(index, "index")
     if not 0 <= level <= layers:
-        raise ValueError(f"level {level} outside [0, {layers}]")
+        raise ValueError(f"level {_decimal(level)} outside [0, {layers}]")
     if not 0 <= index < p**level:
-        raise ValueError(f"index {index} invalid at level {level}")
+        raise ValueError(f"index {_decimal(index)} invalid at level {level}")
     return Point3(Fraction(_coordinate(p ** (layers - level), index), 2), Fraction(0), Fraction(level))
 
 
@@ -125,28 +125,28 @@ def brown_position(q: int, layers: int, height: int, index: int) -> Point3:
     """Position of the brown node ``index`` drawn at ``height``, in the plane x = 0."""
     height, index = as_integer(height, "height"), as_integer(index, "index")
     if not 0 <= height <= layers:
-        raise ValueError(f"height {height} outside [0, {layers}]")
+        raise ValueError(f"height {_decimal(height)} outside [0, {layers}]")
     if not 0 <= index < q ** (layers - height):
-        raise ValueError(f"index {index} invalid at drawn height {height}")
+        raise ValueError(f"index {_decimal(index)} invalid at drawn height {height}")
     return Point3(Fraction(0), Fraction(_coordinate(q**height, index), 2), Fraction(height))
 
 
 def dl_position(params: DLParams, vertex) -> Point3:
     """Position of a DL vertex: orange x, brown y, height z."""
-    v = DLVertex(*vertex)
-    orange = orange_position(params.p, params.layers, v.height, v.orange)
-    by = brown_position(params.q, params.layers, v.height, v.brown).y
+    h, j, k = vertex
+    orange = orange_position(params.p, params.layers, h, j)
+    by = brown_position(params.q, params.layers, h, k).y
     return Point3(orange.x, by, orange.z)
 
 
-def invert_doubled_position(params: DLParams, point) -> DLVertex:
+def invert_doubled_position(params: DLParams, point) -> tuple[int, int, int]:
     """Recover the DL vertex whose doubled position ``(2x, 2y, 2z)`` is ``point``.
 
     This inverts a scene endpoint.  Raises ValueError, naming the undoubled
     coordinate, when a coordinate is not an ``int`` or is off the lattice.
     """
     h, j = invert_tree_position(params, KIND_TREE_P, point)
-    return DLVertex(h, j, invert_tree_position(params, KIND_TREE_Q, point)[1])
+    return h, j, invert_tree_position(params, KIND_TREE_Q, point)[1]
 
 
 def invert_tree_position(params: DLParams, kind: str, point) -> tuple[int, int]:

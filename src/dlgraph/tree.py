@@ -8,7 +8,7 @@ root", so on this truncation the confluent of two vertices is their
 nearest common ancestor and every height computation reduces to exact
 integer arithmetic.
 
-Vertices are addressed by ``TreeAddress(level, index)`` with
+A vertex is addressed by the plain int pair ``(level, index)`` with
 ``0 <= index < b**level``; the children of ``(h, k)`` are
 ``(h + 1, k*b + c)`` for ``c`` in ``0 .. b-1``, left to right.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 DEFAULT_LEVEL_CAP = 1 << 20
 
@@ -26,14 +26,7 @@ class CapExceededError(ValueError):
     """A construction would exceed its configured size cap."""
 
 
-class TreeAddress(NamedTuple):
-    """Vertex name inside a :class:`LayeredTree`."""
-
-    level: int
-    index: int
-
-
-ROOT = TreeAddress(0, 0)
+ROOT = (0, 0)
 
 
 def as_integer(value, what: str) -> int:
@@ -90,9 +83,9 @@ class LayeredTree:
         for name in ("branching", "layers", "level_cap"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.branching < 2:
-            raise ValueError(f"branching must be >= 2, got {self.branching}")
+            raise ValueError(f"branching must be >= 2, got {_decimal(self.branching)}")
         if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
+            raise ValueError(f"layers must be >= 1, got {_decimal(self.layers)}")
         bits = self.layers * (self.branching.bit_length() - 1)  # branching**layers >= 2**bits
         check_cap("level {layers} would hold {size} vertices (cap: {cap})", bits, lambda: self.branching**self.layers,
                   self.level_cap, layers=self.layers, cap=self.level_cap)
@@ -102,25 +95,19 @@ class LayeredTree:
         """Number of vertices at ``level``."""
         level = as_integer(level, "level")
         if not 0 <= level <= self.layers:
-            raise ValueError(f"level {level} outside [0, {self.layers}]")
+            raise ValueError(f"level {_decimal(level)} outside [0, {self.layers}]")
         return self._level_sizes[level]
 
-    def validate(self, address) -> TreeAddress:
-        """Return ``address`` as a :class:`TreeAddress`, rejecting non-integer and out-of-range values.
-
-        A :class:`TreeAddress` of plain ints is range-checked and returned as is.
-        """
-        if type(address) is not TreeAddress:
-            address = TreeAddress(*address)
+    def validate(self, address) -> tuple[int, int]:
+        """Return ``address`` as a ``(level, index)`` tuple of ints, rejecting non-integer and out-of-range values."""
         level, index = address
         if not type(level) is type(index) is int:  # a bool's type is bool, not int
             level, index = as_integer(level, "level"), as_integer(index, "index")
-            address = TreeAddress(level, index)
         if not 0 <= level <= self.layers:
-            raise ValueError(f"level {level} outside [0, {self.layers}]")
+            raise ValueError(f"level {_decimal(level)} outside [0, {self.layers}]")
         if not 0 <= index < self._level_sizes[level]:
-            raise ValueError(f"index {index} outside [0, {self.branching}**{level}) at level {level}")
-        return address
+            raise ValueError(f"index {_decimal(index)} outside [0, {_decimal(self.branching)}**{level}) at level {level}")
+        return level, index
 
     def __contains__(self, address) -> bool:
         try:
@@ -129,32 +116,32 @@ class LayeredTree:
             return False
         return True
 
-    def vertices(self) -> Iterator[TreeAddress]:
+    def vertices(self) -> Iterator[tuple[int, int]]:
         """All addresses in (level, index) order."""
         for level, size in enumerate(self._level_sizes):
             for index in range(size):
-                yield TreeAddress(level, index)
+                yield level, index
 
-    def predecessor(self, address) -> TreeAddress | None:
+    def predecessor(self, address) -> tuple[int, int] | None:
         """The unique neighbour one horocycle closer to the reference end.
 
         Returns ``None`` at the root, whose predecessor lies outside the
         truncation.
         """
-        a = self.validate(address)
-        if a.level == 0:
+        level, index = self.validate(address)
+        if level == 0:
             return None
-        return TreeAddress(a.level - 1, a.index // self.branching)
+        return level - 1, index // self.branching
 
-    def successors(self, address) -> list[TreeAddress]:
+    def successors(self, address) -> list[tuple[int, int]]:
         """The ``branching`` children one horocycle further from the end; empty at the top level."""
-        a = self.validate(address)
-        if a.level == self.layers:
+        level, index = self.validate(address)
+        if level == self.layers:
             return []
-        base = a.index * self.branching
-        return [TreeAddress(a.level + 1, base + c) for c in range(self.branching)]
+        base = index * self.branching
+        return [(level + 1, base + c) for c in range(self.branching)]
 
-    def confluent(self, first, second) -> TreeAddress:
+    def confluent(self, first, second) -> tuple[int, int]:
         """Where the predecessor rays from the two vertices meet: their nearest common ancestor."""
         la, ia = self.validate(first)
         lb, ib = self.validate(second)
@@ -168,29 +155,29 @@ class LayeredTree:
             ia //= self.branching
             ib //= self.branching
             la -= 1
-        return TreeAddress(la, ia)
+        return la, ia
 
     def distance(self, first, second) -> int:
         """Graph distance (unit edge length): both vertices climb to the confluent."""
         a = self.validate(first)
         b = self.validate(second)
         c = self.confluent(a, b)
-        return (a.level - c.level) + (b.level - c.level)
+        return (a[0] - c[0]) + (b[0] - c[0])
 
-    def busemann(self, x, o: TreeAddress = ROOT) -> int:
+    def busemann(self, x, o: tuple[int, int] = ROOT) -> int:
         """Height of ``x`` relative to the basepoint ``o``: d(x, c) - d(o, c) with c the confluent.
 
         Both distances climb to c, so its level cancels and the value is the
         level difference of ``x`` and ``o``.
         """
-        return self.validate(x).level - self.validate(o).level
+        return self.validate(x)[0] - self.validate(o)[0]
 
-    def horocycle(self, o, k: int) -> list[TreeAddress]:
+    def horocycle(self, o, k: int) -> list[tuple[int, int]]:
         """All truncation vertices at relative height ``k``, in (level, index) order.
 
-        That is the whole level ``o.level + k``; empty when it lies outside the truncation.
+        That is the whole level ``o[0] + k``; empty when it lies outside the truncation.
         """
-        level = self.validate(o).level + as_integer(k, "relative height")
+        level = self.validate(o)[0] + as_integer(k, "relative height")
         if not 0 <= level <= self.layers:
             return []
-        return [TreeAddress(level, index) for index in range(self._level_sizes[level])]
+        return [(level, index) for index in range(self._level_sizes[level])]

@@ -29,12 +29,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import DLGraph, DLVertex
+from .graph import DLGraph
 from .layout import (
     KIND_DL, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, coordinate_rows, invert_doubled_position,
     invert_tree_position,
 )
-from .tree import LayeredTree, as_integer
+from .tree import LayeredTree, _decimal, as_integer
 
 PASS = "pass"
 FAIL = "fail"
@@ -312,7 +312,7 @@ def check_local_homogeneity(g, radius: int) -> dict:
     compared, every ball goes to the search.
     """
     if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
+        raise ValueError(f"radius must be >= 1, got {_decimal(radius)}")
     L = g.params.layers
     if L < 2 * radius:
         raise _Skip(f"not applicable: layers < 2*radius ({L} < {2 * radius})")
@@ -347,7 +347,7 @@ def check_local_homogeneity(g, radius: int) -> dict:
     return {"interior_vertices": len(interior), "ball_size": len(reference_ball[0])}
 
 
-def _lamp_state(v: DLVertex, b: int, layers: int) -> tuple[tuple[int, ...], int]:
+def _lamp_state(v: tuple[int, int, int], b: int, layers: int) -> tuple[tuple[int, ...], int]:
     """Encode a DL vertex as (lamp configuration, cursor).
 
     The orange index contributes the digits below the cursor (most
@@ -448,7 +448,7 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
     for h, (x_row, y_row) in enumerate(zip(xs, ys)):
         points[KIND_TREE_P].update(((x, 0, 2 * h), (h, j)) for j, x in enumerate(x_row))
         points[KIND_TREE_Q].update(((0, y, 2 * h), (h, k)) for k, y in enumerate(y_row))
-        points[KIND_DL].update(((x, y, 2 * h), DLVertex(h, j, k)) for j, x in enumerate(x_row) for k, y in enumerate(y_row))
+        points[KIND_DL].update(((x, y, 2 * h), (h, j, k)) for j, x in enumerate(x_row) for k, y in enumerate(y_row))
     seen: dict = {}
     for i, (kind, a, b) in enumerate(scene.segments):
         if kind in (KIND_TREE_P, KIND_TREE_Q):
@@ -516,7 +516,7 @@ def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> Verification
             selected.append(key)
     radius = as_integer(radius, "radius")
     if not 1 <= radius <= MAX_BALL_RADIUS:
-        raise ValueError(f"radius must be in [1, {MAX_BALL_RADIUS}], got {radius}")
+        raise ValueError(f"radius must be in [1, {MAX_BALL_RADIUS}], got {_decimal(radius)}")
 
     entries = [CHECKS[key](g, radius) for key in selected]
     return VerificationReport(tuple(sorted(entries, key=lambda entry: entry.name)))

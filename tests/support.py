@@ -1,5 +1,6 @@
 """Test helpers: damaged DL graphs for the checks' negative controls, an
-integer-like value that is not an ``int``, the local-homogeneity verdict of
+integer-like value that is not an ``int``, a test for the plain int tuples
+every query returns, the local-homogeneity verdict of
 an exhaustive ball search as the oracle for the library's check, a lamp
 state read digit by digit through powers of b, and a reference SVG writer in exact ``Fraction`` arithmetic for the integer one in
 the library."""
@@ -10,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from dlgraph import KIND_DL, KIND_TREE_P, KIND_TREE_Q, DLGraph, DLVertex, ExportOptions, Scene3D
+from dlgraph import KIND_DL, KIND_TREE_P, KIND_TREE_Q, DLGraph, ExportOptions, Scene3D
 from dlgraph import verify
 from dlgraph.export import DEFAULT_SVG_COLORS
 
@@ -25,6 +26,11 @@ class Index:
         return self.value
 
 
+def is_int_tuple(value, length: int) -> bool:
+    """Whether ``value`` is a plain tuple of ``length`` plain ints, the form every query returns."""
+    return type(value) is tuple and len(value) == length and all(type(c) is int for c in value)
+
+
 class MutatedGraph:
     """Read-only view of a DL graph with a few vertices/edges toggled.
 
@@ -36,28 +42,28 @@ class MutatedGraph:
     def __init__(self, base: DLGraph, add_edges=(), drop_edges=(), add_vertices=()):
         self.base = base
         self.params = base.params
-        self.extra_vertices = tuple(DLVertex(*v) for v in add_vertices)
+        self.extra_vertices = tuple(tuple(v) for v in add_vertices)
         self._added = [self._pair(e) for e in add_edges]
         self._dropped = {frozenset(self._pair(e)) for e in drop_edges}
 
     @staticmethod
-    def _pair(edge) -> tuple[DLVertex, DLVertex]:
+    def _pair(edge) -> tuple[tuple, tuple]:
         a, b = edge
-        a, b = DLVertex(*a), DLVertex(*b)
-        return (a, b) if a.height >= b.height else (b, a)
+        a, b = tuple(a), tuple(b)
+        return (a, b) if a[0] >= b[0] else (b, a)
 
-    def vertices(self) -> Iterator[DLVertex]:
+    def vertices(self) -> Iterator[tuple]:
         yield from self.base.vertices()
         yield from self.extra_vertices
 
-    def edges(self) -> Iterator[tuple[DLVertex, DLVertex]]:
+    def edges(self) -> Iterator[tuple[tuple, tuple]]:
         for edge in self.base.edges():
             if frozenset(edge) not in self._dropped:
                 yield edge
         yield from self._added
 
-    def neighbors(self, vertex) -> list[DLVertex]:
-        v = DLVertex(*vertex)
+    def neighbors(self, vertex) -> list[tuple]:
+        v = tuple(vertex)
         out = []
         if v in self.base:
             out = [w for w in self.base.neighbors(v) if frozenset((v, w)) not in self._dropped]
@@ -69,7 +75,7 @@ class MutatedGraph:
         return sorted(set(out))
 
     def is_edge(self, a, b) -> bool:
-        pair = frozenset((DLVertex(*a), DLVertex(*b)))
+        pair = frozenset((tuple(a), tuple(b)))
         if pair in self._dropped:
             return False
         if any(frozenset(added) == pair for added in self._added):
@@ -82,7 +88,7 @@ def homogeneity_by_search(g, radius: int) -> tuple[str, str | None, dict | None]
     report on a graph with an interior: every interior ball after the first
     is sent to the exact search, with no neighbour-list pass in front."""
     L = g.params.layers
-    interior = [v for v in g.vertices() if radius <= v.height <= L - radius]
+    interior = [v for v in g.vertices() if radius <= v[0] <= L - radius]
     neighbor_cache: dict = {}
     reference = interior[0]
     reference_ball = verify._ball(g, reference, radius, neighbor_cache)

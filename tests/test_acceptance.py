@@ -17,10 +17,8 @@ import pytest
 from dlgraph import (
     DLGraph,
     DLParams,
-    DLVertex,
     ExportOptions,
     LayeredTree,
-    TreeAddress,
     build_scene,
     check_degree_law,
     check_lamplighter,
@@ -77,7 +75,7 @@ def test_criterion_02_busemann_worked_example():
     """In the binary tree with basepoint (2,0) and x = (3,2): d(x,c) = 2,
     d(o,c) = 1, relative height 1.  Exact integers."""
     tree = LayeredTree(2, 3)
-    x, o = TreeAddress(3, 2), TreeAddress(2, 0)
+    x, o = (3, 2), (2, 0)
     c = tree.confluent(x, o)
     assert tree.distance(x, c) == 2
     assert tree.distance(o, c) == 1
@@ -106,7 +104,7 @@ def test_criterion_04_degree_law_and_connectivity():
                 g = DLGraph(DLParams(p, q, layers))
                 result = check_degree_law(g)
                 assert result.status == "pass", result.counterexample
-                assert len(bfs_reach(g, DLVertex(0, 0, 0))) == g.params.vertex_count
+                assert len(bfs_reach(g, (0, 0, 0))) == g.params.vertex_count
     g = DLGraph(DLParams(2, 3, 3))
     dropped = MutatedGraph(g, drop_edges=[next(g.edges())])
     assert check_degree_law(dropped).status == "fail"
@@ -115,7 +113,7 @@ def test_criterion_04_degree_law_and_connectivity():
     # disconnect one vertex entirely: BFS no longer reaches everything
     isolated = MutatedGraph(g, drop_edges=[((1, 0, 0), (0, 0, c)) for c in range(3)]
                                           + [((2, c, 0), (1, 0, 0)) for c in range(2)])
-    assert len(bfs_reach(isolated, DLVertex(0, 0, 0))) < g.params.vertex_count
+    assert len(bfs_reach(isolated, (0, 0, 0))) < g.params.vertex_count
     announce("04 degree law and connectivity")
 
 
@@ -146,7 +144,7 @@ def test_criterion_07_duality():
     for p, q, layers in [(2, 3, 3), (3, 2, 3), (2, 2, 2), (2, 4, 2), (3, 3, 2)]:
         g = DLGraph(DLParams(p, q, layers))
         flipped = DLGraph(DLParams(q, p, layers))
-        flip = lambda v: DLVertex(layers - v.height, v.brown, v.orange)  # noqa: E731
+        flip = lambda v: (layers - v[0], v[2], v[1])  # noqa: E731
         assert {flip(v) for v in g.vertices()} == set(flipped.vertices())
         mapped = Counter(frozenset((flip(a), flip(b))) for a, b in g.edges())
         assert mapped == Counter(frozenset((a, b)) for a, b in flipped.edges())

@@ -10,9 +10,22 @@ from collections import Counter, deque
 import pytest
 
 import dlgraph
-from dlgraph import CapExceededError, DLGraph, DLParams, DLVertex, LayeredTree
+from dlgraph import (
+    CapExceededError,
+    DLGraph,
+    DLParams,
+    ExportOptions,
+    LayeredTree,
+    brown_position,
+    check_local_homogeneity,
+    dl_position,
+    format_number,
+    invert_doubled_position,
+    orange_position,
+    run_checks,
+)
 
-from support import Index
+from support import Index, is_int_tuple
 
 
 def closed_form_vertices(p, q, layers):
@@ -100,6 +113,47 @@ def test_cap_messages_name_ints_too_long_for_str_by_bit_length():
     assert str(caught.value) == "level <16610-bit int> would hold at least 2**<16610-bit int> vertices (cap: 1048576)"
 
 
+HUGE = 10**5000  # more digits than str() prints by default, 16610 bits
+PARAMS = DLParams(2, 3, 3)
+RANGE_MESSAGES = {
+    "DLParams-p": (lambda: DLParams(-HUGE, 3, 3), "p must be >= 2, got -<16610-bit int>"),
+    "DLParams-q": (lambda: DLParams(2, -HUGE, 3), "q must be >= 2, got -<16610-bit int>"),
+    "DLParams-layers": (lambda: DLParams(2, 3, -HUGE), "layers must be >= 1, got -<16610-bit int>"),
+    "LayeredTree-branching": (lambda: LayeredTree(-HUGE, 3), "branching must be >= 2, got -<16610-bit int>"),
+    "LayeredTree-layers": (lambda: LayeredTree(2, -HUGE), "layers must be >= 1, got -<16610-bit int>"),
+    "level_size": (lambda: LayeredTree(2, 3).level_size(HUGE), "level <16610-bit int> outside [0, 3]"),
+    "tree-validate-level": (lambda: LayeredTree(2, 3).validate((-HUGE, 0)), "level -<16610-bit int> outside [0, 3]"),
+    "tree-validate-index": (lambda: LayeredTree(2, 3).validate((1, HUGE)),
+                            "index <16610-bit int> outside [0, 2**1) at level 1"),
+    "tree-validate-branching": (lambda: LayeredTree(HUGE, 1, level_cap=HUGE).validate((1, -1)),
+                                "index -1 outside [0, <16610-bit int>**1) at level 1"),
+    "graph-validate-height": (lambda: DLGraph(PARAMS).validate((HUGE, 0, 0)), "height <16610-bit int> outside [0, 3]"),
+    "graph-validate-orange": (lambda: DLGraph(PARAMS).validate((1, -HUGE, 0)),
+                              "orange index -<16610-bit int> invalid at height 1"),
+    "graph-validate-brown": (lambda: DLGraph(PARAMS).validate((1, 0, HUGE)),
+                             "brown index <16610-bit int> invalid at height 1"),
+    "orange_position": (lambda: orange_position(2, 3, HUGE, 0), "level <16610-bit int> outside [0, 3]"),
+    "brown_position": (lambda: brown_position(3, 3, 1, -HUGE), "index -<16610-bit int> invalid at drawn height 1"),
+    "dl_position": (lambda: dl_position(PARAMS, (1, HUGE, 0)), "index <16610-bit int> invalid at level 1"),
+    "invert_doubled_position": (lambda: invert_doubled_position(PARAMS, (2 * HUGE + 1, 0, 0)),
+                                "x = <16611-bit int>/2 is not an orange node position at height 0"),
+    "ExportOptions-high": (lambda: ExportOptions(decimal_digits=HUGE), "decimal_digits must be <= 1000, got <16610-bit int>"),
+    "ExportOptions-low": (lambda: ExportOptions(decimal_digits=-HUGE), "decimal_digits must be >= 1, got -<16610-bit int>"),
+    "format_number-high": (lambda: format_number(1, HUGE), "digits must be <= 1000, got <16610-bit int>"),
+    "format_number-low": (lambda: format_number(1, -HUGE), "digits must be >= 0, got -<16610-bit int>"),
+    "run_checks-radius": (lambda: run_checks(DLGraph(PARAMS), radius=HUGE), "radius must be in [1, 3], got <16610-bit int>"),
+    "check_local_homogeneity-radius": (lambda: check_local_homogeneity(DLGraph(PARAMS), -HUGE),
+                                       "radius must be >= 1, got -<16610-bit int>"),
+}
+
+
+@pytest.mark.parametrize("call,message", RANGE_MESSAGES.values(), ids=RANGE_MESSAGES.keys())
+def test_range_messages_name_ints_too_long_for_str_by_bit_length(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def test_edge_count_is_capped_at_layers_times_vertex_cap():
     # DL(8,8) L=2: 192 vertices and 1024 edges, so a vertex cap of 512 admits exactly 2 x 512 edges
     assert DLParams(8, 8, 2, vertex_cap=512).edge_count == 1024  # an edge count equal to the bound is admitted
@@ -162,9 +216,9 @@ def test_neighbors_example():
 def test_boundary_degrees():
     g = DLGraph(DLParams(2, 3, 3))
     for v in g.vertices():
-        if v.height == 0:
+        if v[0] == 0:
             assert len(g.neighbors(v)) == 2
-        elif v.height == g.layers:
+        elif v[0] == g.layers:
             assert len(g.neighbors(v)) == 3
 
 
@@ -192,14 +246,15 @@ def test_neighbors_agree_with_is_edge(p, q, layers):
 def test_degree_law(p, q, layers):
     g = DLGraph(DLParams(p, q, layers))
     for v in g.vertices():
-        expected = (q if v.height > 0 else 0) + (p if v.height < layers else 0)
+        h, _, _ = v
+        expected = (q if h > 0 else 0) + (p if h < layers else 0)
         assert len(g.neighbors(v)) == expected
 
 
 def test_every_edge_changes_height_by_one():
     g = DLGraph(DLParams(3, 2, 3))
     for a, b in g.edges():
-        assert a.height - b.height == 1
+        assert a[0] - b[0] == 1
 
 
 def test_validation():
@@ -226,32 +281,46 @@ def test_validation_rejects_non_integer_components(vertex):
 
 def test_validation_returns_checked_vertices():
     g = DLGraph(DLParams(2, 3, 3))
-    v = DLVertex(1, 1, 2)
-    assert g.validate(v) is v  # already a DLVertex of ints: handed back as is
-    for given in [(1, 1, 2), [1, 1, 2], DLVertex(1, Index(1), 2), (Index(1), 1, Index(2))]:
+    v = (1, 1, 2)
+    for given in [v, [1, 1, 2], (1, Index(1), 2), (Index(1), 1, Index(2))]:
         got = g.validate(given)
-        assert got == v and type(got) is DLVertex
-        assert all(type(c) is int for c in got)
-    assert g.neighbors(DLVertex(Index(1), 1, 2)) == g.neighbors(v)
-    assert g.is_edge(DLVertex(1, 0, Index(0)), (0, 0, 2))
-    assert g.bfs_distance(DLVertex(3, Index(0), 0), (3, 1, 0)) == 2
+        assert got == v and is_int_tuple(got, 3)
+    assert g.neighbors((Index(1), 1, 2)) == g.neighbors(v)
+    assert g.is_edge((1, 0, Index(0)), (0, 0, 2))
+    assert g.bfs_distance((3, Index(0), 0), (3, 1, 0)) == 2
 
 
-# DLVertex instances take the fast path of validate; each must fail exactly as a plain tuple does.
+def test_every_query_returns_plain_int_tuples():
+    g = DLGraph(DLParams(2, 3, 3))
+    assert all(is_int_tuple(v, 3) for v in g.vertices())
+    assert all(is_int_tuple(a, 3) and is_int_tuple(b, 3) for a, b in g.edges())
+    assert all(is_int_tuple(w, 3) for v in g.vertices() for w in g.neighbors(v))
+
+
+@pytest.mark.parametrize("vertex", [(1, 0), (1, 0, 0, 0), [], "10"], ids=["pair", "quadruple", "empty", "string"])
+def test_vertices_of_the_wrong_length_are_rejected_by_unpacking(vertex):
+    g = DLGraph(DLParams(2, 3, 3))
+    assert vertex not in g
+    with pytest.raises(ValueError, match=r"^(too many|not enough) values to unpack \(expected 3"):
+        g.validate(vertex)
+    with pytest.raises(ValueError, match="values to unpack"):
+        g.neighbors(vertex)
+
+
 BAD_VERTICES = [
-    (DLVertex(1.0, 0, 0), TypeError, r"^height must be an integer, got 1\.0$"),
-    (DLVertex(True, 0, 0), TypeError, r"^height must be an integer, got True$"),
-    (DLVertex(1, 0.0, 0), TypeError, r"^orange index must be an integer, got 0\.0$"),
-    (DLVertex(1, False, 0), TypeError, r"^orange index must be an integer, got False$"),
-    (DLVertex(1, 0, 1.5), TypeError, r"^brown index must be an integer, got 1\.5$"),
-    (DLVertex(1, 0, True), TypeError, r"^brown index must be an integer, got True$"),
-    (DLVertex(-1, 0, 0), ValueError, r"^height -1 outside \[0, 3\]$"),
-    (DLVertex(4, 0, 0), ValueError, r"^height 4 outside \[0, 3\]$"),
-    (DLVertex(1, -1, 0), ValueError, r"^orange index -1 invalid at height 1$"),
-    (DLVertex(1, 2, 0), ValueError, r"^orange index 2 invalid at height 1$"),
-    (DLVertex(1, 0, -1), ValueError, r"^brown index -1 invalid at height 1$"),
-    (DLVertex(1, 0, 9), ValueError, r"^brown index 9 invalid at height 1$"),
-    (DLVertex(Index(1), 2, 0), ValueError, r"^orange index 2 invalid at height 1$"),
+    ((1.0, 0, 0), TypeError, r"^height must be an integer, got 1\.0$"),
+    ((True, 0, 0), TypeError, r"^height must be an integer, got True$"),
+    ((1, 0.0, 0), TypeError, r"^orange index must be an integer, got 0\.0$"),
+    ((1, False, 0), TypeError, r"^orange index must be an integer, got False$"),
+    ((1, 0, 1.5), TypeError, r"^brown index must be an integer, got 1\.5$"),
+    ((1, 0, True), TypeError, r"^brown index must be an integer, got True$"),
+    ((-1, 0, 0), ValueError, r"^height -1 outside \[0, 3\]$"),
+    ((4, 0, 0), ValueError, r"^height 4 outside \[0, 3\]$"),
+    ((1, -1, 0), ValueError, r"^orange index -1 invalid at height 1$"),
+    ((1, 2, 0), ValueError, r"^orange index 2 invalid at height 1$"),
+    ((1, 0, -1), ValueError, r"^brown index -1 invalid at height 1$"),
+    ((1, 0, 9), ValueError, r"^brown index 9 invalid at height 1$"),
+    ((Index(1), 2, 0), ValueError, r"^orange index 2 invalid at height 1$"),
 ]
 
 
@@ -261,7 +330,7 @@ BAD_VERTICES = [
                               "orange-too-high", "negative-brown", "brown-too-high", "index-object-height-bad-orange"])
 def test_every_query_rejects_bad_vertices(vertex, error, message):
     g = DLGraph(DLParams(2, 3, 3))
-    good = DLVertex(0, 0, 0)
+    good = (0, 0, 0)
     assert vertex not in g
     queries = [
         g.validate,
@@ -275,7 +344,7 @@ def test_every_query_rejects_bad_vertices(vertex, error, message):
         with pytest.raises(error, match=message):
             query(vertex)
         with pytest.raises(error, match=message):
-            query(tuple(vertex))
+            query(list(vertex))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +381,7 @@ def test_connected_from_every_vertex(p, q, layers):
 
 def test_connected_at_reference_size():
     g = DLGraph(DLParams(2, 3, 3))
-    assert len(reachable_from(g, DLVertex(0, 0, 0))) == 65
+    assert len(reachable_from(g, (0, 0, 0))) == 65
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +418,8 @@ def test_duality_flip_is_an_isomorphism(p, q, layers):
     flipped = DLGraph(DLParams(q, p, layers))
 
     def flip(v):
-        return DLVertex(layers - v.height, v.brown, v.orange)
+        h, j, k = v
+        return layers - h, k, j
 
     mapped_vertices = {flip(v) for v in g.vertices()}
     assert mapped_vertices == set(flipped.vertices())

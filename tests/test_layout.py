@@ -12,7 +12,6 @@ import pytest
 from dlgraph import (
     DLGraph,
     DLParams,
-    DLVertex,
     KIND_DL,
     KIND_TREE_P,
     KIND_TREE_Q,
@@ -52,10 +51,11 @@ def test_dl_positions_compose_the_tree_positions():
     for k0 in range(27):
         assert dl_position(params, (0, 0, k0)) == (Fraction(7, 2), k0, 0)
     for v in DLGraph(params).vertices():
+        h, j, k = v
         pos = dl_position(params, v)
-        assert pos.x == orange_position(2, 3, v.height, v.orange).x
-        assert pos.y == brown_position(3, 3, v.height, v.brown).y
-        assert pos.z == v.height
+        assert pos.x == orange_position(2, 3, h, j).x
+        assert pos.y == brown_position(3, 3, h, k).y
+        assert pos.z == h
 
 
 def test_position_validation():
@@ -217,10 +217,10 @@ def test_scene_endpoints_are_the_public_positions(p, q, layers):
             if seg.kind == KIND_DL:
                 expected = dl_position(params, invert_doubled_position(params, point))
             elif seg.kind == KIND_TREE_P:
-                j = invert_doubled_position(params, (point[0], int(2 * brown_position(q, layers, h, 0).y), point[2])).orange
+                _, j, _ = invert_doubled_position(params, (point[0], int(2 * brown_position(q, layers, h, 0).y), point[2]))
                 expected = orange_position(p, layers, h, j)
             else:
-                k = invert_doubled_position(params, (int(2 * orange_position(p, layers, h, 0).x), point[1], point[2])).brown
+                _, _, k = invert_doubled_position(params, (int(2 * orange_position(p, layers, h, 0).x), point[1], point[2]))
                 expected = brown_position(q, layers, h, k)
             assert point == tuple(2 * c for c in expected)
             assert [type(c) for c in expected] == [Fraction] * 3
@@ -248,7 +248,7 @@ def test_dl_segments_invert_to_the_edge_set(p, q, layers):
             continue
         va = invert_doubled_position(g.params, seg.a)
         vb = invert_doubled_position(g.params, seg.b)
-        top, bottom = (va, vb) if va.height > vb.height else (vb, va)
+        top, bottom = (va, vb) if va[0] > vb[0] else (vb, va)
         inverted[(top, bottom)] += 1
     expected = Counter((a, b) for a, b in g.edges())
     assert inverted == expected
@@ -265,7 +265,7 @@ def test_inversion_round_trips_vertices(p, q, layers):
 
 def test_doubled_inversion_rejects_off_lattice_and_non_int_coordinates():
     params = DLParams(2, 3, 3)
-    assert invert_doubled_position(params, (3, 2, 2)) == DLVertex(1, 0, 0)
+    assert invert_doubled_position(params, (3, 2, 2)) == (1, 0, 0)
     # the messages name the undoubled coordinate
     with pytest.raises(ValueError, match=r"^z = 1/2 is not a drawing height$"):
         invert_doubled_position(params, (3, 2, 1))

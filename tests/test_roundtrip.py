@@ -21,7 +21,6 @@ from dlgraph import (
     DLParams,
     ExportOptions,
     LayeredTree,
-    TreeAddress,
     brown_position,
     build_scene,
     dl_position,
@@ -134,11 +133,11 @@ def tree_edges(params: DLParams) -> dict:
     """Both trees' edges from ``LayeredTree``, as (upper node, lower node) in drawn heights."""
     L = params.layers
     orange, brown = LayeredTree(params.p, L), LayeredTree(params.q, L)
-    p_edges = {((h + 1, c.index), (h, j)) for h in range(L) for j in range(params.p**h)
-               for c in orange.successors(TreeAddress(h, j))}
+    p_edges = {((h + 1, c), (h, j)) for h in range(L) for j in range(params.p**h)
+               for _, c in orange.successors((h, j))}
     # the brown tree hangs downward: internal level l is drawn at height L - l
-    q_edges = {((L - l, k), (L - l - 1, c.index)) for l in range(L) for k in range(params.q**l)
-               for c in brown.successors(TreeAddress(l, k))}
+    q_edges = {((L - l, k), (L - l - 1, c)) for l in range(L) for k in range(params.q**l)
+               for _, c in brown.successors((l, k))}
     return {KIND_TREE_P: p_edges, KIND_TREE_Q: q_edges}
 
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlgraph import CapExceededError, LayeredTree, TreeAddress
+from dlgraph import ROOT, CapExceededError, LayeredTree
 
-from support import Index
+from support import Index, is_int_tuple
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,7 @@ def bfs_distances(branching, layers, source):
 
 
 def addresses(tree):
-    return [TreeAddress(level, index) for level in range(tree.layers + 1) for index in range(tree.branching**level)]
+    return [(level, index) for level in range(tree.layers + 1) for index in range(tree.branching**level)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,29 +130,48 @@ def test_validate_rejects_non_integer_components(address):
 
 def test_validate_returns_checked_addresses():
     tree = LayeredTree(2, 3)
-    a = TreeAddress(2, 3)
-    assert tree.validate(a) is a  # already a TreeAddress of ints: handed back as is
-    for given in [(2, 3), [2, 3], TreeAddress(Index(2), 3), (2, Index(3))]:
+    a = (2, 3)
+    for given in [a, [2, 3], (Index(2), 3), (2, Index(3))]:
         got = tree.validate(given)
-        assert got == a and type(got) is TreeAddress
-        assert all(type(c) is int for c in got)
-    assert tree.confluent(TreeAddress(Index(2), 3), (3, 7)) == (2, 3)
-    assert tree.distance(TreeAddress(2, Index(3)), (0, 0)) == 2
-    assert tree.busemann(TreeAddress(Index(2), 3), TreeAddress(1, Index(0))) == 1
+        assert got == a and is_int_tuple(got, 2)
+    assert tree.confluent((Index(2), 3), (3, 7)) == (2, 3)
+    assert tree.distance((2, Index(3)), (0, 0)) == 2
+    assert tree.busemann((Index(2), 3), (1, Index(0))) == 1
 
 
-# TreeAddress instances take the fast path of validate; each must fail exactly as a plain tuple does.
+def test_every_query_returns_plain_int_pairs():
+    tree = LayeredTree(2, 3)
+    verts = list(tree.vertices())
+    assert verts == addresses(tree) and all(is_int_tuple(a, 2) for a in verts)
+    assert ROOT == (0, 0) and is_int_tuple(ROOT, 2)
+    for a in verts:
+        assert is_int_tuple(tree.predecessor(a), 2) if a[0] > 0 else tree.predecessor(a) is None
+        assert all(is_int_tuple(c, 2) for c in tree.successors(a))
+        assert all(is_int_tuple(x, 2) for k in range(-3, 4) for x in tree.horocycle(a, k))
+        assert all(is_int_tuple(tree.confluent(a, b), 2) for b in verts)
+
+
+@pytest.mark.parametrize("address", [(1,), (1, 0, 0), [], "1"], ids=["single", "triple", "empty", "string"])
+def test_addresses_of_the_wrong_length_are_rejected_by_unpacking(address):
+    tree = LayeredTree(2, 3)
+    assert address not in tree
+    with pytest.raises(ValueError, match=r"^(too many|not enough) values to unpack \(expected 2"):
+        tree.validate(address)
+    with pytest.raises(ValueError, match="values to unpack"):
+        tree.successors(address)
+
+
 BAD_ADDRESSES = [
-    (TreeAddress(1.5, 0), TypeError, r"^level must be an integer, got 1\.5$"),
-    (TreeAddress(1.0, 0), TypeError, r"^level must be an integer, got 1\.0$"),
-    (TreeAddress(True, 0), TypeError, r"^level must be an integer, got True$"),
-    (TreeAddress(1, 0.0), TypeError, r"^index must be an integer, got 0\.0$"),
-    (TreeAddress(1, False), TypeError, r"^index must be an integer, got False$"),
-    (TreeAddress(-1, 0), ValueError, r"^level -1 outside \[0, 3\]$"),
-    (TreeAddress(4, 0), ValueError, r"^level 4 outside \[0, 3\]$"),
-    (TreeAddress(2, -1), ValueError, r"^index -1 outside \[0, 2\*\*2\) at level 2$"),
-    (TreeAddress(2, 4), ValueError, r"^index 4 outside \[0, 2\*\*2\) at level 2$"),
-    (TreeAddress(Index(2), 4), ValueError, r"^index 4 outside \[0, 2\*\*2\) at level 2$"),
+    ((1.5, 0), TypeError, r"^level must be an integer, got 1\.5$"),
+    ((1.0, 0), TypeError, r"^level must be an integer, got 1\.0$"),
+    ((True, 0), TypeError, r"^level must be an integer, got True$"),
+    ((1, 0.0), TypeError, r"^index must be an integer, got 0\.0$"),
+    ((1, False), TypeError, r"^index must be an integer, got False$"),
+    ((-1, 0), ValueError, r"^level -1 outside \[0, 3\]$"),
+    ((4, 0), ValueError, r"^level 4 outside \[0, 3\]$"),
+    ((2, -1), ValueError, r"^index -1 outside \[0, 2\*\*2\) at level 2$"),
+    ((2, 4), ValueError, r"^index 4 outside \[0, 2\*\*2\) at level 2$"),
+    ((Index(2), 4), ValueError, r"^index 4 outside \[0, 2\*\*2\) at level 2$"),
 ]
 
 
@@ -162,7 +181,7 @@ BAD_ADDRESSES = [
                               "index-object-level-bad-index"])
 def test_every_query_rejects_bad_addresses(address, error, message):
     tree = LayeredTree(2, 3)
-    good = TreeAddress(1, 0)
+    good = (1, 0)
     assert address not in tree
     queries = [
         tree.validate,
@@ -180,7 +199,7 @@ def test_every_query_rejects_bad_addresses(address, error, message):
         with pytest.raises(error, match=message):
             query(address)
         with pytest.raises(error, match=message):
-            query(tuple(address))
+            query(list(address))
 
 
 def test_level_sizes():
@@ -222,13 +241,13 @@ def test_predecessor_successor_duality(branching, layers):
     tree = LayeredTree(branching, layers)
     for a in addresses(tree):
         children = tree.successors(a)
-        if a.level < layers:
+        if a[0] < layers:
             assert len(children) == branching
             for child in children:
                 assert tree.predecessor(child) == a
         else:
             assert children == []
-        if a.level > 0:
+        if a[0] > 0:
             assert a in tree.successors(tree.predecessor(a))
 
 
@@ -255,7 +274,7 @@ def test_confluent_properties_and_oracle(branching, layers):
         for b in verts:
             c = tree.confluent(a, b)
             assert c == tree.confluent(b, a)
-            assert c.level <= min(a.level, b.level)
+            assert c[0] <= min(a[0], b[0])
             assert c == confluent_oracle(a, b, branching)
             # lies on both predecessor chains
             assert tuple(c) in chain_to_root(a, branching)
@@ -304,7 +323,7 @@ def test_distance_is_a_metric(layers):
 
 def test_busemann_worked_example():
     tree = LayeredTree(2, 3)
-    x, o = TreeAddress(3, 2), TreeAddress(2, 0)
+    x, o = (3, 2), (2, 0)
     c = tree.confluent(x, o)
     assert c == (1, 0)
     assert tree.distance(x, c) == 2
@@ -323,8 +342,8 @@ def test_busemann_at_basepoint_is_zero():
 def test_busemann_from_root_is_level(branching, layers):
     tree = LayeredTree(branching, layers)
     for a in addresses(tree):
-        assert tree.busemann(a) == a.level
-        assert tree.busemann(a, (0, 0)) == a.level
+        assert tree.busemann(a) == a[0]
+        assert tree.busemann(a, (0, 0)) == a[0]
 
 
 def test_busemann_basepoint_change_is_constant():
@@ -368,7 +387,7 @@ def test_busemann_and_horocycles_exhaustively(branching, layers):
 
 def test_horocycles_partition_the_vertex_set():
     tree = LayeredTree(3, 3)
-    o = TreeAddress(2, 4)
+    o = (2, 4)
     collected = []
     for k in range(-tree.layers, tree.layers + 1):
         level_set = tree.horocycle(o, k)
@@ -395,10 +414,10 @@ def address_in(tree):
 @given(data=st.data())
 def test_distance_symmetry_and_confluent_consistency(data):
     tree = data.draw(small_tree)
-    a = TreeAddress(*data.draw(address_in(tree)))
-    b = TreeAddress(*data.draw(address_in(tree)))
+    a = data.draw(address_in(tree))
+    b = data.draw(address_in(tree))
     c = tree.confluent(a, b)
-    assert tree.distance(a, b) == tree.distance(b, a) == (a.level - c.level) + (b.level - c.level)
+    assert tree.distance(a, b) == tree.distance(b, a) == (a[0] - c[0]) + (b[0] - c[0])
     assert c == confluent_oracle(a, b, tree.branching)
 
 
@@ -408,7 +427,7 @@ def test_busemann_cocycle(data):
     # b(x, o) = b(x, o2) + b(o2, o): a change of basepoint shifts every
     # relative height by the same constant
     tree = data.draw(st.tuples(st.integers(2, 3), st.integers(1, 8)).map(lambda t: LayeredTree(*t)))
-    x, o, o2 = (TreeAddress(*data.draw(address_in(tree))) for _ in range(3))
+    x, o, o2 = (data.draw(address_in(tree)) for _ in range(3))
     assert tree.busemann(x, o) == tree.busemann(x, o2) + tree.busemann(o2, o)
 
 
@@ -416,7 +435,7 @@ def test_busemann_cocycle(data):
 @pytest.mark.parametrize("layers", [1, 2, 3, 4])
 def test_top_level_is_one_horocycle(branching, layers):
     tree = LayeredTree(branching, layers)
-    top = [TreeAddress(layers, index) for index in range(branching**layers)]
+    top = [(layers, index) for index in range(branching**layers)]
     for o in top:
         assert all(tree.busemann(x, o) == 0 for x in top)
 
@@ -425,7 +444,7 @@ def test_top_level_is_one_horocycle(branching, layers):
 @given(data=st.data())
 def test_busemann_formula_against_parts(data):
     tree = data.draw(small_tree)
-    x = TreeAddress(*data.draw(address_in(tree)))
-    o = TreeAddress(*data.draw(address_in(tree)))
+    x = data.draw(address_in(tree))
+    o = data.draw(address_in(tree))
     c = tree.confluent(x, o)
     assert tree.busemann(x, o) == tree.distance(x, c) - tree.distance(o, c)

@@ -15,7 +15,6 @@ from dlgraph import (
     CheckResult,
     DLGraph,
     DLParams,
-    DLVertex,
     Scene3D,
     Segment,
     brown_position,
@@ -130,7 +129,7 @@ class RepeatedNeighbor:
     def __init__(self, base: DLGraph, w):
         self.base = base
         self.params = base.params
-        self.w = DLVertex(*w)
+        self.w = tuple(w)
 
     def vertices(self):
         return self.base.vertices()
@@ -138,7 +137,7 @@ class RepeatedNeighbor:
     def edges(self):
         return self.base.edges()
 
-    def neighbors(self, v) -> list[DLVertex]:
+    def neighbors(self, v) -> list[tuple]:
         near = self.base.neighbors(v)
         return [near[0], *near] if v == self.w else near
 
@@ -247,16 +246,16 @@ class SwappedNames:
     def __init__(self, base: DLGraph, a, b):
         self.base = base
         self.params = base.params
-        self.swap = {DLVertex(*a): DLVertex(*b), DLVertex(*b): DLVertex(*a)}
+        self.swap = {tuple(a): tuple(b), tuple(b): tuple(a)}
 
-    def rename(self, v) -> DLVertex:
+    def rename(self, v) -> tuple:
         return self.swap.get(v, v)
 
     def vertices(self):
         return map(self.rename, self.base.vertices())
 
-    def neighbors(self, v) -> list[DLVertex]:
-        return [self.rename(w) for w in self.base.neighbors(self.rename(DLVertex(*v)))]
+    def neighbors(self, v) -> list[tuple]:
+        return [self.rename(w) for w in self.base.neighbors(self.rename(tuple(v)))]
 
 
 def _searched_centres(monkeypatch) -> list:
@@ -316,12 +315,12 @@ class ReversedNeighbors:
     def __init__(self, base: DLGraph, w):
         self.base = base
         self.params = base.params
-        self.w = DLVertex(*w)
+        self.w = tuple(w)
 
     def vertices(self):
         return self.base.vertices()
 
-    def neighbors(self, v) -> list[DLVertex]:
+    def neighbors(self, v) -> list[tuple]:
         near = self.base.neighbors(v)
         return near[::-1] if v == self.w else near
 
@@ -332,23 +331,23 @@ class OmittedVertex:
     def __init__(self, base: DLGraph, omitted):
         self.base = base
         self.params = base.params
-        self.omitted = DLVertex(*omitted)
+        self.omitted = tuple(omitted)
 
     def vertices(self):
         return (v for v in self.base.vertices() if v != self.omitted)
 
-    def neighbors(self, v) -> list[DLVertex]:
+    def neighbors(self, v) -> list[tuple]:
         return self.base.neighbors(v)
 
 
 def test_local_homogeneity_searches_only_balls_near_a_reordered_list(monkeypatch):
     # a list in another order is a difference, so every centre within r of w
     # is uncertified; its ball is still the undamaged ball, so the check passes
-    g, w, radius = graph(2, 2, 6), DLVertex(3, 5, 2), 2
+    g, w, radius = graph(2, 2, 6), (3, 5, 2), 2
     searched = _searched_centres(monkeypatch)
     result = check_local_homogeneity(ReversedNeighbors(g, w), radius)
     assert result.status == "pass"
-    interior = [v for v in g.vertices() if radius <= v.height <= 6 - radius]
+    interior = [v for v in g.vertices() if radius <= v[0] <= 6 - radius]
     assert searched == [v for v in interior[1:] if g.bfs_distance(v, w) <= radius]
     assert len(searched) == 7
 
@@ -361,7 +360,7 @@ def test_local_homogeneity_searches_every_ball_when_a_vertex_is_never_listed(mon
     result = check_local_homogeneity(g, 2)
     assert (result.status, result.counterexample, result.detail) == expected
     assert expected[0] == "pass"
-    assert searched == [v for v in g.vertices() if v.height == 2][1:]
+    assert searched == [v for v in g.vertices() if v[0] == 2][1:]
 
 
 # (p, q, layers) of the graphs the damage oracle compares at radius 1 and 2
@@ -427,7 +426,7 @@ def test_ball_search_agrees_with_networkx(case, damage, data):
     nx = pytest.importorskip("networkx")
     p, q, layers, radius = case
     g = graph(p, q, layers)
-    interior = [v for v in g.vertices() if radius <= v.height <= layers - radius]
+    interior = [v for v in g.vertices() if radius <= v[0] <= layers - radius]
     a, b = data.draw(st.sampled_from(interior)), data.draw(st.sampled_from(interior))
     names = sorted(_induced_ball(g, b, radius)[0])
     pairs = [(u, w) for i, u in enumerate(names) for w in names[i + 1 :]]
@@ -627,8 +626,8 @@ def test_lamp_encoding_move_semantics():
         f_bot, cur_bot = _lamp_state(bottom, b, layers)
         position = cur_top - 1
         assert cur_bot == position
-        assert f_top[position] == top.orange % b
-        assert f_bot[position] == bottom.brown % b
+        assert f_top[position] == top[1] % b
+        assert f_bot[position] == bottom[2] % b
         assert all(f_top[i] == f_bot[i] for i in range(layers) if i != position)
 
 
@@ -928,7 +927,7 @@ def test_mutated_graph_surface():
     assert edge[1] not in mutated.neighbors(edge[0])
     assert sum(1 for _ in mutated.edges()) == g.params.edge_count - 1
 
-    extra = DLVertex(0, 0, 99)
+    extra = (0, 0, 99)
     grown = MutatedGraph(g, add_vertices=[extra], add_edges=[(extra, (1, 0, 0))])
     assert extra in set(grown.vertices())
     assert grown.is_edge(extra, (1, 0, 0))
