@@ -7,9 +7,7 @@ from .layout import (
     KIND_DL,
     KIND_TREE_P,
     KIND_TREE_Q,
-    Point3,
     Scene3D,
-    Segment,
     brown_position,
     build_scene,
     dl_position,
@@ -43,10 +41,8 @@ __all__ = [
     "KIND_TREE_P",
     "KIND_TREE_Q",
     "LayeredTree",
-    "Point3",
     "ROOT",
     "Scene3D",
-    "Segment",
     "VerificationReport",
     "brown_position",
     "build_scene",

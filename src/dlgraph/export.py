@@ -196,19 +196,19 @@ def export_obj(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     """Wavefront OBJ: deduplicated ``v`` records, then per-kind ``g`` groups of ``l`` records."""
     digits = opts.decimal_digits
     grouped = {kind: [] for kind in KINDS}
-    for seg in scene.segments:
-        grouped[seg.kind].append(seg)
+    for segment in scene.segments:
+        grouped[segment[0]].append(segment)
 
     index: dict[tuple, int] = {}
     for kind in KINDS:
-        for seg in grouped[kind]:
-            for pt in (seg.a, seg.b):
+        for _, a, b in grouped[kind]:
+            for pt in (a, b):
                 if pt not in index:
                     index[pt] = len(index) + 1
     lines = ["v " + " ".join(_format_ratio(c, 2, digits) for c in pt) for pt in index]
     for kind in KINDS:
         lines.append(f"g {kind.replace('-', '_')}")
-        lines += [f"l {index[seg.a]} {index[seg.b]}" for seg in grouped[kind]]
+        lines += [f"l {index[a]} {index[b]}" for _, a, b in grouped[kind]]
     return "\n".join(lines) + "\n"
 
 

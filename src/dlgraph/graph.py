@@ -45,12 +45,9 @@ class DLParams:
     def __post_init__(self) -> None:
         for name in ("p", "q", "layers", "vertex_cap"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {_decimal(self.p)}")
-        if self.q < 2:
-            raise ValueError(f"q must be >= 2, got {_decimal(self.q)}")
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {_decimal(self.layers)}")
+        for name, low in (("p", 2), ("q", 2), ("layers", 1), ("vertex_cap", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {_decimal(getattr(self, name))}")
         subject = "DL({p},{q}) with layers={layers} holds {size}"
         numbers = {"p": self.p, "q": self.q, "layers": self.layers, "cap": self.vertex_cap}
         bits = self.layers * (max(self.p, self.q).bit_length() - 1)  # max(p, q)**layers >= 2**bits

@@ -23,7 +23,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from typing import NamedTuple
 
 from .graph import DLGraph, DLParams
 from .tree import _decimal, as_integer
@@ -36,26 +35,11 @@ KINDS = (KIND_TREE_P, KIND_TREE_Q, KIND_DL)
 DEFAULT_VIEW = (165, 10)
 
 
-class Point3(NamedTuple):
-    """Exact position returned by ``orange_position``, ``brown_position`` and ``dl_position``."""
-
-    x: Fraction
-    y: Fraction
-    z: Fraction
-
-
-class Segment(NamedTuple):
-    """One drawn line: its kind and the two doubled endpoints ``(2x, 2y, 2z)``, higher z first."""
-
-    kind: str
-    a: tuple[int, int, int]
-    b: tuple[int, int, int]
-
-
 @dataclass(frozen=True)
 class Scene3D:
-    """Typed edge segments, every endpoint the doubled int tuple ``(2x, 2y, 2z)``,
-    plus the view under which they are meant to be shown.
+    """Drawn lines as ``(kind, a, b)`` tuples, each endpoint the doubled int
+    tuple ``(2x, 2y, 2z)`` and ``a`` the higher one, plus the view under which
+    they are meant to be shown.
 
     ``view`` is (azimuth degrees, elevation degrees), two real numbers that
     fit a finite float, stored as a tuple; only exporters interpret it.
@@ -65,7 +49,7 @@ class Scene3D:
 
     params: DLParams
     view: tuple
-    segments: tuple[Segment, ...]
+    segments: tuple[tuple[str, tuple[int, int, int], tuple[int, int, int]], ...]
 
     def __post_init__(self) -> None:
         view = tuple(self.view)
@@ -111,32 +95,32 @@ def coordinate_rows(params: DLParams) -> tuple[list[list[int]], list[list[int]]]
     return xs, ys
 
 
-def orange_position(p: int, layers: int, level: int, index: int) -> Point3:
+def orange_position(p: int, layers: int, level: int, index: int) -> tuple[Fraction, Fraction, Fraction]:
     """Position of orange node ``index`` at ``level``, in the plane y = 0."""
     level, index = as_integer(level, "level"), as_integer(index, "index")
     if not 0 <= level <= layers:
         raise ValueError(f"level {_decimal(level)} outside [0, {layers}]")
     if not 0 <= index < p**level:
         raise ValueError(f"index {_decimal(index)} invalid at level {level}")
-    return Point3(Fraction(_coordinate(p ** (layers - level), index), 2), Fraction(0), Fraction(level))
+    return Fraction(_coordinate(p ** (layers - level), index), 2), Fraction(0), Fraction(level)
 
 
-def brown_position(q: int, layers: int, height: int, index: int) -> Point3:
+def brown_position(q: int, layers: int, height: int, index: int) -> tuple[Fraction, Fraction, Fraction]:
     """Position of the brown node ``index`` drawn at ``height``, in the plane x = 0."""
     height, index = as_integer(height, "height"), as_integer(index, "index")
     if not 0 <= height <= layers:
         raise ValueError(f"height {_decimal(height)} outside [0, {layers}]")
     if not 0 <= index < q ** (layers - height):
         raise ValueError(f"index {_decimal(index)} invalid at drawn height {height}")
-    return Point3(Fraction(0), Fraction(_coordinate(q**height, index), 2), Fraction(height))
+    return Fraction(0), Fraction(_coordinate(q**height, index), 2), Fraction(height)
 
 
-def dl_position(params: DLParams, vertex) -> Point3:
+def dl_position(params: DLParams, vertex) -> tuple[Fraction, Fraction, Fraction]:
     """Position of a DL vertex: orange x, brown y, height z."""
     h, j, k = vertex
-    orange = orange_position(params.p, params.layers, h, j)
-    by = brown_position(params.q, params.layers, h, k).y
-    return Point3(orange.x, by, orange.z)
+    x, _, z = orange_position(params.p, params.layers, h, j)
+    _, y, _ = brown_position(params.q, params.layers, h, k)
+    return x, y, z
 
 
 def invert_doubled_position(params: DLParams, point) -> tuple[int, int, int]:
@@ -170,7 +154,7 @@ def invert_tree_position(params: DLParams, kind: str, point) -> tuple[int, int]:
 
 
 def build_scene(graph: DLGraph, view=DEFAULT_VIEW) -> Scene3D:
-    """Lay out the graph as typed segments, in drawing order.
+    """Lay out the graph as ``(kind, a, b)`` segments, in drawing order.
 
     One pass per height step n = 1..layers: first every orange parent-child
     edge at that step (parents left to right, then children), then the brown
@@ -184,12 +168,12 @@ def build_scene(graph: DLGraph, view=DEFAULT_VIEW) -> Scene3D:
     for n in range(1, L + 1):
         x_top, x_bottom, z_top, z_bottom = xs[n], xs[n - 1], 2 * n, 2 * n - 2
         parents = [(x, 0, z_bottom) for x in x_bottom]
-        segments += [Segment(KIND_TREE_P, (x, 0, z_top), parents[j // p]) for j, x in enumerate(x_top)]
+        segments += [(KIND_TREE_P, (x, 0, z_top), parents[j // p]) for j, x in enumerate(x_top)]
         for k, y_top in enumerate(ys[n]):
             brown_top = (0, y_top, z_top)
             dl_tops = [(x, y_top, z_top) for x in x_top]
             for y in ys[n - 1][k * q : k * q + q]:
-                segments.append(Segment(KIND_TREE_Q, brown_top, (0, y, z_bottom)))
+                segments.append((KIND_TREE_Q, brown_top, (0, y, z_bottom)))
                 dl_bottoms = [(x, y, z_bottom) for x in x_bottom]
-                segments += [Segment(KIND_DL, top, dl_bottoms[j // p]) for j, top in enumerate(dl_tops)]
+                segments += [(KIND_DL, top, dl_bottoms[j // p]) for j, top in enumerate(dl_tops)]
     return Scene3D(params=params, view=view, segments=tuple(segments))

@@ -82,10 +82,9 @@ class LayeredTree:
     def __post_init__(self) -> None:
         for name in ("branching", "layers", "level_cap"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        if self.branching < 2:
-            raise ValueError(f"branching must be >= 2, got {_decimal(self.branching)}")
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {_decimal(self.layers)}")
+        for name, low in (("branching", 2), ("layers", 1), ("level_cap", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {_decimal(getattr(self, name))}")
         bits = self.layers * (self.branching.bit_length() - 1)  # branching**layers >= 2**bits
         check_cap("level {layers} would hold {size} vertices (cap: {cap})", bits, lambda: self.branching**self.layers,
                   self.level_cap, layers=self.layers, cap=self.level_cap)

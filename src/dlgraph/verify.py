@@ -149,7 +149,10 @@ def check_degree_law(g) -> dict:
     histogram: dict[int, int] = {}
     for v in g.vertices():
         h, _, _ = v
-        expected = (q if h > 0 else 0) + (p if h < L else 0)
+        try:
+            expected = (q if h > 0 else 0) + (p if h < L else 0)
+        except TypeError:  # a height that does not compare with ints
+            raise _Fail(f"vertex {tuple(v)} has height {h!r}, not an int")
         actual = len(g.neighbors(v))
         histogram[actual] = histogram.get(actual, 0) + 1
         if actual != expected:
@@ -320,8 +323,11 @@ def check_local_homogeneity(g, radius: int) -> dict:
     interior, neighbor_cache, near_damage, compared = [], {}, set(), 0
     for v in g.vertices():
         h, _, _ = v
-        if radius <= h <= L - radius:
-            interior.append(v)
+        try:
+            if radius <= h <= L - radius:
+                interior.append(v)
+        except TypeError:  # a height that does not compare with ints
+            raise _Fail(f"vertex {tuple(v)} has height {h!r}, not an int")
         if v in neighbor_cache:  # a vertex listed twice keeps its first list
             continue
         near = neighbor_cache[v] = tuple(g.neighbors(v))
@@ -505,15 +511,14 @@ def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> Verification
     parameters stay usable.  ``radius`` is capped at :data:`MAX_BALL_RADIUS`
     to keep the balls small for the exact search of :func:`_balls_isomorphic`.
     """
-    if names is None:
-        selected = list(CHECKS)
-    else:
-        selected = []
-        for raw in names:
-            key = raw.removeprefix("check_")
-            if key not in CHECKS:
-                raise ValueError(f"unknown check {raw!r}; available: {', '.join(CHECKS)}")
-            selected.append(key)
+    if isinstance(names, str):
+        raise TypeError(f"names must be a collection of check names, not the string {names!r}")
+    selected = []
+    for raw in CHECKS if names is None else names:
+        key = raw.removeprefix("check_")
+        if key not in CHECKS:
+            raise ValueError(f"unknown check {raw!r}; available: {', '.join(CHECKS)}")
+        selected.append(key)
     radius = as_integer(radius, "radius")
     if not 1 <= radius <= MAX_BALL_RADIUS:
         raise ValueError(f"radius must be in [1, {MAX_BALL_RADIUS}], got {_decimal(radius)}")

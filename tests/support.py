@@ -159,10 +159,10 @@ def reference_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     camera = _camera(az, el)
     projected = {kind: [] for kind in stroke}
     us, vs = [], []
-    for seg in scene.segments:
-        ua, va = _project([Fraction(c, 2) for c in seg.a], camera)
-        ub, vb = _project([Fraction(c, 2) for c in seg.b], camera)
-        projected[seg.kind].append((ua, va, ub, vb))
+    for kind, a, b in scene.segments:
+        ua, va = _project([Fraction(c, 2) for c in a], camera)
+        ub, vb = _project([Fraction(c, 2) for c in b], camera)
+        projected[kind].append((ua, va, ub, vb))
         us += [ua, ub]
         vs += [va, vb]
     if not us:

@@ -218,6 +218,14 @@ def test_cap_exceeded_exits_three(capsys):
     assert "vertices: 28672" in out
 
 
+@pytest.mark.parametrize("cap", ["-1", "-5"])
+def test_negative_cap_exits_two(capsys, cap):
+    code, out, err = run(capsys, "stats", "--cap", cap)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: vertex_cap must be >= 0, got {cap}\n"
+
+
 @pytest.mark.parametrize("layers", ["100000", "1000000000"])
 def test_cap_exceeded_by_huge_layers_exits_three(capsys, layers):
     # 2**layers alone exceeds the cap, so the count is neither summed nor printed

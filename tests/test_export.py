@@ -24,7 +24,6 @@ from dlgraph import (
     KIND_TREE_P,
     KIND_TREE_Q,
     Scene3D,
-    Segment,
     build_scene,
     dl_position,
     export_json,
@@ -227,10 +226,10 @@ def test_tikz_statements_follow_scene_order():
     style_for = {KIND_TREE_P: "Orange!20", KIND_TREE_Q: "MFCB!20", KIND_DL: "DeepSkyBlue4"}
     statements = STATEMENT.findall(doc)
     assert len(statements) == len(scene.segments)
-    for seg, (style, a, b) in zip(scene.segments, statements):
-        assert style == style_for[seg.kind]
-        assert a == ",".join(format_number(Fraction(c, 2)) for c in seg.a)
-        assert b == ",".join(format_number(Fraction(c, 2)) for c in seg.b)
+    for (kind, seg_a, seg_b), (style, a, b) in zip(scene.segments, statements):
+        assert style == style_for[kind]
+        assert a == ",".join(format_number(Fraction(c, 2)) for c in seg_a)
+        assert b == ",".join(format_number(Fraction(c, 2)) for c in seg_b)
 
 
 def test_tikz_background_scope_wraps_exactly_the_tree_q_statements():
@@ -309,8 +308,8 @@ def test_json_positions_match_layout():
     g = DLGraph(DLParams(2, 3, 2))
     doc = json.loads(export_json(build_scene(g)))
     for v in doc["vertices"]:
-        pos = dl_position(g.params, (v["h"], v["orange"], v["brown"]))
-        assert v["pos"] == [float(pos.x), float(pos.y), float(pos.z)]
+        x, y, z = dl_position(g.params, (v["h"], v["orange"], v["brown"]))
+        assert v["pos"] == [float(x), float(y), float(z)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +317,7 @@ def test_json_positions_match_layout():
 
 def endpoint_set(scene):
     """Independent dedup oracle: the set of all segment endpoints."""
-    return {tuple(pt) for seg in scene.segments for pt in (seg.a, seg.b)}
+    return {tuple(pt) for _, a, b in scene.segments for pt in (a, b)}
 
 
 def test_obj_tiny_scene_dedups_endpoints():
@@ -351,7 +350,7 @@ def test_obj_dedups_equal_points_built_separately():
     # doubled points: (1, 0, 2) is (0.5, 0, 1); equal tuples built apart share one v record
     a, b = (1, 0, 2), tuple([1, 0, 2])
     c = (0, 3, 0)
-    scene = Scene3D(DLParams(2, 2, 1), DEFAULT_VIEW, (Segment(KIND_DL, a, c), Segment(KIND_DL, b, c)))
+    scene = Scene3D(DLParams(2, 2, 1), DEFAULT_VIEW, ((KIND_DL, a, c), (KIND_DL, b, c)))
     assert export_obj(scene) == "v 0.5 0 1\nv 0 1.5 0\ng tree_p\ng tree_q\ng dl\nl 1 2\nl 1 2\n"
 
 
@@ -371,7 +370,7 @@ def test_obj_line_records_resolve_to_segment_endpoints():
             _, i, j = line.split()
             segments_by_kind[current].append((coords[int(i) - 1], coords[int(j) - 1]))
     for kind, obj_kind in ((KIND_TREE_P, "tree_p"), (KIND_TREE_Q, "tree_q"), (KIND_DL, "dl")):
-        expected = [(tuple(seg.a), tuple(seg.b)) for seg in scene.segments if seg.kind == kind]
+        expected = [(tuple(a), tuple(b)) for seg_kind, a, b in scene.segments if seg_kind == kind]
         assert segments_by_kind[obj_kind] == expected
 
 
@@ -393,15 +392,15 @@ def test_svg_cardinal_projections_are_exact():
     # the writer prints those exact values: at view (0, 0), u = y and screen y = -z
     doc = export_svg(dataclasses.replace(tiny_scene(), view=(0, 0)), ExportOptions(format="svg"))
     first = re.search(r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"/>', doc).groups()
-    seg = next(seg for seg in tiny_scene().segments if seg.kind == KIND_TREE_Q)
-    assert first == tuple(format_number(Fraction(c, 2)) for c in (seg.a[1], -seg.a[2], seg.b[1], -seg.b[2]))
+    _, a, b = next(seg for seg in tiny_scene().segments if seg[0] == KIND_TREE_Q)
+    assert first == tuple(format_number(Fraction(c, 2)) for c in (a[1], -a[2], b[1], -b[2]))
 
 
 def test_svg_projection_is_exactly_linear():
     scene = reference_scene()
     az, el = 165, 10
-    for seg in scene.segments[::17]:
-        a, b = [Fraction(c, 2) for c in seg.a], [Fraction(c, 2) for c in seg.b]
+    for _, seg_a, seg_b in scene.segments[::17]:
+        a, b = [Fraction(c, 2) for c in seg_a], [Fraction(c, 2) for c in seg_b]
         mid = tuple((ca + cb) / 2 for ca, cb in zip(a, b))
         ua, va = project_point(a, az, el)
         ub, vb = project_point(b, az, el)

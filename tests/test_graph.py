@@ -121,6 +121,8 @@ RANGE_MESSAGES = {
     "DLParams-layers": (lambda: DLParams(2, 3, -HUGE), "layers must be >= 1, got -<16610-bit int>"),
     "LayeredTree-branching": (lambda: LayeredTree(-HUGE, 3), "branching must be >= 2, got -<16610-bit int>"),
     "LayeredTree-layers": (lambda: LayeredTree(2, -HUGE), "layers must be >= 1, got -<16610-bit int>"),
+    "DLParams-vertex_cap": (lambda: DLParams(2, 3, 3, vertex_cap=-HUGE), "vertex_cap must be >= 0, got -<16610-bit int>"),
+    "LayeredTree-level_cap": (lambda: LayeredTree(2, 3, level_cap=-HUGE), "level_cap must be >= 0, got -<16610-bit int>"),
     "level_size": (lambda: LayeredTree(2, 3).level_size(HUGE), "level <16610-bit int> outside [0, 3]"),
     "tree-validate-level": (lambda: LayeredTree(2, 3).validate((-HUGE, 0)), "level -<16610-bit int> outside [0, 3]"),
     "tree-validate-index": (lambda: LayeredTree(2, 3).validate((1, HUGE)),
@@ -152,6 +154,19 @@ def test_range_messages_name_ints_too_long_for_str_by_bit_length(call, message):
     with pytest.raises(ValueError) as caught:
         call()
     assert str(caught.value) == message
+
+
+def test_negative_caps_are_range_errors_and_a_zero_cap_is_a_cap_error():
+    # a cap below 0 is an invalid value, not a size that the construction exceeds
+    for build, message in [(lambda: DLParams(2, 2, 1, vertex_cap=-1), "vertex_cap must be >= 0, got -1"),
+                           (lambda: LayeredTree(2, 3, level_cap=-1), "level_cap must be >= 0, got -1")]:
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert type(caught.value) is ValueError and str(caught.value) == message
+    with pytest.raises(CapExceededError, match=r"^DL\(2,2\) with layers=1 holds at least 2\*\*1 vertices \(cap: 0\)$"):
+        DLParams(2, 2, 1, vertex_cap=0)
+    with pytest.raises(CapExceededError, match=r"^level 3 would hold at least 2\*\*3 vertices \(cap: 0\)$"):
+        LayeredTree(2, 3, level_cap=0)
 
 
 def test_edge_count_is_capped_at_layers_times_vertex_cap():
@@ -435,3 +450,6 @@ def test_all_names_every_public_name():
     # a name deleted from the package but left in __all__ breaks `from dlgraph import *`
     public = {name for name, value in vars(dlgraph).items() if not name.startswith("_") and not inspect.ismodule(value)}
     assert sorted(dlgraph.__all__) == sorted(public)
+    # scene segments and exact positions are plain tuples, with no named-tuple class of their own
+    for name in ("Segment", "Point3"):
+        assert name not in public and not hasattr(dlgraph.layout, name)

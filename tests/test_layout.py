@@ -52,10 +52,10 @@ def test_dl_positions_compose_the_tree_positions():
         assert dl_position(params, (0, 0, k0)) == (Fraction(7, 2), k0, 0)
     for v in DLGraph(params).vertices():
         h, j, k = v
-        pos = dl_position(params, v)
-        assert pos.x == orange_position(2, 3, h, j).x
-        assert pos.y == brown_position(3, 3, h, k).y
-        assert pos.z == h
+        x, y, z = dl_position(params, v)
+        assert x == orange_position(2, 3, h, j)[0]
+        assert y == brown_position(3, 3, h, k)[1]
+        assert z == h
 
 
 def test_position_validation():
@@ -102,44 +102,44 @@ def test_parent_centered_over_children():
         for index in range(p**level):
             children = [orange_position(p, layers, level + 1, index * p + c) for c in range(p)]
             parent = orange_position(p, layers, level, index)
-            assert parent.x == sum(c.x for c in children) / p
+            assert parent[0] == sum(c[0] for c in children) / p
     q = 2
     for height in range(1, layers + 1):
         for index in range(q ** (layers - height)):
             children = [brown_position(q, layers, height - 1, index * q + c) for c in range(q)]
             parent = brown_position(q, layers, height, index)
-            assert parent.y == sum(c.y for c in children) / q
+            assert parent[1] == sum(c[1] for c in children) / q
 
 
 # ---------------------------------------------------------------------------
 # scenes
 
 def test_scene_segment_counts():
-    counts = Counter(seg.kind for seg in scene_for(2, 3, 3).segments)
+    counts = Counter(kind for kind, _, _ in scene_for(2, 3, 3).segments)
     assert counts == {KIND_TREE_P: 14, KIND_TREE_Q: 39, KIND_DL: 114}
     assert sum(counts.values()) == 167
 
-    counts = Counter(seg.kind for seg in scene_for(2, 2, 1).segments)
+    counts = Counter(kind for kind, _, _ in scene_for(2, 2, 1).segments)
     assert counts == {KIND_TREE_P: 2, KIND_TREE_Q: 2, KIND_DL: 4}
 
 
 def test_scene_emission_order_tiny():
     # one height step: orange pass first, then per brown edge its DL segments
     scene = scene_for(2, 2, 1)
-    assert [seg.kind for seg in scene.segments] == [
+    assert [kind for kind, _, _ in scene.segments] == [
         KIND_TREE_P, KIND_TREE_P,
         KIND_TREE_Q, KIND_DL, KIND_DL,
         KIND_TREE_Q, KIND_DL, KIND_DL,
     ]
-    first = scene.segments[0]
-    assert first.a == (0, 0, 2)  # doubled (0, 0, 1)
-    assert first.b == (1, 0, 0)  # doubled (1/2, 0, 0)
+    _, a, b = scene.segments[0]
+    assert a == (0, 0, 2)  # doubled (0, 0, 1)
+    assert b == (1, 0, 0)  # doubled (1/2, 0, 0)
 
 
 def test_scene_emission_order_interleaves_heights():
     # both passes run inside one loop over the height step n
     scene = scene_for(2, 3, 2)
-    kinds = [seg.kind for seg in scene.segments]
+    kinds = [kind for kind, _, _ in scene.segments]
     # n=1: 2 orange, then 3 brown parents... -> q^(L-1)*q = 9 brown at step 1
     assert kinds[:2] == [KIND_TREE_P, KIND_TREE_P]
     assert kinds[2] == KIND_TREE_Q
@@ -150,20 +150,20 @@ def test_scene_emission_order_interleaves_heights():
 
 def test_first_segments_of_reference_scene():
     scene = scene_for(2, 3, 3)
-    first = scene.segments[0]
-    assert first.kind == KIND_TREE_P
-    assert first.a == (3, 0, 2)  # doubled (3/2, 0, 1)
-    assert first.b == (7, 0, 0)  # doubled (7/2, 0, 0)
+    kind, a, b = scene.segments[0]
+    assert kind == KIND_TREE_P
+    assert a == (3, 0, 2)  # doubled (3/2, 0, 1)
+    assert b == (7, 0, 0)  # doubled (7/2, 0, 0)
 
 
 def test_scene_planes_and_view():
     scene = scene_for(2, 3, 2, view=(30, 45))
     assert scene.view == (30, 45)
-    for seg in scene.segments:
-        if seg.kind == KIND_TREE_P:
-            assert seg.a[1] == seg.b[1] == 0
-        elif seg.kind == KIND_TREE_Q:
-            assert seg.a[0] == seg.b[0] == 0
+    for kind, a, b in scene.segments:
+        if kind == KIND_TREE_P:
+            assert a[1] == b[1] == 0
+        elif kind == KIND_TREE_Q:
+            assert a[0] == b[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -194,33 +194,41 @@ def test_scene_view_is_a_tuple_and_replace_revalidates_it():
 
 
 def test_segments_connect_consecutive_heights():
-    for seg in scene_for(2, 3, 3).segments:
-        assert seg.a[2] - seg.b[2] == 2  # doubled heights
+    for _, a, b in scene_for(2, 3, 3).segments:
+        assert a[2] - b[2] == 2  # doubled heights
 
 
 def test_all_coordinates_are_half_integers():
     # the scene holds every coordinate doubled as a plain int (no Fraction, float or
     # bool), so each coordinate it stands for is a multiple of 1/2
     for p, q, layers in [(3, 2, 3), (2, 3, 3), (2, 2, 1)]:
-        for seg in scene_for(p, q, layers).segments:
-            assert type(seg.a) is type(seg.b) is tuple
-            assert [type(c) for c in (*seg.a, *seg.b)] == [int] * 6
+        for _, a, b in scene_for(p, q, layers).segments:
+            assert type(a) is type(b) is tuple
+            assert [type(c) for c in (*a, *b)] == [int] * 6
+
+
+def test_segments_and_positions_are_plain_tuples():
+    for segment in scene_for(2, 3, 3).segments:
+        assert type(segment) is tuple and len(segment) == 3 and type(segment[0]) is str
+    params = DLParams(2, 3, 3)
+    for position in (orange_position(2, 3, 1, 1), brown_position(3, 3, 1, 2), dl_position(params, (1, 1, 0))):
+        assert type(position) is tuple and [type(c) for c in position] == [Fraction] * 3
 
 
 @pytest.mark.parametrize("p,q,layers", [(2, 3, 3), (3, 2, 3), (3, 3, 2)])
 def test_scene_endpoints_are_the_public_positions(p, q, layers):
     # every endpoint is the public position of its kind, doubled
     params = DLParams(p, q, layers)
-    for seg in scene_for(p, q, layers).segments:
-        for point in (seg.a, seg.b):
+    for kind, a, b in scene_for(p, q, layers).segments:
+        for point in (a, b):
             h = point[2] // 2
-            if seg.kind == KIND_DL:
+            if kind == KIND_DL:
                 expected = dl_position(params, invert_doubled_position(params, point))
-            elif seg.kind == KIND_TREE_P:
-                _, j, _ = invert_doubled_position(params, (point[0], int(2 * brown_position(q, layers, h, 0).y), point[2]))
+            elif kind == KIND_TREE_P:
+                _, j, _ = invert_doubled_position(params, (point[0], int(2 * brown_position(q, layers, h, 0)[1]), point[2]))
                 expected = orange_position(p, layers, h, j)
             else:
-                _, _, k = invert_doubled_position(params, (int(2 * orange_position(p, layers, h, 0).x), point[1], point[2]))
+                _, _, k = invert_doubled_position(params, (int(2 * orange_position(p, layers, h, 0)[0]), point[1], point[2]))
                 expected = brown_position(q, layers, h, k)
             assert point == tuple(2 * c for c in expected)
             assert [type(c) for c in expected] == [Fraction] * 3
@@ -243,11 +251,11 @@ def test_dl_segments_invert_to_the_edge_set(p, q, layers):
     g = DLGraph(DLParams(p, q, layers))
     scene = build_scene(g)
     inverted = Counter()
-    for seg in scene.segments:
-        if seg.kind != KIND_DL:
+    for kind, a, b in scene.segments:
+        if kind != KIND_DL:
             continue
-        va = invert_doubled_position(g.params, seg.a)
-        vb = invert_doubled_position(g.params, seg.b)
+        va = invert_doubled_position(g.params, a)
+        vb = invert_doubled_position(g.params, b)
         top, bottom = (va, vb) if va[0] > vb[0] else (vb, va)
         inverted[(top, bottom)] += 1
     expected = Counter((a, b) for a, b in g.edges())

@@ -29,8 +29,8 @@ def test_library_example_prints_its_commented_values():
     comments = {code.strip(): comment.strip() for code, comment in pairs}
     assert comments["graph.census().degree_histogram"] == "{2: 27, 3: 8, 5: 30}"
     assert eval("graph.census().degree_histogram", namespace) == {2: 27, 3: 8, 5: 30}
-    assert comments["scene.segments[0]"] == "Segment(kind='tree-p', a=(3, 0, 2), b=(7, 0, 0))"
-    assert repr(eval("scene.segments[0]", namespace)) == "Segment(kind='tree-p', a=(3, 0, 2), b=(7, 0, 0))"
+    assert comments["scene.segments[0]"] == "('tree-p', (3, 0, 2), (7, 0, 0))"
+    assert repr(eval("scene.segments[0]", namespace)) == "('tree-p', (3, 0, 2), (7, 0, 0))"
     assert comments["graph.neighbors((1, 0, 0))"] == "3 down-neighbours + 2 up-neighbours"
     heights = [h for h, _, _ in eval("graph.neighbors((1, 0, 0))", namespace)]
     assert heights == [0, 0, 0, 2, 2]

@@ -16,7 +16,6 @@ from dlgraph import (
     DLGraph,
     DLParams,
     Scene3D,
-    Segment,
     brown_position,
     build_scene,
     check_counts,
@@ -678,17 +677,16 @@ def test_scene_agreement_inverts_only_points_it_has_no_table_entry_for(monkeypat
     damaged, index = _with_endpoint(scene, "dl", lambda a: (float(a[0]), a[1], a[2]))
     result = check_scene_graph_agreement(g, damaged)
     assert result.counterexample.startswith(f"segment {index}: x = ")
-    assert calls == [damaged.segments[index].a]
+    assert calls == [damaged.segments[index][1]]
 
 
 def test_scene_agreement_fails_on_corrupted_segment():
     g = graph()
     scene = build_scene(g)
     segments = list(scene.segments)
-    index = next(i for i, seg in enumerate(segments) if seg.kind == "dl")
-    seg = segments[index]
-    x, y, z = seg.a
-    segments[index] = Segment(seg.kind, (x + 2, y, z), seg.b)  # x moved by 1, in doubled units
+    index = next(i for i, seg in enumerate(segments) if seg[0] == "dl")
+    kind, (x, y, z), b = segments[index]
+    segments[index] = (kind, (x + 2, y, z), b)  # x moved by 1, in doubled units
     result = check_scene_graph_agreement(g, Scene3D(scene.params, scene.view, tuple(segments)))
     assert result.status == "fail"
     assert f"segment {index}" in result.counterexample
@@ -697,7 +695,7 @@ def test_scene_agreement_fails_on_corrupted_segment():
 def test_scene_agreement_fails_on_dropped_segment():
     g = graph()
     scene = build_scene(g)
-    segments = tuple(seg for i, seg in enumerate(scene.segments) if not (seg.kind == "dl" and i < 5))
+    segments = tuple(seg for i, seg in enumerate(scene.segments) if not (seg[0] == "dl" and i < 5))
     result = check_scene_graph_agreement(g, Scene3D(scene.params, scene.view, segments))
     assert result.status == "fail"
 
@@ -713,10 +711,9 @@ def test_scene_agreement_checks_tree_planes():
     g = graph(2, 2, 1)
     scene = build_scene(g)
     segments = list(scene.segments)
-    index = next(i for i, seg in enumerate(segments) if seg.kind == "tree-p")
-    seg = segments[index]
-    x, y, z = seg.a
-    segments[index] = Segment(seg.kind, (x, y + 2, z), seg.b)  # y moved by 1, in doubled units
+    index = next(i for i, seg in enumerate(segments) if seg[0] == "tree-p")
+    kind, (x, y, z), b = segments[index]
+    segments[index] = (kind, (x, y + 2, z), b)  # y moved by 1, in doubled units
     result = check_scene_graph_agreement(g, Scene3D(scene.params, scene.view, tuple(segments)))
     assert result.status == "fail"
     assert "y=0" in result.counterexample
@@ -730,9 +727,9 @@ def _with_endpoint(scene, kind, endpoint):
     """``scene`` with the first segment of ``kind`` given ``endpoint(a)`` as its
     first endpoint; returns the new scene and that segment's index."""
     segments = list(scene.segments)
-    index = next(i for i, seg in enumerate(segments) if seg.kind == kind)
-    seg = segments[index]
-    segments[index] = Segment(seg.kind, endpoint(seg.a), seg.b)
+    index = next(i for i, seg in enumerate(segments) if seg[0] == kind)
+    _, a, b = segments[index]
+    segments[index] = (kind, endpoint(a), b)
     return Scene3D(scene.params, scene.view, tuple(segments)), index
 
 
@@ -775,9 +772,10 @@ def _moved(axis, by):
     """A segment damage: the first endpoint moved by ``by`` doubled units along ``axis``."""
 
     def damage(seg):
-        a = list(seg.a)
+        kind, a, b = seg
+        a = list(a)
         a[axis] += by
-        return [Segment(seg.kind, tuple(a), seg.b)]
+        return [(kind, tuple(a), b)]
 
     return damage
 
@@ -807,7 +805,7 @@ def test_scene_agreement_fails_on_damaged_tree_segments(kind, damage, counterexa
     # edges; the first segment of either tree joins node (1, 0) to (0, 0)
     g = graph(2, 3, 3)
     scene = build_scene(g)
-    index = next(i for i, seg in enumerate(scene.segments) if seg.kind == kind)
+    index = next(i for i, seg in enumerate(scene.segments) if seg[0] == kind)
     result = check_scene_graph_agreement(g, _damaged_scene(scene, index, damage))
     assert result.status == "fail"
     assert result.counterexample == counterexample
@@ -827,8 +825,8 @@ def test_scene_agreement_fails_on_tree_segments_between_non_adjacent_nodes(kind,
     # node (1, 0) is the parent of orange nodes (2, 0) and (2, 1); brown node (1, 3) is a child of (2, 1)
     g = graph(2, 3, 3)
     scene = build_scene(g)
-    index = next(i for i, seg in enumerate(scene.segments) if seg.kind == kind)
-    segment = Segment(kind, *(tuple(int(2 * c) for c in point) for point in (top, bottom)))
+    index = next(i for i, seg in enumerate(scene.segments) if seg[0] == kind)
+    segment = (kind, *(tuple(int(2 * c) for c in point) for point in (top, bottom)))
     result = check_scene_graph_agreement(g, _damaged_scene(scene, index, lambda seg: [segment]))
     assert result.status == "fail"
     assert result.counterexample == counterexample
@@ -858,6 +856,27 @@ def test_run_checks_selection_and_unknown_names():
         run_checks(graph(), names=["bogus"])
     with pytest.raises(ValueError):
         run_checks(graph(), radius=4)
+
+
+def test_run_checks_rejects_a_string_of_names():
+    # iterating "counts" would ask for the checks "c", "o", ...
+    with pytest.raises(TypeError, match=r"^names must be a collection of check names, not the string 'counts'$"):
+        run_checks(graph(), names="counts")
+    assert [entry.name for entry in run_checks(graph(), names=("counts",)).entries] == ["check_counts"]
+
+
+@pytest.mark.parametrize("height", [None, Index(1)], ids=["None", "Index"])
+def test_vertices_with_heights_that_are_not_ints_fail_every_height_check(height):
+    # a height that does not compare with ints fails the checks that read it, naming the vertex
+    vertex = (height, 0, 0)
+    mutated = MutatedGraph(graph(2, 2, 4), add_vertices=[vertex])
+    by_name = {entry.name: entry for entry in run_checks(mutated).entries}  # the suite runs to the end
+    expected = f"vertex {vertex} has height {height!r}, not an int"
+    assert by_name["check_degree_law"].counterexample == expected
+    assert by_name["check_local_homogeneity"].counterexample == expected
+    result = check_local_homogeneity(mutated, 1)
+    assert result.status == "fail" and result.counterexample == expected
+    assert [name for name, entry in by_name.items() if entry.status != "fail"] == ["check_scene_graph_agreement"]
 
 
 def test_report_order_is_deterministic():
@@ -972,7 +991,7 @@ def render_golden_reports() -> str:
                 sections.append(f"== DL({p},{q}) L={layers} r={radius}: {name} ==\n{report.to_text()}")
     g = graph(2, 3, 3)
     scene = build_scene(g)
-    dl = [i for i, seg in enumerate(scene.segments) if seg.kind == "dl"]
+    dl = [i for i, seg in enumerate(scene.segments) if seg[0] == "dl"]
     for index in (dl[0], dl[-1]):
         for name, damage in SEGMENT_DAMAGES.items():
             result = check_scene_graph_agreement(g, _damaged_scene(scene, index, damage))
