@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 from .graph import DLGraph
 from .layout import (
@@ -22,7 +22,7 @@ from .layout import (
     Scene3D,
     coordinate_rows,
 )
-from .tree import _decimal, as_integer
+from .tree import LayeredTree, _decimal, as_integer
 
 FORMATS = ("tikz", "json", "obj", "svg")
 # Most fractional digits a number may be printed with: 10**digits is computed
@@ -138,10 +138,10 @@ def _json_number(value):
 def export_json(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     """One JSON object with the DL vertices/edges plus both tree layers.
 
-    Vertex ids follow the canonical graph enumeration order; tree node ids
-    follow (level, index) order within each tree ("level" of a brown node is
-    its internal level ``layers - drawn height``).  Tree edges are (parent,
-    child) id pairs.
+    A vertex id is the vertex's rank in ``DLGraph.vertices()``; tree node
+    ids follow ``LayeredTree.vertices()`` within each tree ("level" of a
+    brown node is its internal level ``layers - drawn height``).  Tree edges
+    are (parent, child) id pairs, the parent by ``LayeredTree.predecessor``.
     """
     params = scene.params
     p, q, L = params.p, params.q, params.layers
@@ -149,46 +149,32 @@ def export_json(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     xs, ys = coordinate_rows(params)
     xs = [[x / 2 for x in row] for row in xs]
     ys = [[y / 2 for y in row] for row in ys]
-
-    first = [0]  # id of the first vertex at each height
-    for h in range(L):
-        first.append(first[-1] + len(xs[h]) * len(ys[h]))
-
-    def vertex_id(h: int, j: int, k: int) -> int:
-        """Rank of vertex (h, j, k) in ``DLGraph.vertices()``."""
-        return first[h] + j * len(ys[h]) + k
-
-    vertices = [
-        {"id": vertex_id(h, j, k), "h": h, "orange": j, "brown": k, "pos": [x, y, float(h)]}
-        for h in range(L + 1)
-        for j, x in enumerate(xs[h])
-        for k, y in enumerate(ys[h])
-    ]
-    edges = [{"a": vertex_id(*a), "b": vertex_id(*b), "kind": "dl"} for a, b in DLGraph(params).edges()]
-
+    g = DLGraph(params)
+    ids = {v: i for i, v in enumerate(g.vertices())}
+    # p**L and q**L are the sizes of heights L and 0, so neither exceeds vertex_cap
+    orange = LayeredTree(p, L, level_cap=params.vertex_cap)
+    brown = LayeredTree(q, L, level_cap=params.vertex_cap)
     doc = {
         "params": {"p": p, "q": q, "layers": L},
         "view": [_json_number(az), _json_number(el)],
-        "vertices": vertices,
-        "edges": edges,
-        "tree_p": _tree_block(p, [[[x, 0.0, float(h)] for x in xs[h]] for h in range(L + 1)]),
-        "tree_q": _tree_block(q, [[[0.0, y, float(L - level)] for y in ys[L - level]] for level in range(L + 1)]),
+        "vertices": [{"id": i, "h": h, "orange": j, "brown": k, "pos": [xs[h][j], ys[h][k], float(h)]}
+                     for (h, j, k), i in ids.items()],
+        "edges": [{"a": ids[a], "b": ids[b], "kind": "dl"} for a, b in g.edges()],
+        "tree_p": _tree_block(orange, lambda level, index: [xs[level][index], 0.0, float(level)]),
+        "tree_q": _tree_block(brown, lambda level, index: [0.0, ys[L - level][index], float(L - level)]),
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _tree_block(b: int, positions: list[list[list[float]]]) -> dict:
-    """Nodes and parent->child edges of one tree layer; ``positions[level][index]``
-    is the drawn position of a node."""
-    nodes = []
-    edges = []
-    above = 0  # id of the first node one level up
-    for level, row in enumerate(positions):
-        for index, pos in enumerate(row):
-            if level > 0:
-                edges.append({"a": above + index // b, "b": len(nodes)})
-            nodes.append({"id": len(nodes), "level": level, "index": index, "pos": pos})
-        above = len(nodes) - len(row)
+def _tree_block(tree: LayeredTree, position: Callable[[int, int], list[float]]) -> dict:
+    """Nodes in ``tree.vertices()`` order and (parent, child) id edges of one tree
+    layer; ``position(level, index)`` is the drawn position of a node."""
+    ids, nodes, edges = {}, [], []
+    for node in tree.vertices():
+        if (parent := tree.predecessor(node)) is not None:
+            edges.append({"a": ids[parent], "b": len(nodes)})
+        ids[node] = len(nodes)
+        nodes.append({"id": ids[node], "level": node[0], "index": node[1], "pos": position(*node)})
     return {"nodes": nodes, "edges": edges}
 
 

@@ -434,12 +434,12 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
     """Inverting the segments' coordinates reproduces the edge set and the
     parent-child edges of both trees bijectively.
 
-    Also insists that every tree endpoint is a point of ints, that tree-p
-    segments lie in the plane y = 0 and tree-q segments in x = 0.  A DL
-    endpoint inverts to a DL vertex, a tree-p endpoint to an orange node and
-    a tree-q endpoint to a brown node, each as (drawing height, index).
-    Scene points are doubled, so a point of another type, or one off the
-    lattice, fails with the segment's index.
+    Also insists that every segment has a known kind, that every tree endpoint
+    is a point of ints, that tree-p segments lie in the plane y = 0 and tree-q
+    segments in x = 0.  A DL endpoint inverts to a DL vertex, a tree-p endpoint
+    to an orange node and a tree-q endpoint to a brown node, each as (drawing
+    height, index).  Scene points are doubled, so a point of another type, or
+    one off the lattice, fails with the segment's index.
     """
     p, q, L = g.params.p, g.params.q, g.params.layers
     expected = Counter((KIND_DL, top, bottom) for top, bottom in g.edges())
@@ -464,8 +464,8 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
                 raise _Fail(f"segment {i} (tree-p) leaves the plane y=0")
             if kind == KIND_TREE_Q and (a[0] != 0 or b[0] != 0):
                 raise _Fail(f"segment {i} (tree-q) leaves the plane x=0")
-        else:
-            kind = KIND_DL
+        elif kind != KIND_DL:
+            raise _Fail(f"segment {i} has unknown kind {kind!r}")
         try:
             va, vb = points[kind][a], points[kind][b]
         except (KeyError, TypeError):  # not a drawn point, or an unhashable one
@@ -504,7 +504,7 @@ CHECKS: dict[str, Callable] = {
 
 
 def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> VerificationReport:
-    """Run the selected checks (all, by default) and merge them deterministically.
+    """Run the selected checks (all, by default; a check named twice runs once) and merge them deterministically.
 
     ``radius`` is the ball radius of ``local_homogeneity``, which reports
     SKIP on a graph with fewer than 2*radius layers, so the default
@@ -513,12 +513,12 @@ def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> Verification
     """
     if isinstance(names, str):
         raise TypeError(f"names must be a collection of check names, not the string {names!r}")
-    selected = []
+    selected = {}  # each check once, in first-seen order
     for raw in CHECKS if names is None else names:
         key = raw.removeprefix("check_")
         if key not in CHECKS:
             raise ValueError(f"unknown check {raw!r}; available: {', '.join(CHECKS)}")
-        selected.append(key)
+        selected[key] = None
     radius = as_integer(radius, "radius")
     if not 1 <= radius <= MAX_BALL_RADIUS:
         raise ValueError(f"radius must be in [1, {MAX_BALL_RADIUS}], got {_decimal(radius)}")

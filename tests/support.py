@@ -1,9 +1,9 @@
-"""Test helpers: damaged DL graphs for the checks' negative controls, an
-integer-like value that is not an ``int``, a test for the plain int tuples
-every query returns, the local-homogeneity verdict of
-an exhaustive ball search as the oracle for the library's check, a lamp
-state read digit by digit through powers of b, and a reference SVG writer in exact ``Fraction`` arithmetic for the integer one in
-the library."""
+"""Test helpers: damaged DL graphs for the checks' negative controls and a
+fixed sweep of such damages, an integer-like value that is not an ``int``, a
+test for the plain int tuples every query returns, the local-homogeneity
+verdict of an exhaustive ball search as the oracle for the library's check, a
+lamp state read digit by digit through powers of b, and a reference SVG
+writer in exact ``Fraction`` arithmetic for the integer one in the library."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from dlgraph import KIND_DL, KIND_TREE_P, KIND_TREE_Q, DLGraph, ExportOptions, Scene3D
+from dlgraph import KIND_DL, KIND_TREE_P, KIND_TREE_Q, DLGraph, DLParams, ExportOptions, Scene3D
 from dlgraph import verify
 from dlgraph.export import DEFAULT_SVG_COLORS
 
@@ -25,6 +25,9 @@ class Index:
     def __index__(self):
         return self.value
 
+    def __repr__(self):  # no object address, so a report naming one reads the same in every interpreter
+        return f"Index({self.value!r})"
+
 
 def is_int_tuple(value, length: int) -> bool:
     """Whether ``value`` is a plain tuple of ``length`` plain ints, the form every query returns."""
@@ -36,7 +39,10 @@ class MutatedGraph:
 
     A negative-control tool: the structural checks must fail on a graph that
     was deliberately damaged.  Added vertices may be arbitrary (height,
-    orange, brown) triples, valid or not.
+    orange, brown) triples, valid or not.  An added edge is stored higher
+    endpoint first and neighbours are listed in ascending order wherever the
+    components compare; where they do not (a str or ``None`` height next to an
+    int), the edge stays as given and the neighbours in first-seen order.
     """
 
     def __init__(self, base: DLGraph, add_edges=(), drop_edges=(), add_vertices=()):
@@ -50,7 +56,10 @@ class MutatedGraph:
     def _pair(edge) -> tuple[tuple, tuple]:
         a, b = edge
         a, b = tuple(a), tuple(b)
-        return (a, b) if a[0] >= b[0] else (b, a)
+        try:
+            return (a, b) if a[0] >= b[0] else (b, a)
+        except TypeError:  # heights that do not compare
+            return a, b
 
     def vertices(self) -> Iterator[tuple]:
         yield from self.base.vertices()
@@ -72,7 +81,11 @@ class MutatedGraph:
                 out.append(b)
             elif v == b:
                 out.append(a)
-        return sorted(set(out))
+        out = list(dict.fromkeys(out))  # first-seen order, so a failed sort never depends on hashing
+        try:
+            return sorted(out)
+        except TypeError:  # components that do not compare
+            return out
 
     def is_edge(self, a, b) -> bool:
         pair = frozenset((tuple(a), tuple(b)))
@@ -81,6 +94,74 @@ class MutatedGraph:
         if any(frozenset(added) == pair for added in self._added):
             return True
         return self.base.is_edge(a, b)
+
+
+def _moved_edge(g):
+    """The first edge with its lower endpoint moved to a vertex at that height that is no neighbour of the top."""
+    top, bottom = next(g.edges())
+    return MutatedGraph(g, drop_edges=[(top, bottom)], add_edges=[(top, (bottom[0], bottom[1], bottom[2] + g.q))])
+
+
+def _swapped_edges(g):
+    """The first two edges from different tops trade their lower endpoints."""
+    (a, b), (c, d) = next(g.edges()), list(g.edges())[g.q]
+    return MutatedGraph(g, drop_edges=[(a, b), (c, d)], add_edges=[(a, d), (c, b)])
+
+
+def _wired(vertex, to):
+    return lambda g: MutatedGraph(g, add_vertices=[vertex], add_edges=[(vertex, to)])
+
+
+def _added(*vertices):
+    return lambda g: MutatedGraph(g, add_vertices=vertices)
+
+
+# Damages of every kind the checks must survive: each damaged graph must get a
+# report, and the report text must not depend on str hashing.
+SWEEP_DAMAGES = {
+    "first edge dropped": lambda g: MutatedGraph(g, drop_edges=[next(g.edges())]),
+    "last edge dropped": lambda g: MutatedGraph(g, drop_edges=[list(g.edges())[-1]]),
+    "edge (2, 0, 0)-(1, 1, 1) added": lambda g: MutatedGraph(g, add_edges=[((2, 0, 0), (1, 1, 1))]),
+    "edge (3, 0, 0)-(0, 0, 0) added": lambda g: MutatedGraph(g, add_edges=[((3, 0, 0), (0, 0, 0))]),
+    "same-height edge (1, 0, 0)-(1, 1, 0) added": lambda g: MutatedGraph(g, add_edges=[((1, 0, 0), (1, 1, 0))]),
+    "first edge added again": lambda g: MutatedGraph(g, add_edges=[next(g.edges())]),
+    "loop at (1, 0, 0) added": lambda g: MutatedGraph(g, add_edges=[((1, 0, 0), (1, 0, 0))]),
+    "first edge moved": _moved_edge,
+    "two edges swapped": _swapped_edges,
+    "vertex (1, 0, 99) wired to (2, 0, 0)": _wired((1, 0, 99), (2, 0, 0)),
+    "vertex (0, 99, 0) added": _added((0, 99, 0)),
+    "vertices (4, 0, 0) and (-1, 0, 0) added": _added((4, 0, 0), (-1, 0, 0)),
+    "vertex (1, 0, 0) duplicated": _added((1, 0, 0)),
+    "vertex (1, 0, 0) duplicated and wired to (0, 0, 5)": _wired((1, 0, 0), (0, 0, 5)),
+    "vertex (100000, 0, 0) added": _added((10**5, 0, 0)),
+    "vertex (-100000, 0, 0) wired to (0, 0, 0)": _wired((-(10**5), 0, 0), (0, 0, 0)),
+    "vertex (None, 0, 0) added": _added((None, 0, 0)),
+    "vertex (None, 0, 0) wired to (1, 0, 0)": _wired((None, 0, 0), (1, 0, 0)),
+    "vertex ('1', 0, 0) wired to (0, 0, 0)": _wired(("1", 0, 0), (0, 0, 0)),
+    "vertices ('a', 0, 0) and ('b', 0, 0) wired to (1, 0, 0)": lambda g: MutatedGraph(
+        g, add_vertices=[("a", 0, 0), ("b", 0, 0)], add_edges=[(("a", 0, 0), (1, 0, 0)), (("b", 0, 0), (1, 0, 0))]
+    ),
+    "vertex (1, '0', 0) wired to (0, 0, 0)": _wired((1, "0", 0), (0, 0, 0)),
+    "vertex (1, None, 0) added": _added((1, None, 0)),
+    "vertex (True, 0, 0) wired to (0, 0, 0)": _wired((True, 0, 0), (0, 0, 0)),
+    "vertex (1, 0, False) added": _added((1, 0, False)),
+    "vertex (1.0, 0, 0) wired to (2, 0, 0)": _wired((1.0, 0, 0), (2, 0, 0)),
+    "vertex (1.5, 0, 0) added": _added((1.5, 0, 0)),
+    "vertex (1, 0, 0.0) added": _added((1, 0, 0.0)),
+    "vertex (Index(1), 0, 0) added": _added((Index(1), 0, 0)),
+    "vertex (1, Index(0), 0) wired to (2, 0, 0)": _wired((1, Index(0), 0), (2, 0, 0)),
+}
+SWEEP_GRAPHS = ((2, 2, 3), (2, 3, 3))
+
+
+def damage_sweep_text() -> str:
+    """Every report of :data:`SWEEP_DAMAGES` on each of :data:`SWEEP_GRAPHS` at radius 1, joined under headers."""
+    sections = []
+    for p, q, layers in SWEEP_GRAPHS:
+        for name, damage in SWEEP_DAMAGES.items():
+            report = verify.run_checks(damage(DLGraph(DLParams(p, q, layers))), radius=1)
+            sections.append(f"== DL({p},{q}) L={layers}: {name} ==\n{report.to_text()}")
+    return "".join(sections)
 
 
 def homogeneity_by_search(g, radius: int) -> tuple[str, str | None, dict | None]:

@@ -278,6 +278,13 @@ def test_json_census_and_ids():
     assert (zero["id"], zero["h"], zero["orange"], zero["brown"]) == (0, 0, 0, 0)
     assert zero["pos"] == [3.5, 0.0, 0.0]
     assert [v["id"] for v in doc["vertices"]] == list(range(65))
+    # each id is the vertex's rank in DLGraph.vertices(), and the edges are DLGraph.edges()
+    for p, q, layers in ((2, 3, 3), (3, 2, 2)):
+        g = DLGraph(DLParams(p, q, layers))
+        doc = json.loads(export_json(build_scene(g)))
+        ranks = {v: i for i, v in enumerate(g.vertices())}
+        assert [(v["id"], (v["h"], v["orange"], v["brown"])) for v in doc["vertices"]] == [(i, v) for v, i in ranks.items()]
+        assert [(e["a"], e["b"]) for e in doc["edges"]] == [(ranks[a], ranks[b]) for a, b in g.edges()]
 
 
 def test_json_tree_blocks():
@@ -286,10 +293,14 @@ def test_json_tree_blocks():
     assert len(doc["tree_p"]["edges"]) == 2 + 4 + 8
     assert len(doc["tree_q"]["nodes"]) == 1 + 3 + 9 + 27
     assert len(doc["tree_q"]["edges"]) == 3 + 9 + 27
-    # parent ids precede child ids in every tree edge
-    for block in (doc["tree_p"], doc["tree_q"]):
+    # parent ids precede child ids in every tree edge, and each edge joins
+    # node (level, index) to its parent (level - 1, index // b)
+    for block, b in ((doc["tree_p"], 2), (doc["tree_q"], 3)):
+        nodes = {node["id"]: (node["level"], node["index"]) for node in block["nodes"]}
         for edge in block["edges"]:
             assert edge["a"] < edge["b"]
+            level, index = nodes[edge["b"]]
+            assert nodes[edge["a"]] == (level - 1, index // b)
 
 
 @pytest.mark.parametrize("p,q,layers", [(2, 2, 1), (2, 3, 2), (2, 3, 3)])

@@ -5,12 +5,16 @@ deterministically."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dlgraph
 from dlgraph import (
     CheckResult,
     DLGraph,
@@ -31,7 +35,7 @@ from dlgraph import verify
 from dlgraph.cli import main
 from dlgraph.verify import _lamp_state
 
-from support import Index, MutatedGraph, homogeneity_by_search, lamp_state_by_powers
+from support import SWEEP_DAMAGES, SWEEP_GRAPHS, Index, MutatedGraph, homogeneity_by_search, lamp_state_by_powers
 
 
 def graph(p=2, q=3, layers=3):
@@ -832,6 +836,17 @@ def test_scene_agreement_fails_on_tree_segments_between_non_adjacent_nodes(kind,
     assert result.counterexample == counterexample
 
 
+@pytest.mark.parametrize("kind", ["bogus", "DL", None])
+def test_scene_agreement_fails_on_a_segment_of_unknown_kind(kind):
+    # a kind that is neither tree kind is not read as "dl"
+    g = graph(2, 3, 3)
+    scene = build_scene(g)
+    index = next(i for i, seg in enumerate(scene.segments) if seg[0] == "dl")
+    result = check_scene_graph_agreement(g, _damaged_scene(scene, index, lambda seg: [(kind, *seg[1:])]))
+    assert result.status == "fail"
+    assert result.counterexample == f"segment {index} has unknown kind {kind!r}"
+
+
 # ---------------------------------------------------------------------------
 # suite runner and report
 
@@ -856,6 +871,15 @@ def test_run_checks_selection_and_unknown_names():
         run_checks(graph(), names=["bogus"])
     with pytest.raises(ValueError):
         run_checks(graph(), radius=4)
+
+
+def test_a_check_named_twice_runs_once(capsys):
+    report = run_checks(graph(), names=["counts", "check_counts", "degree_law", "counts"])
+    assert [entry.name for entry in report.entries] == ["check_counts", "check_degree_law"]
+    assert main(["verify", "--checks", "counts,counts"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("check_counts") == 1
+    assert "1 passed, 0 failed, 0 skipped" in out
 
 
 def test_run_checks_rejects_a_string_of_names():
@@ -952,6 +976,31 @@ def test_mutated_graph_surface():
     assert grown.is_edge(extra, (1, 0, 0))
     assert extra in grown.neighbors((1, 0, 0))
     assert grown.neighbors(extra) == [(1, 0, 0)]
+
+
+def test_mutated_graph_keeps_damages_that_mix_types():
+    # heights that do not compare with ints: the edge stays as given, the neighbours in first-seen order
+    odd = ("1", 0, 0)
+    mutated = MutatedGraph(graph(2, 2, 3), add_vertices=[odd], add_edges=[(odd, (0, 0, 0))])
+    assert list(mutated.edges())[-1] == (odd, (0, 0, 0))
+    assert mutated.neighbors((0, 0, 0)) == [(1, 0, 0), (1, 1, 0), odd]
+    assert mutated.neighbors(odd) == [(0, 0, 0)]
+    # where the components compare, the order is unchanged
+    assert MutatedGraph(graph(2, 2, 3), add_edges=[((0, 0, 0), (3, 0, 0))])._added == [((3, 0, 0), (0, 0, 0))]
+    report = run_checks(mutated, radius=1)
+    assert [entry.status for entry in report.entries] == ["fail"] * 6
+
+
+def test_damage_sweep_reports_the_same_text_under_two_hash_seeds():
+    # every damage reaches every check, and no report depends on str hashing
+    paths = [str(Path(dlgraph.__file__).resolve().parent.parent), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    code = "import support; print(support.damage_sweep_text(), end='')"
+    texts = [subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
+                            text=True, timeout=120, check=True).stdout for seed in ("0", "1")]
+    assert texts[0] == texts[1]
+    assert texts[0].count("\n== ") + 1 == len(SWEEP_GRAPHS) * len(SWEEP_DAMAGES)
+    assert texts[0].count("; FAILURES detected") == len(SWEEP_GRAPHS) * len(SWEEP_DAMAGES)
 
 
 # ---------------------------------------------------------------------------
