@@ -126,7 +126,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_verify(args) -> int:
     graph = DLGraph(DLParams(args.p, args.q, args.layers, vertex_cap=args.cap))
-    names = args.checks.split(",") if args.checks else None
+    names = args.checks.split(",") if args.checks is not None else None
     report = run_checks(graph, names=names, radius=args.radius)
     sys.stdout.write(report.to_text())
     for entry in report.entries:

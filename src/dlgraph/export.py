@@ -91,6 +91,13 @@ def format_number(value, digits: int = 6) -> str:
     return _format_ratio(*Fraction(value).as_integer_ratio(), digits)
 
 
+def _known_kinds(segments: tuple) -> tuple:
+    """``segments``, once every kind is one of :data:`KINDS`; else ``ValueError`` names the first that is not."""
+    if unknown := next(((i, kind) for i, (kind, _, _) in enumerate(segments) if kind not in KINDS), None):
+        raise ValueError("segment {} has unknown kind {!r}".format(*unknown))
+    return segments
+
+
 def export_tikz(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     """Standalone LaTeX document with one literal-coordinate ``\\addplot3`` per segment.
 
@@ -98,7 +105,7 @@ def export_tikz(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     an "on background layer" scope.  No TikZ-side arithmetic is emitted, so
     the bytes depend only on the scene and options.
     """
-    az, el = scene.view
+    segments, (az, el) = _known_kinds(scene.segments), scene.view
     digits = opts.decimal_digits
     style = dict(zip(KINDS, opts.colors or DEFAULT_COLORS))
     lines = [
@@ -118,7 +125,7 @@ def export_tikz(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     if opts.axis_labels:
         lines += ["    xlabel=$x$,", "    zlabel=$z$,", "    ylabel=$y$,"]
     lines.append("    ]")
-    for kind, a, b in scene.segments:
+    for kind, a, b in segments:
         a = ",".join(_format_ratio(c, 2, digits) for c in a)
         b = ",".join(_format_ratio(c, 2, digits) for c in b)
         stmt = f"\\addplot3[{style[kind]},thick] coordinates {{({a}) ({b})}};"
@@ -182,7 +189,7 @@ def export_obj(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     """Wavefront OBJ: deduplicated ``v`` records, then per-kind ``g`` groups of ``l`` records."""
     digits = opts.decimal_digits
     grouped = {kind: [] for kind in KINDS}
-    for segment in scene.segments:
+    for segment in _known_kinds(scene.segments):
         grouped[segment[0]].append(segment)
 
     index: dict[tuple, int] = {}
@@ -222,16 +229,16 @@ def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     stroke = {kind: html.escape(color, quote=True) for kind, color in zip(KINDS, opts.colors or DEFAULT_SVG_COLORS)}
 
     # The camera sines (cos t = sin(t + 90)) are dyadic rationals, so over their
-    # largest denominator s they are ints, and with doubled points u = (ca*2y - sa*2x) / 2s
-    # and v = (ce*s*2z - se*(ca*2x + sa*2y)) / 2s**2 are ints over fixed denominators.
+    # largest denominator s they are ints, and with doubled points u = (ca*s*2y - sa*s*2x) / 2s**2
+    # and v = (ce*s*2z - se*(ca*2x + sa*2y)) / 2s**2 are ints over one denominator.
     camera = (*_sin_cos(az), *_sin_cos(el))
     s = max(den for _, den in camera)
     sa, ca, se, ce = (num * (s // den) for num, den in camera)
-    ces, u_den, v_den = ce * s, 2 * s, 2 * s * s
+    sas, cas, ces, den = sa * s, ca * s, ce * s, 2 * s * s
     projected: dict[str, list[tuple[int, int, int, int]]] = {kind: [] for kind in KINDS}
     us, vs = [], []
-    for kind, (xa, ya, za), (xb, yb, zb) in scene.segments:
-        ua, ub = ca * ya - sa * xa, ca * yb - sa * xb
+    for kind, (xa, ya, za), (xb, yb, zb) in _known_kinds(scene.segments):
+        ua, ub = cas * ya - sas * xa, cas * yb - sas * xb
         va = ces * za - se * (ca * xa + sa * ya)
         vb = ces * zb - se * (ca * xb + sa * yb)
         projected[kind].append((ua, va, ub, vb))
@@ -240,18 +247,17 @@ def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     if not us:
         us = vs = [0]
 
-    # Frame values are over 20 * v_den, with u scaled by s onto v_den: a margin (a twentieth of
-    # its side) is the side's extent over v_den, or 1/2 when that is 0; the stroke is a 400th of the larger side.
-    width, height = s * (max(us) - min(us)), max(vs) - min(vs)
-    margin_u, margin_v = width or 10 * v_den, height or 10 * v_den
+    # Frame values are over 20 * den: a margin (a twentieth of its side) is the side's
+    # extent over den, or 1/2 when that is 0; the stroke is a 400th of the larger side.
+    width, height = max(us) - min(us), max(vs) - min(vs)
+    margin_u, margin_v = width or 10 * den, height or 10 * den
     box_w, box_h = 20 * width + 2 * margin_u, 20 * height + 2 * margin_v
     # screen y grows downward: flip v.
-    box = (20 * s * min(us) - margin_u, -20 * max(vs) - margin_v, box_w, box_h)
-    view_box = " ".join(_format_ratio(c, 20 * v_den, digits) for c in box)
-    stroke_width = _format_ratio(max(box_w, box_h), 8000 * v_den, digits)
+    box = (20 * min(us) - margin_u, -20 * max(vs) - margin_v, box_w, box_h)
+    view_box = " ".join(_format_ratio(c, 20 * den, digits) for c in box)
+    stroke_width = _format_ratio(max(box_w, box_h), 8000 * den, digits)
 
-    fu = lambda num: _format_ratio(num, u_den, digits)  # noqa: E731
-    fv = lambda num: _format_ratio(num, v_den, digits)  # noqa: E731
+    fmt = lambda num: _format_ratio(num, den, digits)  # noqa: E731
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view_box}">',
@@ -260,7 +266,7 @@ def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
         lines.append(f'  <g fill="none" stroke="{stroke[kind]}" stroke-width="{stroke_width}" stroke-linecap="round">')
         for ua, va, ub, vb in projected[kind]:
             lines.append(
-                f'    <line x1="{fu(ua)}" y1="{fv(-va)}" x2="{fu(ub)}" y2="{fv(-vb)}"/>'
+                f'    <line x1="{fmt(ua)}" y1="{fmt(-va)}" x2="{fmt(ub)}" y2="{fmt(-vb)}"/>'
             )
         lines.append("  </g>")
     lines.append("</svg>")

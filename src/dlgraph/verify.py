@@ -455,7 +455,6 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
         points[KIND_TREE_P].update(((x, 0, 2 * h), (h, j)) for j, x in enumerate(x_row))
         points[KIND_TREE_Q].update(((0, y, 2 * h), (h, k)) for k, y in enumerate(y_row))
         points[KIND_DL].update(((x, y, 2 * h), (h, j, k)) for j, x in enumerate(x_row) for k, y in enumerate(y_row))
-    seen: dict = {}
     for i, (kind, a, b) in enumerate(scene.segments):
         if kind in (KIND_TREE_P, KIND_TREE_Q):
             if not all(type(c) is int for c in (*a, *b)):  # a bool's type is bool, not int
@@ -481,14 +480,14 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
         if top[0] - bottom[0] != 1 or key not in expected:
             nodes = "vertices" if kind == KIND_DL else f"{kind} nodes"
             raise _Fail(f"segment {i} joins non-adjacent {nodes} {tuple(va)}, {tuple(vb)}")
-        seen[key] = seen.get(key, 0) + 1
-    # every drawn edge is an expected one, so a difference shows on an expected edge
-    for (kind, top, bottom), count in expected.items():
-        drawn = seen.get((kind, top, bottom), 0)
-        if drawn != count:
+        expected[key] -= 1
+    # every drawn edge is an expected one, so a difference shows as an expected edge's nonzero remainder
+    for (kind, top, bottom), left in expected.items():
+        if left:  # recount only the edge to name: as often as g.edges() lists it, or once for a tree edge
+            count = sum((u, w) == (top, bottom) for u, w in g.edges()) if kind == KIND_DL else 1
             edge = "edge" if kind == KIND_DL else f"{kind} edge"
-            raise _Fail(f"{edge} {tuple(top)}-{tuple(bottom)} drawn {drawn} times, expected {count}")
-    return {"dl_segments": sum(count for (kind, _, _), count in seen.items() if kind == KIND_DL)}
+            raise _Fail(f"{edge} {tuple(top)}-{tuple(bottom)} drawn {count - left} times, expected {count}")
+    return {"dl_segments": sum(kind == KIND_DL for kind, _, _ in scene.segments)}
 
 
 # Each entry runs one check on (graph, ball radius); only here is it said

@@ -162,6 +162,12 @@ def test_verify_unknown_check_is_usage_error(capsys):
     assert "unknown check" in err
 
 
+def test_verify_empty_check_list_is_usage_error(capsys):
+    # an empty list names the check '', as "--checks ," does; it does not select every check
+    assert main(["verify", "--checks", ""]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: unknown check ''")
+
+
 # ---------------------------------------------------------------------------
 # figure presets
 

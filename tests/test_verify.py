@@ -28,6 +28,7 @@ from dlgraph import (
     check_level_condition,
     check_local_homogeneity,
     check_scene_graph_agreement,
+    dl_position,
     orange_position,
     run_checks,
 )
@@ -845,6 +846,26 @@ def test_scene_agreement_fails_on_a_segment_of_unknown_kind(kind):
     result = check_scene_graph_agreement(g, _damaged_scene(scene, index, lambda seg: [(kind, *seg[1:])]))
     assert result.status == "fail"
     assert result.counterexample == f"segment {index} has unknown kind {kind!r}"
+
+
+@pytest.mark.parametrize(
+    "listed,drawn,counterexample",
+    [
+        (2, 1, "edge (1, 0, 0)-(0, 0, 0) drawn 1 times, expected 2"),
+        (3, 1, "edge (1, 0, 0)-(0, 0, 0) drawn 1 times, expected 3"),
+        (2, 2, None),
+    ],
+    ids=["listed-twice", "listed-three-times", "listed-and-drawn-twice"],
+)
+def test_scene_agreement_expects_an_edge_as_often_as_the_graph_lists_it(listed, drawn, counterexample):
+    # a DL edge that edges() repeats must be drawn that many times; the failure names both counts
+    g = graph()
+    edge = next(g.edges())
+    scene = build_scene(g)
+    index = scene.segments.index(("dl", *(tuple(int(2 * c) for c in dl_position(g.params, v)) for v in edge)))
+    damaged = MutatedGraph(g, add_edges=[edge] * (listed - 1))
+    result = check_scene_graph_agreement(damaged, _damaged_scene(scene, index, lambda seg: [seg] * drawn))
+    assert (result.status, result.counterexample) == ("fail" if counterexample else "pass", counterexample)
 
 
 # ---------------------------------------------------------------------------
