@@ -1,66 +1,33 @@
-"""Finite Diestel-Leader graph truncations: construction, layout, export, verification."""
+"""Finite Diestel-Leader graph truncations: construction, layout, export, verification.
 
-from .export import ExportOptions, export_json, export_obj, export_svg, export_tikz, format_number, render, write_scene
-from .graph import Census, DLGraph, DLParams
-from .layout import (
-    DEFAULT_VIEW,
-    KIND_DL,
-    KIND_TREE_P,
-    KIND_TREE_Q,
-    Scene3D,
-    brown_position,
-    build_scene,
-    dl_position,
-    invert_doubled_position,
-    orange_position,
-)
-from .tree import ROOT, CapExceededError, LayeredTree
-from .verify import (
-    CheckResult,
-    VerificationReport,
-    check_counts,
-    check_degree_law,
-    check_lamplighter,
-    check_level_condition,
-    check_local_homogeneity,
-    check_scene_graph_agreement,
-    run_checks,
-)
+Each public name, and each submodule such as ``dlgraph.layout``, is loaded on
+first access (PEP 562), so ``import dlgraph`` itself loads no submodule.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Census",
-    "CapExceededError",
-    "CheckResult",
-    "DEFAULT_VIEW",
-    "DLGraph",
-    "DLParams",
-    "ExportOptions",
-    "KIND_DL",
-    "KIND_TREE_P",
-    "KIND_TREE_Q",
-    "LayeredTree",
-    "ROOT",
-    "Scene3D",
-    "VerificationReport",
-    "brown_position",
-    "build_scene",
-    "check_counts",
-    "check_degree_law",
-    "check_lamplighter",
-    "check_level_condition",
-    "check_local_homogeneity",
-    "check_scene_graph_agreement",
-    "dl_position",
-    "export_json",
-    "export_obj",
-    "export_svg",
-    "export_tikz",
-    "format_number",
-    "invert_doubled_position",
-    "orange_position",
-    "render",
-    "run_checks",
-    "write_scene",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "export": ("ExportOptions", "export_json", "export_obj", "export_svg", "export_tikz", "format_number", "render",
+               "write_scene"),
+    "graph": ("Census", "DLGraph", "DLParams"),
+    "layout": ("DEFAULT_VIEW", "KIND_DL", "KIND_TREE_P", "KIND_TREE_Q", "Scene3D", "brown_position", "build_scene",
+               "dl_position", "invert_doubled_position", "orange_position"),
+    "tree": ("ROOT", "CapExceededError", "LayeredTree"),
+    "verify": ("CheckResult", "VerificationReport", "check_counts", "check_degree_law", "check_lamplighter",
+               "check_level_condition", "check_local_homogeneity", "check_scene_graph_agreement", "run_checks"),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # importing a submodule binds it on the package
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)  # later reads skip this hook
+    return value

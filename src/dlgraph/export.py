@@ -7,11 +7,9 @@ most ``decimal_digits`` fractional digits; "-0" is normalized to "0".
 
 from __future__ import annotations
 
-import json
+import io
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import BinaryIO, Callable
+from collections.abc import Callable
 
 from .graph import DLGraph
 from .layout import (
@@ -22,7 +20,7 @@ from .layout import (
     Scene3D,
     coordinate_rows,
 )
-from .tree import LayeredTree, _decimal, as_integer
+from .tree import LayeredTree, Record, _decimal, as_integer
 
 FORMATS = ("tikz", "json", "obj", "svg")
 # Most fractional digits a number may be printed with: 10**digits is computed
@@ -35,8 +33,7 @@ DEFAULT_COLORS = ("Orange!20", "MFCB!20", "DeepSkyBlue4")
 DEFAULT_SVG_COLORS = ("#F5C089", "#B9AF8F", "#00688B")
 
 
-@dataclass(frozen=True)
-class ExportOptions:
+class ExportOptions(Record):
     """Rendering options shared by all formats; the view is the scene's.
 
     ``colors`` are the three per-kind styles (tree-p, tree-q, dl): TikZ style
@@ -47,23 +44,22 @@ class ExportOptions:
     raise ``TypeError``.
     """
 
-    format: str = "tikz"
-    colors: tuple[str, str, str] | None = None
-    axis_labels: bool = True
-    decimal_digits: int = 6
+    __slots__ = _fields = ("format", "colors", "axis_labels", "decimal_digits")
 
-    def __post_init__(self) -> None:
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
-        if self.colors is not None:
-            if not (isinstance(self.colors, (tuple, list)) and len(self.colors) == 3 and all(isinstance(c, str) for c in self.colors)):
-                raise TypeError(f"colors must be None or three strings, got {self.colors!r}")
-            object.__setattr__(self, "colors", tuple(self.colors))
-        object.__setattr__(self, "decimal_digits", as_integer(self.decimal_digits, "decimal_digits"))
-        if self.decimal_digits < 1:
-            raise ValueError(f"decimal_digits must be >= 1, got {_decimal(self.decimal_digits)}")
-        if self.decimal_digits > MAX_DIGITS:
-            raise ValueError(f"decimal_digits must be <= {MAX_DIGITS}, got {_decimal(self.decimal_digits)}")
+    def __init__(self, format: str = "tikz", colors: tuple[str, str, str] | None = None, axis_labels: bool = True,
+                 decimal_digits: int = 6) -> None:
+        if format not in FORMATS:
+            raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+        if colors is not None:
+            if not (isinstance(colors, (tuple, list)) and len(colors) == 3 and all(isinstance(c, str) for c in colors)):
+                raise TypeError(f"colors must be None or three strings, got {colors!r}")
+            colors = tuple(colors)
+        decimal_digits = as_integer(decimal_digits, "decimal_digits")
+        if decimal_digits < 1:
+            raise ValueError(f"decimal_digits must be >= 1, got {_decimal(decimal_digits)}")
+        if decimal_digits > MAX_DIGITS:
+            raise ValueError(f"decimal_digits must be <= {MAX_DIGITS}, got {_decimal(decimal_digits)}")
+        self._set(format, colors, axis_labels, decimal_digits)
 
 
 def _format_ratio(num: int, den: int, digits: int) -> str:
@@ -83,6 +79,8 @@ def _format_ratio(num: int, den: int, digits: int) -> str:
 
 def format_number(value, digits: int = 6) -> str:
     """Shortest decimal with at most ``digits`` fractional digits (an int in ``0 .. MAX_DIGITS``), trailing zeros trimmed."""
+    from fractions import Fraction  # here, not at the top: fractions loads decimal, a cost every command would pay
+
     digits = as_integer(digits, "digits")
     if digits < 0:
         raise ValueError(f"digits must be >= 0, got {_decimal(digits)}")
@@ -150,6 +148,8 @@ def export_json(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     brown node is its internal level ``layers - drawn height``).  Tree edges
     are (parent, child) id pairs, the parent by ``LayeredTree.predecessor``.
     """
+    import json  # here, not at the top: only this writer needs it
+
     params = scene.params
     p, q, L = params.p, params.q, params.layers
     az, el = scene.view
@@ -286,7 +286,7 @@ def render(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     return _RENDERERS[opts.format](scene, opts)
 
 
-def write_scene(scene: Scene3D, opts: ExportOptions, sink: BinaryIO) -> None:
+def write_scene(scene: Scene3D, opts: ExportOptions, sink: io.BufferedIOBase) -> None:
     """Encode the rendered document as UTF-8 into a byte sink.
 
     A buffered pipe whose reader has gone may report a short count instead of

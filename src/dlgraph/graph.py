@@ -18,16 +18,14 @@ slice (h = layers) degree q.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .tree import _decimal, as_integer, check_cap
+from .tree import Record, _decimal, as_integer, check_cap
 
 DEFAULT_VERTEX_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class DLParams:
+class DLParams(Record):
     """Construction parameters, validated on creation by type and by range.
 
     Each field must be an ``int`` or an object with ``__index__`` (stored as
@@ -37,14 +35,10 @@ class DLParams:
     exceeds ``layers * vertex_cap``.
     """
 
-    p: int
-    q: int
-    layers: int
-    vertex_cap: int = DEFAULT_VERTEX_CAP
+    __slots__ = _fields = ("p", "q", "layers", "vertex_cap")
 
-    def __post_init__(self) -> None:
-        for name in ("p", "q", "layers", "vertex_cap"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+    def __init__(self, p: int, q: int, layers: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> None:
+        self._set(as_integer(p, "p"), as_integer(q, "q"), as_integer(layers, "layers"), as_integer(vertex_cap, "vertex_cap"))
         for name, low in (("p", 2), ("q", 2), ("layers", 1), ("vertex_cap", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {_decimal(getattr(self, name))}")
@@ -67,14 +61,14 @@ class DLParams:
         return sum(self.p**n * self.q ** (L - n + 1) for n in range(1, L + 1))
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Record):
     """Enumerated counts: vertices per height, total edges, degree histogram."""
 
-    heights: tuple[int, ...]
-    vertex_count: int
-    edge_count: int
-    degree_histogram: dict[int, int]
+    __slots__ = _fields = ("heights", "vertex_count", "edge_count", "degree_histogram")
+
+    def __init__(self, heights: tuple[int, ...], vertex_count: int, edge_count: int,
+                 degree_histogram: dict[int, int]) -> None:
+        self._set(heights, vertex_count, edge_count, degree_histogram)
 
 
 class DLGraph:

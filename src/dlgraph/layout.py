@@ -20,12 +20,10 @@ the exact ``Fraction`` values, and rounding happens only at export time.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Real
 
 from .graph import DLGraph, DLParams
-from .tree import _decimal, as_integer
+from .tree import Record, _decimal, as_integer
 
 KIND_TREE_P = "tree-p"
 KIND_TREE_Q = "tree-q"
@@ -35,29 +33,27 @@ KINDS = (KIND_TREE_P, KIND_TREE_Q, KIND_DL)
 DEFAULT_VIEW = (165, 10)
 
 
-@dataclass(frozen=True)
-class Scene3D:
+class Scene3D(Record):
     """Drawn lines as ``(kind, a, b)`` tuples, each endpoint the doubled int
     tuple ``(2x, 2y, 2z)`` and ``a`` the higher one, plus the view under which
     they are meant to be shown.
 
     ``view`` is (azimuth degrees, elevation degrees), two real numbers that
     fit a finite float, stored as a tuple; only exporters interpret it.
-    ``dataclasses.replace(scene, view=...)`` shows the same segments from
-    another view.
+    ``Scene3D(scene.params, view, scene.segments)`` shows the same segments
+    from another view.
     """
 
-    params: DLParams
-    view: tuple
-    segments: tuple[tuple[str, tuple[int, int, int], tuple[int, int, int]], ...]
+    __slots__ = _fields = ("params", "view", "segments")
 
-    def __post_init__(self) -> None:
-        view = tuple(self.view)
-        if len(view) != 2 or not all(isinstance(a, Real) and not isinstance(a, bool) for a in view):
-            raise TypeError(f"view must be two real numbers (azimuth, elevation), got {self.view!r}")
-        if not all(abs(a) <= sys.float_info.max for a in view):  # false for nan, inf and what a float cannot hold
-            raise ValueError(f"view angles must be finite floats, got {self.view!r}")
-        object.__setattr__(self, "view", view)
+    def __init__(self, params: DLParams, view,
+                 segments: tuple[tuple[str, tuple[int, int, int], tuple[int, int, int]], ...]) -> None:
+        angles = tuple(view)
+        if len(angles) != 2 or not all(isinstance(a, Real) and not isinstance(a, bool) for a in angles):
+            raise TypeError(f"view must be two real numbers (azimuth, elevation), got {view!r}")
+        if not all(abs(a) <= sys.float_info.max for a in angles):  # false for nan, inf and what a float cannot hold
+            raise ValueError(f"view angles must be finite floats, got {view!r}")
+        self._set(params, angles, segments)
 
 
 def _coordinate(spacing: int, index: int) -> int:
@@ -97,6 +93,8 @@ def coordinate_rows(params: DLParams) -> tuple[list[list[int]], list[list[int]]]
 
 def orange_position(p: int, layers: int, level: int, index: int) -> tuple[Fraction, Fraction, Fraction]:
     """Position of orange node ``index`` at ``level``, in the plane y = 0."""
+    from fractions import Fraction  # here, not at the top: no command needs it
+
     level, index = as_integer(level, "level"), as_integer(index, "index")
     if not 0 <= level <= layers:
         raise ValueError(f"level {_decimal(level)} outside [0, {layers}]")
@@ -107,6 +105,8 @@ def orange_position(p: int, layers: int, level: int, index: int) -> tuple[Fracti
 
 def brown_position(q: int, layers: int, height: int, index: int) -> tuple[Fraction, Fraction, Fraction]:
     """Position of the brown node ``index`` drawn at ``height``, in the plane x = 0."""
+    from fractions import Fraction
+
     height, index = as_integer(height, "height"), as_integer(index, "index")
     if not 0 <= height <= layers:
         raise ValueError(f"height {_decimal(height)} outside [0, {layers}]")

@@ -16,8 +16,7 @@ A vertex is addressed by the plain int pair ``(level, index)`` with
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 DEFAULT_LEVEL_CAP = 1 << 20
 
@@ -62,8 +61,44 @@ def check_cap(message: str, bits: int, count: Callable[[], int], cap: int, /, **
     raise CapExceededError(message.format(size=size, **{name: _decimal(n) for name, n in numbers.items()}))
 
 
-@dataclass(frozen=True)
-class LayeredTree:
+class Record:
+    """Immutable value with equality, hash and repr over the fields named by ``_fields``.
+
+    ``__init__`` stores every slot through :meth:`_set`; assigning or deleting
+    an attribute afterwards raises ``AttributeError``.  Pickling and copying
+    call the constructor again with the fields, in order.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class LayeredTree(Record):
     """Depth-``layers`` truncation of the homogeneous tree with ``branching`` children per vertex.
 
     Level ``h`` holds exactly ``branching**h`` vertices.  All operations are
@@ -74,21 +109,19 @@ class LayeredTree:
     exceed ``level_cap`` vertices.
     """
 
-    branching: int
-    layers: int
-    level_cap: int = DEFAULT_LEVEL_CAP
-    _level_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("branching", "layers", "level_cap")
+    __slots__ = (*_fields, "_level_sizes")
 
-    def __post_init__(self) -> None:
-        for name in ("branching", "layers", "level_cap"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        for name, low in (("branching", 2), ("layers", 1), ("level_cap", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {_decimal(getattr(self, name))}")
-        bits = self.layers * (self.branching.bit_length() - 1)  # branching**layers >= 2**bits
-        check_cap("level {layers} would hold {size} vertices (cap: {cap})", bits, lambda: self.branching**self.layers,
-                  self.level_cap, layers=self.layers, cap=self.level_cap)
-        object.__setattr__(self, "_level_sizes", tuple(self.branching**h for h in range(self.layers + 1)))
+    def __init__(self, branching: int, layers: int, level_cap: int = DEFAULT_LEVEL_CAP) -> None:
+        branching, layers = as_integer(branching, "branching"), as_integer(layers, "layers")
+        level_cap = as_integer(level_cap, "level_cap")
+        for name, value, low in (("branching", branching, 2), ("layers", layers, 1), ("level_cap", level_cap, 0)):
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {_decimal(value)}")
+        bits = layers * (branching.bit_length() - 1)  # branching**layers >= 2**bits
+        check_cap("level {layers} would hold {size} vertices (cap: {cap})", bits, lambda: branching**layers,
+                  level_cap, layers=layers, cap=level_cap)
+        self._set(branching, layers, level_cap, tuple(branching**h for h in range(layers + 1)))
 
     def level_size(self, level: int) -> int:
         """Number of vertices at ``level``."""

@@ -21,20 +21,17 @@ suitable damage.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
-import json
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .graph import DLGraph
 from .layout import (
     KIND_DL, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, coordinate_rows, invert_doubled_position,
     invert_tree_position,
 )
-from .tree import LayeredTree, _decimal, as_integer
+from .tree import LayeredTree, Record, _decimal, as_integer
 
 PASS = "pass"
 FAIL = "fail"
@@ -44,23 +41,23 @@ DEFAULT_BALL_RADIUS = 2
 MAX_BALL_RADIUS = 3
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one check: pass/fail/skip plus a counterexample on failure."""
 
-    name: str
-    params: dict
-    status: str
-    counterexample: str | None
-    elapsed: float
-    detail: dict | None = None
+    __slots__ = _fields = ("name", "params", "status", "counterexample", "elapsed", "detail")
+
+    def __init__(self, name: str, params: dict, status: str, counterexample: str | None, elapsed: float,
+                 detail: dict | None = None) -> None:
+        self._set(name, params, status, counterexample, elapsed, detail)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Deterministically ordered collection of check results."""
 
-    entries: tuple[CheckResult, ...]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[CheckResult, ...]) -> None:
+        self._set(entries)
 
     @property
     def all_passed(self) -> bool:
@@ -83,6 +80,8 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json  # here, not at the top: no command needs it
+
         doc = {
             "all_passed": self.all_passed,
             "checks": [
@@ -112,25 +111,30 @@ def _check(*param_names: str) -> Callable:
     """Turn a check body ``body(g, ...)`` into a check with the same
     signature that returns a :class:`CheckResult`.
 
-    The body returns its PASS detail, or raises :class:`_Fail` or
-    :class:`_Skip`; any other exception passes through.  The result is named
+    The body takes arguments without defaults, and the check binds them as a
+    call would, or raises ``TypeError``.  The body returns its PASS detail,
+    or raises :class:`_Fail` or :class:`_Skip`; any other exception passes through.  The result is named
     after the body, and its params are p, q and layers plus the arguments
     named by ``param_names``, integer bounds that pass through ``as_integer`` first.
     """
 
     def decorate(body: Callable) -> Callable:
-        signature = inspect.signature(body)
+        names = body.__code__.co_varnames[: body.__code__.co_argcount]
 
         @functools.wraps(body)
         def check(*args, **kwargs) -> CheckResult:
             started = time.perf_counter()
-            bound = signature.bind(*args, **kwargs)
-            bound.arguments.update((name, as_integer(bound.arguments[name], name)) for name in param_names)
-            g = bound.arguments["g"]
-            params = {"p": g.params.p, "q": g.params.q, "layers": g.params.layers} | {name: bound.arguments[name] for name in param_names}
+            arguments = dict(zip(names, args)) | kwargs
+            # an extra positional or a repeated argument leaves fewer keys than arguments given
+            if len(arguments) != len(args) + len(kwargs) or arguments.keys() != set(names):
+                raise TypeError(f"{body.__name__}() takes each of ({', '.join(names)}) once, "
+                                f"got {len(args)} positional and the keywords {sorted(kwargs)}")
+            arguments.update((name, as_integer(arguments[name], name)) for name in param_names)
+            g = arguments["g"]
+            params = {"p": g.params.p, "q": g.params.q, "layers": g.params.layers} | {name: arguments[name] for name in param_names}
             status, counterexample = PASS, None
             try:
-                detail = body(*bound.args, **bound.kwargs)
+                detail = body(**arguments)
             except _Fail as exc:
                 status, counterexample, detail = FAIL, str(exc), None
             except _Skip as exc:

@@ -12,7 +12,7 @@ import pytest
 
 import dlgraph
 from dlgraph import VerificationReport
-from dlgraph.cli import EXIT_CAP, EXIT_OK, EXIT_OUTPUT, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from dlgraph.cli import EXIT_CAP, EXIT_OK, EXIT_OUTPUT, EXIT_USAGE, EXIT_VERIFY_FAILED, entrypoint, main
 
 
 def run(capsys, *argv):
@@ -343,3 +343,28 @@ def test_the_cli_imports_only_the_standard_library():
     src = Path(dlgraph.__file__).parent.parent
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("statement, modules", [
+    # a graph needs graph.py and tree.py alone: every other public name loads on first use
+    ("import dlgraph; dlgraph.DLGraph(dlgraph.DLParams(2, 2, 8))", ["dlgraph", "dlgraph.graph", "dlgraph.tree"]),
+    ("import dlgraph; dlgraph.layout.build_scene", ["dlgraph", "dlgraph.graph", "dlgraph.layout", "dlgraph.tree"]),
+    ("import dlgraph.cli", ["dlgraph", "dlgraph.cli", "dlgraph.export", "dlgraph.graph", "dlgraph.layout",
+                            "dlgraph.tree", "dlgraph.verify"]),
+])
+def test_starting_a_command_loads_no_module_it_does_not_need(statement, modules):
+    # these cost every process milliseconds to import, and only the library functions that use them import them
+    unneeded = ["dataclasses", "fractions", "inspect", "json", "typing"]
+    code = (f"import sys; sys.path.insert(0, sys.argv[1]); {statement}; "
+            f"print(sorted(name for name in sys.modules if name.partition('.')[0] in {{'dlgraph', *{unneeded}}}))")
+    src = Path(dlgraph.__file__).parent.parent
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{modules}\n", "")
+
+
+def test_console_script_writes_the_dl32_figure(monkeypatch, capsysbinary):
+    monkeypatch.setattr(sys, "argv", ["dlgraph", "figure", "--name", "dl32"])
+    with pytest.raises(SystemExit) as exit_info:
+        entrypoint()
+    assert exit_info.value.code == EXIT_OK
+    assert capsysbinary.readouterr().out == (Path(__file__).parent / "golden" / "dl32.tex").read_bytes()

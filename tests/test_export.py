@@ -3,7 +3,6 @@ well-formedness, the SVG camera, and byte-level determinism."""
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -254,7 +253,7 @@ def test_tikz_options():
     assert "xlabel" not in doc and "ylabel" not in doc and "zlabel" not in doc
     doc = export_tikz(reference_scene(), ExportOptions(colors=("red", "green", "blue")))
     assert r"\addplot3[red,thick]" in doc and r"\addplot3[blue,thick]" in doc
-    doc = export_tikz(dataclasses.replace(reference_scene(), view=(30, 60)))
+    doc = export_tikz(reference_scene((30, 60)))
     assert "view={30}{60}" in doc
 
 
@@ -263,7 +262,7 @@ def test_tikz_options():
 
 @pytest.mark.parametrize("view", [(-0.0, 90.0), (Fraction(1, 3), 1e300), (2.0**60, 0.5)])
 def test_json_view_is_an_int_when_whole_else_a_float(view):
-    doc = json.loads(export_json(dataclasses.replace(reference_scene(), view=view)))
+    doc = json.loads(export_json(reference_scene(view)))
     assert doc["view"] == [int(f) if (f := Fraction(v)).denominator == 1 else float(f) for v in view]
 
 
@@ -401,7 +400,7 @@ def test_svg_cardinal_projections_are_exact():
     assert project_point((3, 5, 7), 180, 0) == (-5, 7)
     assert project_point((3, 5, 7), 0, 90) == (5, -3)  # v = cos(90)*z - sin(90)*x
     # the writer prints those exact values: at view (0, 0), u = y and screen y = -z
-    doc = export_svg(dataclasses.replace(tiny_scene(), view=(0, 0)), ExportOptions(format="svg"))
+    doc = export_svg(build_scene(DLGraph(DLParams(2, 2, 1)), (0, 0)), ExportOptions(format="svg"))
     first = re.search(r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"/>', doc).groups()
     _, a, b = next(seg for seg in tiny_scene().segments if seg[0] == KIND_TREE_Q)
     assert first == tuple(format_number(Fraction(c, 2)) for c in (a[1], -a[2], b[1], -b[2]))
@@ -433,14 +432,14 @@ VIEW_ANGLES = st.one_of(
 @settings(deadline=None, max_examples=60)
 @given(size=st.sampled_from([(2, 2, 2), (2, 3, 2)]), az=VIEW_ANGLES, el=VIEW_ANGLES, digits=st.integers(1, 8))
 def test_svg_matches_the_fraction_reference(size, az, el, digits):
-    scene = dataclasses.replace(build_scene(DLGraph(DLParams(*size))), view=(az, el))
+    scene = build_scene(DLGraph(DLParams(*size)), (az, el))
     opts = ExportOptions(format="svg", decimal_digits=digits)
     assert export_svg(scene, opts) == reference_svg(scene, opts)
 
 
 @pytest.mark.parametrize("view", [(165, 10), (33.3, -12.5), (0, 90), (-90.0, -0.0)])
 def test_svg_matches_the_fraction_reference_on_the_reference_scene(view):
-    scene = dataclasses.replace(reference_scene(), view=view)
+    scene = reference_scene(view)
     opts = ExportOptions(format="svg")
     assert export_svg(scene, opts) == reference_svg(scene, opts)
     point_scene = Scene3D(scene.params, scene.view, scene.segments[:0])

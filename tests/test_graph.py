@@ -3,7 +3,8 @@ rule, BFS goldens frozen from the breadth-first oracle, duality, connectivity.""
 
 from __future__ import annotations
 
-import inspect
+import copy
+import pickle
 import re
 from collections import Counter, deque
 
@@ -447,9 +448,57 @@ def test_duality_flip_is_an_isomorphism(p, q, layers):
 # package exports
 
 def test_all_names_every_public_name():
-    # a name deleted from the package but left in __all__ breaks `from dlgraph import *`
-    public = {name for name, value in vars(dlgraph).items() if not name.startswith("_") and not inspect.ismodule(value)}
-    assert sorted(dlgraph.__all__) == sorted(public)
+    # __all__ is the module -> names table; a name deleted from its module but left there breaks `from dlgraph import *`
+    table = dlgraph._EXPORTS
+    assert sorted(dlgraph.__all__) == sorted(name for names in table.values() for name in names)
+    for module, names in table.items():
+        assert getattr(dlgraph, module).__name__ == f"dlgraph.{module}"
+        for name in names:
+            assert getattr(dlgraph, name) is getattr(getattr(dlgraph, module), name)
+    namespace: dict = {}
+    exec("from dlgraph import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(dlgraph.__all__)
     # scene segments and exact positions are plain tuples, with no named-tuple class of their own
     for name in ("Segment", "Point3"):
-        assert name not in public and not hasattr(dlgraph.layout, name)
+        assert name not in dlgraph.__all__ and not hasattr(dlgraph, name) and not hasattr(dlgraph.layout, name)
+    with pytest.raises(AttributeError, match=r"^module 'dlgraph' has no attribute 'Segment'$"):
+        dlgraph.Segment
+
+
+VALUES = [  # (build a value, its repr, whether it hashes: a field that holds a dict does not)
+    (lambda: DLParams(2, 3, 3), "DLParams(p=2, q=3, layers=3, vertex_cap=200000)", True),
+    (lambda: DLGraph(DLParams(2, 3, 1)).census(),
+     "Census(heights=(3, 2), vertex_count=5, edge_count=6, degree_histogram={2: 3, 3: 2})", False),
+    (lambda: LayeredTree(2, 3), "LayeredTree(branching=2, layers=3, level_cap=1048576)", True),
+    (lambda: dlgraph.Scene3D(DLParams(2, 2, 1), [165, 10.5], (("dl", (1, 1, 2), (0, 0, 0)),)),
+     "Scene3D(params=DLParams(p=2, q=2, layers=1, vertex_cap=200000), view=(165, 10.5), "
+     "segments=(('dl', (1, 1, 2), (0, 0, 0)),))", True),
+    (lambda: ExportOptions("svg", ["red", "green", "blue"]),
+     "ExportOptions(format='svg', colors=('red', 'green', 'blue'), axis_labels=True, decimal_digits=6)", True),
+    (lambda: dlgraph.CheckResult("check_counts", {"p": 2}, "pass", None, 0.5, {"vertices": 5}),
+     "CheckResult(name='check_counts', params={'p': 2}, status='pass', counterexample=None, elapsed=0.5, "
+     "detail={'vertices': 5})", False),
+    (lambda: dlgraph.VerificationReport((dlgraph.CheckResult("check_counts", {"p": 2}, "fail", "x", 0.25),)),
+     "VerificationReport(entries=(CheckResult(name='check_counts', params={'p': 2}, status='fail', "
+     "counterexample='x', elapsed=0.25, detail=None),))", False),
+]
+
+
+@pytest.mark.parametrize("build, text, hashable", VALUES, ids=[text.partition("(")[0] for _, text, _ in VALUES])
+def test_value_classes_compare_copy_and_print_by_their_fields(build, text, hashable):
+    value = build()
+    assert repr(value) == text
+    for twin in (build(), pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert twin == value and type(twin) is type(value) and repr(twin) == text
+        if hashable:
+            assert hash(twin) == hash(value)
+        else:
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(twin)
+    assert value != text  # another type compares unequal
+    field = text.partition("(")[2].partition("=")[0]
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+        delattr(value, field)
+    assert repr(value) == text

@@ -3,7 +3,6 @@ coordinate inversion that ties segments back to graph edges."""
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +14,7 @@ from dlgraph import (
     KIND_DL,
     KIND_TREE_P,
     KIND_TREE_Q,
+    Scene3D,
     brown_position,
     build_scene,
     dl_position,
@@ -187,10 +187,10 @@ def test_scene_rejects_a_bad_view(view, error):
 def test_scene_view_is_a_tuple_and_replace_revalidates_it():
     scene = scene_for(2, 2, 1, view=[Fraction(1, 3), 10**300])
     assert scene.view == (Fraction(1, 3), 10**300) and type(scene.view) is tuple
-    turned = dataclasses.replace(scene, view=(0, 90))
+    turned = Scene3D(scene.params, (0, 90), scene.segments)
     assert turned.view == (0, 90) and turned.segments is scene.segments
     with pytest.raises(ValueError, match=r"^view angles must be finite floats, got \(nan, 0\)$"):
-        dataclasses.replace(scene, view=(float("nan"), 0))
+        Scene3D(scene.params, (float("nan"), 0), scene.segments)
 
 
 def test_segments_connect_consecutive_heights():

@@ -4,7 +4,6 @@ segments, invert their coordinates to graph and tree edges, and compare with
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from collections import Counter
@@ -21,6 +20,7 @@ from dlgraph import (
     DLParams,
     ExportOptions,
     LayeredTree,
+    Scene3D,
     brown_position,
     build_scene,
     dl_position,
@@ -92,8 +92,8 @@ def _svg_lines(doc: str) -> list:
 def parse_svg(scene) -> list:
     """Two cardinal views recover every coordinate exactly: at (0, 0) the screen
     shows (y, -z), at (90, 0) it shows (-x, -z)."""
-    front = _svg_lines(export_svg(dataclasses.replace(scene, view=(0, 0)), ExportOptions(format="svg")))
-    side = _svg_lines(export_svg(dataclasses.replace(scene, view=(90, 0)), ExportOptions(format="svg")))
+    front = _svg_lines(export_svg(Scene3D(scene.params, (0, 0), scene.segments), ExportOptions(format="svg")))
+    side = _svg_lines(export_svg(Scene3D(scene.params, (90, 0), scene.segments), ExportOptions(format="svg")))
     segments = []
     for (kind, (ya, nza), (yb, nzb)), (side_kind, (nxa, side_za), (nxb, side_zb)) in zip(front, side, strict=True):
         assert (kind, side_za, side_zb) == (side_kind, nza, nzb)

@@ -950,8 +950,15 @@ def test_checks_take_their_arguments_by_keyword():
     assert result.params == {"p": 2, "q": 3, "layers": 4, "radius": 2}
     result = check_scene_graph_agreement(g, scene=build_scene(g))
     assert (result.status, result.params) == ("pass", {"p": 2, "q": 3, "layers": 4})
-    with pytest.raises(TypeError):
-        check_counts(g, 2)
+    for check, args, kwargs in (
+        (check_counts, (g, 2), {}),  # one positional too many
+        (check_local_homogeneity, (g, 2, 3), {}),  # one positional too many
+        (check_local_homogeneity, (), {"radius": 2}),  # g missing
+        (check_local_homogeneity, (g, 2), {"radius": 2}),  # radius twice
+        (check_local_homogeneity, (g,), {"radius": 2, "depth": 1}),  # an unknown keyword
+    ):
+        with pytest.raises(TypeError):
+            check(*args, **kwargs)
 
 
 def test_report_text_is_stable_and_timing_free():
