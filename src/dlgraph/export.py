@@ -39,9 +39,9 @@ class ExportOptions(Record):
     ``colors`` are the three per-kind styles (tree-p, tree-q, dl): TikZ style
     strings, or stroke values for SVG.  ``None`` means the format's own
     defaults, :data:`DEFAULT_COLORS` or :data:`DEFAULT_SVG_COLORS`.
-    ``decimal_digits`` must be an ``int`` or an object with ``__index__``
-    (stored as the plain ``int``) in ``1 .. MAX_DIGITS``; floats and bools
-    raise ``TypeError``.
+    ``axis_labels`` must be a ``bool``.  ``decimal_digits`` must be an ``int``
+    or an object with ``__index__`` (stored as the plain ``int``) in
+    ``1 .. MAX_DIGITS``; floats and bools raise ``TypeError``.
     """
 
     __slots__ = _fields = ("format", "colors", "axis_labels", "decimal_digits")
@@ -54,6 +54,8 @@ class ExportOptions(Record):
             if not (isinstance(colors, (tuple, list)) and len(colors) == 3 and all(isinstance(c, str) for c in colors)):
                 raise TypeError(f"colors must be None or three strings, got {colors!r}")
             colors = tuple(colors)
+        if type(axis_labels) is not bool:
+            raise TypeError(f"axis_labels must be a bool, got {axis_labels!r}")
         decimal_digits = as_integer(decimal_digits, "decimal_digits")
         if decimal_digits < 1:
             raise ValueError(f"decimal_digits must be >= 1, got {_decimal(decimal_digits)}")
@@ -103,8 +105,8 @@ def export_tikz(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     an "on background layer" scope.  No TikZ-side arithmetic is emitted, so
     the bytes depend only on the scene and options.
     """
-    segments, (az, el) = _known_kinds(scene.segments), scene.view
-    digits = opts.decimal_digits
+    segments, digits = _known_kinds(scene.segments), opts.decimal_digits
+    az, el = (_format_ratio(*angle.as_integer_ratio(), digits) for angle in scene.view)
     style = dict(zip(KINDS, opts.colors or DEFAULT_COLORS))
     lines = [
         r"\documentclass[border=0mm]{standalone}",
@@ -118,7 +120,7 @@ def export_tikz(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
         r"\begin{document}",
         r"\begin{tikzpicture}",
         r"  \begin{axis}[",
-        f"    view={{{format_number(az, digits)}}}{{{format_number(el, digits)}}},",
+        f"    view={{{az}}}{{{el}}},",
     ]
     if opts.axis_labels:
         lines += ["    xlabel=$x$,", "    zlabel=$z$,", "    ylabel=$y$,"]

@@ -17,7 +17,7 @@ slice (h = layers) degree q.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterator
 
 from .tree import Record, _decimal, as_integer, check_cap
@@ -146,38 +146,6 @@ class DLGraph:
             for c in range(p):
                 out.append((h + 1, base + c, up_brown))
         return out
-
-    def is_edge(self, a, b) -> bool:
-        """True iff the heights differ by 1 and both tree components move along tree edges."""
-        va, vb = self.validate(a), self.validate(b)
-        if abs(va[0] - vb[0]) != 1:
-            return False
-        (_, j_top, k_top), (_, j_bottom, k_bottom) = (va, vb) if va[0] > vb[0] else (vb, va)
-        return j_bottom == j_top // self.p and k_bottom // self.q == k_top
-
-    def bfs_distance(self, a, b) -> int:
-        """Shortest-path length within the truncation (plain breadth-first search).
-
-        Truncation-relative: near the height boundary this may exceed the
-        distance in the infinite graph.
-        """
-        start, goal = self.validate(a), self.validate(b)
-        if start == goal:
-            return 0
-        neighbors = self.neighbors
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            d = dist[u] + 1
-            for w in neighbors(u):
-                if w in dist:
-                    continue
-                if w == goal:
-                    return d
-                dist[w] = d
-                queue.append(w)
-        raise RuntimeError(f"{goal} unreachable from {start}")  # cannot happen: truncations are connected
 
     def census(self) -> Census:
         """Counts obtained by enumeration (not from the closed forms)."""

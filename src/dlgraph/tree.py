@@ -4,9 +4,9 @@
 spanned by a root and all of its descendants down to depth ``L``.  The
 orientation toward a fixed reference end is modelled by the predecessor
 direction: predecessor chains of the infinite tree continue "past the
-root", so on this truncation the confluent of two vertices is their
-nearest common ancestor and every height computation reduces to exact
-integer arithmetic.
+root", so on this truncation the predecessor rays of two vertices meet at
+their nearest common ancestor, and the relative height of
+:meth:`LayeredTree.busemann` reduces to a difference of levels.
 
 A vertex is addressed by the plain int pair ``(level, index)`` with
 ``0 <= index < b**level``; the children of ``(h, k)`` are
@@ -123,13 +123,6 @@ class LayeredTree(Record):
                   level_cap, layers=layers, cap=level_cap)
         self._set(branching, layers, level_cap, tuple(branching**h for h in range(layers + 1)))
 
-    def level_size(self, level: int) -> int:
-        """Number of vertices at ``level``."""
-        level = as_integer(level, "level")
-        if not 0 <= level <= self.layers:
-            raise ValueError(f"level {_decimal(level)} outside [0, {self.layers}]")
-        return self._level_sizes[level]
-
     def validate(self, address) -> tuple[int, int]:
         """Return ``address`` as a ``(level, index)`` tuple of ints, rejecting non-integer and out-of-range values."""
         level, index = address
@@ -140,13 +133,6 @@ class LayeredTree(Record):
         if not 0 <= index < self._level_sizes[level]:
             raise ValueError(f"index {_decimal(index)} outside [0, {_decimal(self.branching)}**{level}) at level {level}")
         return level, index
-
-    def __contains__(self, address) -> bool:
-        try:
-            self.validate(address)
-        except (TypeError, ValueError):
-            return False
-        return True
 
     def vertices(self) -> Iterator[tuple[int, int]]:
         """All addresses in (level, index) order."""
@@ -165,51 +151,11 @@ class LayeredTree(Record):
             return None
         return level - 1, index // self.branching
 
-    def successors(self, address) -> list[tuple[int, int]]:
-        """The ``branching`` children one horocycle further from the end; empty at the top level."""
-        level, index = self.validate(address)
-        if level == self.layers:
-            return []
-        base = index * self.branching
-        return [(level + 1, base + c) for c in range(self.branching)]
-
-    def confluent(self, first, second) -> tuple[int, int]:
-        """Where the predecessor rays from the two vertices meet: their nearest common ancestor."""
-        la, ia = self.validate(first)
-        lb, ib = self.validate(second)
-        while la > lb:
-            ia //= self.branching
-            la -= 1
-        while lb > la:
-            ib //= self.branching
-            lb -= 1
-        while ia != ib:
-            ia //= self.branching
-            ib //= self.branching
-            la -= 1
-        return la, ia
-
-    def distance(self, first, second) -> int:
-        """Graph distance (unit edge length): both vertices climb to the confluent."""
-        a = self.validate(first)
-        b = self.validate(second)
-        c = self.confluent(a, b)
-        return (a[0] - c[0]) + (b[0] - c[0])
-
     def busemann(self, x, o: tuple[int, int] = ROOT) -> int:
-        """Height of ``x`` relative to the basepoint ``o``: d(x, c) - d(o, c) with c the confluent.
+        """Height of ``x`` relative to the basepoint ``o``: d(x, c) - d(o, c), with c the
+        nearest common ancestor of ``x`` and ``o``, where their predecessor rays meet.
 
         Both distances climb to c, so its level cancels and the value is the
         level difference of ``x`` and ``o``.
         """
         return self.validate(x)[0] - self.validate(o)[0]
-
-    def horocycle(self, o, k: int) -> list[tuple[int, int]]:
-        """All truncation vertices at relative height ``k``, in (level, index) order.
-
-        That is the whole level ``o[0] + k``; empty when it lies outside the truncation.
-        """
-        level = self.validate(o)[0] + as_integer(k, "relative height")
-        if not 0 <= level <= self.layers:
-            return []
-        return [(level, index) for index in range(self._level_sizes[level])]

@@ -518,6 +518,8 @@ def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> Verification
         raise TypeError(f"names must be a collection of check names, not the string {names!r}")
     selected = {}  # each check once, in first-seen order
     for raw in CHECKS if names is None else names:
+        if not isinstance(raw, str):
+            raise TypeError(f"check names must be strings, got {raw!r}")
         key = raw.removeprefix("check_")
         if key not in CHECKS:
             raise ValueError(f"unknown check {raw!r}; available: {', '.join(CHECKS)}")

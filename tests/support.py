@@ -1,13 +1,17 @@
 """Test helpers: damaged DL graphs for the checks' negative controls and a
-fixed sweep of such damages, an integer-like value that is not an ``int``, a
-test for the plain int tuples every query returns, the local-homogeneity
-verdict of an exhaustive ball search as the oracle for the library's check, a
-lamp state read digit by digit through powers of b, and a reference SVG
-writer in exact ``Fraction`` arithmetic for the integer one in the library."""
+fixed sweep of such damages, the edge set as the adjacency oracle, an
+integer-like value that is not an ``int``, a test for the plain int tuples
+every query returns, tree confluents and distances from explicit predecessor
+chains and a breadth-first search as the oracles for the Busemann height, the
+local-homogeneity verdict of an exhaustive ball search as the oracle for the
+library's check, a lamp state read digit by digit through powers of b, and a
+reference SVG writer in exact ``Fraction`` arithmetic for the integer one in
+the library."""
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from typing import Iterator
 
@@ -87,13 +91,10 @@ class MutatedGraph:
         except TypeError:  # components that do not compare
             return out
 
-    def is_edge(self, a, b) -> bool:
-        pair = frozenset((tuple(a), tuple(b)))
-        if pair in self._dropped:
-            return False
-        if any(frozenset(added) == pair for added in self._added):
-            return True
-        return self.base.is_edge(a, b)
+
+def edge_set(g) -> set[frozenset]:
+    """The edges ``g.edges()`` lists, each as the unordered pair of its endpoints: the adjacency oracle."""
+    return {frozenset(edge) for edge in g.edges()}
 
 
 def _moved_edge(g):
@@ -162,6 +163,49 @@ def damage_sweep_text() -> str:
             report = verify.run_checks(damage(DLGraph(DLParams(p, q, layers))), radius=1)
             sections.append(f"== DL({p},{q}) L={layers}: {name} ==\n{report.to_text()}")
     return "".join(sections)
+
+
+def chain_to_root(address, branching):
+    """Predecessor chain from a tree address up to the root, inclusive."""
+    level, index = address
+    chain = [(level, index)]
+    while level > 0:
+        level, index = level - 1, index // branching
+        chain.append((level, index))
+    return chain
+
+
+def confluent_oracle(a, b, branching):
+    """Deepest tree vertex common to both predecessor chains."""
+    common = set(chain_to_root(a, branching)) & set(chain_to_root(b, branching))
+    return max(common, key=lambda v: v[0])
+
+
+def explicit_edges(branching, layers):
+    """The tree truncation's edge set: one (vertex, predecessor) pair per non-root vertex."""
+    edges = []
+    for level in range(1, layers + 1):
+        for index in range(branching**level):
+            edges.append(((level, index), (level - 1, index // branching)))
+    return edges
+
+
+def bfs_distances(branching, layers, source):
+    """Single-source shortest paths in the tree truncation, over the explicit edge set."""
+    adjacency = {}
+    for a, b in explicit_edges(branching, layers):
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    adjacency.setdefault(source, [])
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adjacency[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
 
 
 def homogeneity_by_search(g, radius: int) -> tuple[str, str | None, dict | None]:

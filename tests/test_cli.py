@@ -362,6 +362,22 @@ def test_starting_a_command_loads_no_module_it_does_not_need(statement, modules)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{modules}\n", "")
 
 
+@pytest.mark.parametrize("argv", [["figure", "--name", "dl32"], ["export", "--format", "tikz", "--view", "33.3", "-71.7"]],
+                         ids=["figure", "export-tikz"])
+def test_tikz_commands_leave_fractions_unloaded(tmp_path, argv):
+    # the two view angles are printed from their integer ratios: fractions, and the decimal it loads, stay out
+    target = tmp_path / "out.tex"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from dlgraph.cli import main; "
+            f"status = main({argv!r} + ['-o', sys.argv[2]]); "
+            "print(status, [name for name in ('fractions', 'decimal') if name in sys.modules])")
+    src = Path(dlgraph.__file__).parent.parent
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src), str(target)], capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, f"{EXIT_OK} []\n")
+    if argv[0] == "figure":
+        assert target.read_bytes() == (Path(__file__).parent / "golden" / "dl32.tex").read_bytes()
+
+
 def test_console_script_writes_the_dl32_figure(monkeypatch, capsysbinary):
     monkeypatch.setattr(sys, "argv", ["dlgraph", "figure", "--name", "dl32"])
     with pytest.raises(SystemExit) as exit_info:

@@ -35,7 +35,7 @@ from dlgraph import (
 )
 from dlgraph.export import DEFAULT_COLORS, DEFAULT_SVG_COLORS, MAX_DIGITS
 
-from support import Index, project_point, reference_format_number, reference_svg
+from support import Index, edge_set, project_point, reference_format_number, reference_svg
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,6 +135,13 @@ def test_export_options_check_decimal_digits_by_type():
             ExportOptions(decimal_digits=value)
     opts = ExportOptions(decimal_digits=Index(3))
     assert type(opts.decimal_digits) is int and opts.decimal_digits == 3
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None, 1.0], ids=["str", "zero", "one", "None", "float"])
+def test_export_options_check_axis_labels_by_type(value):
+    with pytest.raises(TypeError, match=rf"^axis_labels must be a bool, got {re.escape(repr(value))}$"):
+        ExportOptions(axis_labels=value)
+    assert ExportOptions(axis_labels=False).axis_labels is False
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +315,7 @@ def test_json_round_trip_reproduces_adjacency(p, q, layers):
     doc = json.loads(export_json(build_scene(g)))
     by_id = {v["id"]: (v["h"], v["orange"], v["brown"]) for v in doc["vertices"]}
     rebuilt = {frozenset((by_id[e["a"]], by_id[e["b"]])) for e in doc["edges"]}
-    verts = list(g.vertices())
-    for a in verts:
-        for b in verts:
-            assert (frozenset((tuple(a), tuple(b))) in rebuilt) == g.is_edge(a, b)
+    assert rebuilt == edge_set(g)
 
 
 def test_json_positions_match_layout():

@@ -1,5 +1,5 @@
-"""DL graph tests: counts against closed forms, adjacency against the edge
-rule, BFS goldens frozen from the breadth-first oracle, duality, connectivity."""
+"""DL graph tests: counts against closed forms, neighbour lists against the
+edge list, duality, connectivity."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from dlgraph import (
     run_checks,
 )
 
-from support import Index, is_int_tuple
+from support import Index, edge_set, is_int_tuple
 
 
 def closed_form_vertices(p, q, layers):
@@ -102,7 +102,7 @@ def test_cap_messages_name_ints_too_long_for_str_by_bit_length():
     # 10**5000 has more digits than str() prints by default; a cap that size admits a small graph,
     # and a field that size fails the cap with a short message, not with str()'s ValueError
     assert DLParams(2, 3, 3, vertex_cap=10**5000).vertex_count == 65
-    assert LayeredTree(2, 3, level_cap=10**5000).level_size(3) == 8
+    assert LayeredTree(2, 3, level_cap=10**5000).validate((3, 7)) == (3, 7)
     huge = [lambda: DLParams(10**5000, 2, 3), lambda: DLParams(2, 10**5000, 3), lambda: DLParams(2, 3, 10**5000),
             lambda: LayeredTree(2, 10**5000)]
     for build in huge:
@@ -124,8 +124,8 @@ RANGE_MESSAGES = {
     "LayeredTree-layers": (lambda: LayeredTree(2, -HUGE), "layers must be >= 1, got -<16610-bit int>"),
     "DLParams-vertex_cap": (lambda: DLParams(2, 3, 3, vertex_cap=-HUGE), "vertex_cap must be >= 0, got -<16610-bit int>"),
     "LayeredTree-level_cap": (lambda: LayeredTree(2, 3, level_cap=-HUGE), "level_cap must be >= 0, got -<16610-bit int>"),
-    "level_size": (lambda: LayeredTree(2, 3).level_size(HUGE), "level <16610-bit int> outside [0, 3]"),
     "tree-validate-level": (lambda: LayeredTree(2, 3).validate((-HUGE, 0)), "level -<16610-bit int> outside [0, 3]"),
+    "tree-validate-level-high": (lambda: LayeredTree(2, 3).validate((HUGE, 0)), "level <16610-bit int> outside [0, 3]"),
     "tree-validate-index": (lambda: LayeredTree(2, 3).validate((1, HUGE)),
                             "index <16610-bit int> outside [0, 2**1) at level 1"),
     "tree-validate-branching": (lambda: LayeredTree(HUGE, 1, level_cap=HUGE).validate((1, -1)),
@@ -238,23 +238,17 @@ def test_boundary_degrees():
             assert len(g.neighbors(v)) == 3
 
 
-def test_is_edge_examples():
-    g = DLGraph(DLParams(2, 3, 3))
-    assert g.is_edge((1, 0, 0), (0, 0, 2))
-    assert not g.is_edge((1, 0, 0), (1, 0, 0))
-    assert not g.is_edge((1, 1, 0), (0, 0, 3))
-
-
 @pytest.mark.parametrize("p,q,layers", [(2, 3, 2), (3, 2, 2), (2, 2, 3)])
 def test_neighbors_agree_with_is_edge(p, q, layers):
     g = DLGraph(DLParams(p, q, layers))
     verts = list(g.vertices())
+    edges = edge_set(g)
     for v in verts:
-        expected = {u for u in verts if g.is_edge(u, v)}
+        expected = {u for u in verts if frozenset((u, v)) in edges}
         assert set(g.neighbors(v)) == expected
         assert g.neighbors(v) == sorted(g.neighbors(v))
         for u in expected:
-            assert g.is_edge(v, u)  # symmetry
+            assert v in g.neighbors(u)  # symmetry
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -280,7 +274,7 @@ def test_validation():
     with pytest.raises(ValueError):
         g.neighbors((1, 2, 0))
     with pytest.raises(ValueError):
-        g.is_edge((1, 0, 0), (0, 0, 27))
+        g.neighbors((0, 0, 27))
     assert (3, 7, 0) in g
     assert (3, 7, 1) not in g
 
@@ -302,8 +296,6 @@ def test_validation_returns_checked_vertices():
         got = g.validate(given)
         assert got == v and is_int_tuple(got, 3)
     assert g.neighbors((Index(1), 1, 2)) == g.neighbors(v)
-    assert g.is_edge((1, 0, Index(0)), (0, 0, 2))
-    assert g.bfs_distance((3, Index(0), 0), (3, 1, 0)) == 2
 
 
 def test_every_query_returns_plain_int_tuples():
@@ -346,17 +338,8 @@ BAD_VERTICES = [
                               "orange-too-high", "negative-brown", "brown-too-high", "index-object-height-bad-orange"])
 def test_every_query_rejects_bad_vertices(vertex, error, message):
     g = DLGraph(DLParams(2, 3, 3))
-    good = (0, 0, 0)
     assert vertex not in g
-    queries = [
-        g.validate,
-        g.neighbors,
-        lambda v: g.is_edge(v, good),
-        lambda v: g.is_edge(good, v),
-        lambda v: g.bfs_distance(v, good),
-        lambda v: g.bfs_distance(good, v),
-    ]
-    for query in queries:
+    for query in (g.validate, g.neighbors):
         with pytest.raises(error, match=message):
             query(vertex)
         with pytest.raises(error, match=message):
@@ -364,28 +347,7 @@ def test_every_query_rejects_bad_vertices(vertex, error, message):
 
 
 # ---------------------------------------------------------------------------
-# distances and connectivity
-
-def test_bfs_distance_goldens():
-    g = DLGraph(DLParams(2, 2, 3))
-    # down to (2,0,c), then up choosing orange child 1
-    assert g.bfs_distance((3, 0, 0), (3, 1, 0)) == 2
-    assert g.bfs_distance((3, 0, 0), (3, 0, 0)) == 0
-
-    g = DLGraph(DLParams(2, 3, 2))
-    # frozen from the breadth-first oracle over all 19 vertices
-    assert g.bfs_distance((2, 0, 0), (0, 0, 8)) == 2
-
-
-def test_bfs_distance_symmetry_and_identity():
-    g = DLGraph(DLParams(2, 3, 2))
-    verts = list(g.vertices())
-    for a in verts:
-        for b in verts:
-            d = g.bfs_distance(a, b)
-            assert d == g.bfs_distance(b, a)
-            assert (d == 0) == (a == b)
-
+# connectivity
 
 @pytest.mark.parametrize("p,q,layers", [(2, 3, 2), (2, 2, 2)])
 def test_connected_from_every_vertex(p, q, layers):

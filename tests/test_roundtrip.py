@@ -19,7 +19,6 @@ from dlgraph import (
     DLGraph,
     DLParams,
     ExportOptions,
-    LayeredTree,
     Scene3D,
     brown_position,
     build_scene,
@@ -130,14 +129,12 @@ def scene_order(params: DLParams) -> list:
 
 
 def tree_edges(params: DLParams) -> dict:
-    """Both trees' edges from ``LayeredTree``, as (upper node, lower node) in drawn heights."""
-    L = params.layers
-    orange, brown = LayeredTree(params.p, L), LayeredTree(params.q, L)
-    p_edges = {((h + 1, c), (h, j)) for h in range(L) for j in range(params.p**h)
-               for _, c in orange.successors((h, j))}
+    """Both trees' edges by the child rule, node (h, j) of a b-branching tree having the
+    children (h + 1, j*b + c) for c < b, as (upper node, lower node) in drawn heights."""
+    p, q, L = params.p, params.q, params.layers
+    p_edges = {((h + 1, j * p + c), (h, j)) for h in range(L) for j in range(p**h) for c in range(p)}
     # the brown tree hangs downward: internal level l is drawn at height L - l
-    q_edges = {((L - l, k), (L - l - 1, c)) for l in range(L) for k in range(params.q**l)
-               for _, c in brown.successors((l, k))}
+    q_edges = {((L - l, k), (L - l - 1, k * q + c)) for l in range(L) for k in range(q**l) for c in range(q)}
     return {KIND_TREE_P: p_edges, KIND_TREE_Q: q_edges}
 
 

@@ -1,10 +1,10 @@
 """Tree-layer tests: every value is either forced by the addressing rule or
 checked against an independent oracle (explicit predecessor-chain
-intersection, BFS over the explicit edge set)."""
+intersection, BFS over the explicit edge set, both in ``support``)."""
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,53 +12,7 @@ from hypothesis import strategies as st
 
 from dlgraph import ROOT, CapExceededError, LayeredTree
 
-from support import Index, is_int_tuple
-
-
-# ---------------------------------------------------------------------------
-# oracles (kept independent of the code paths they check)
-
-def chain_to_root(address, branching):
-    """Predecessor chain from an address up to the root, inclusive."""
-    level, index = address
-    chain = [(level, index)]
-    while level > 0:
-        level, index = level - 1, index // branching
-        chain.append((level, index))
-    return chain
-
-
-def confluent_oracle(a, b, branching):
-    """Deepest vertex common to both predecessor chains."""
-    common = set(chain_to_root(a, branching)) & set(chain_to_root(b, branching))
-    return max(common, key=lambda v: v[0])
-
-
-def explicit_edges(branching, layers):
-    """The truncation's edge set: one (vertex, predecessor) pair per non-root vertex."""
-    edges = []
-    for level in range(1, layers + 1):
-        for index in range(branching**level):
-            edges.append(((level, index), (level - 1, index // branching)))
-    return edges
-
-
-def bfs_distances(branching, layers, source):
-    """Single-source shortest paths over the explicit edge set."""
-    adjacency = {}
-    for a, b in explicit_edges(branching, layers):
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    adjacency.setdefault(source, [])
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adjacency[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+from support import Index, bfs_distances, confluent_oracle, is_int_tuple
 
 
 def addresses(tree):
@@ -87,7 +41,7 @@ def test_constructor_stores_index_objects_as_plain_ints():
     tree = LayeredTree(Index(2), Index(3), level_cap=Index(1000))
     assert tree == LayeredTree(2, 3, level_cap=1000)
     assert [type(v) for v in (tree.branching, tree.layers, tree.level_cap)] == [int] * 3
-    assert tree.level_size(2) == 4
+    assert sum(1 for _ in tree.vertices()) == 1 + 2 + 4 + 8
 
 
 def test_constructor_rejects_oversized_levels():
@@ -105,7 +59,8 @@ def test_constructor_rejects_huge_levels_without_counting():
         LayeredTree(10**2000, 2)
     with pytest.raises(CapExceededError, match=r"^level 10 would hold 59049 vertices \(cap: 1024\)$"):
         LayeredTree(3, 10, level_cap=1024)
-    assert LayeredTree(2, 10, level_cap=1024).level_size(10) == 1024  # a cap equal to the level admits it
+    top = [v for v in LayeredTree(2, 10, level_cap=1024).vertices() if v[0] == 10]
+    assert len(top) == 1024  # a cap equal to the level admits it
 
 
 def test_validate_rejects_out_of_range_addresses():
@@ -113,17 +68,15 @@ def test_validate_rejects_out_of_range_addresses():
     with pytest.raises(ValueError):
         tree.predecessor((4, 0))
     with pytest.raises(ValueError):
-        tree.successors((2, 4))
+        tree.busemann((0, 0), (1, -1))
+    assert tree.validate((3, 7)) == (3, 7)
     with pytest.raises(ValueError):
-        tree.distance((0, 0), (1, -1))
-    assert (3, 7) in tree
-    assert (3, 8) not in tree
+        tree.validate((3, 8))
 
 
 @pytest.mark.parametrize("address", [(1.5, 0), (1.0, 0), (1, 0.0), (True, 0), (1, False), (None, 0)])
 def test_validate_rejects_non_integer_components(address):
     tree = LayeredTree(2, 3)
-    assert address not in tree
     with pytest.raises(TypeError, match="must be an integer"):
         tree.validate(address)
 
@@ -134,8 +87,7 @@ def test_validate_returns_checked_addresses():
     for given in [a, [2, 3], (Index(2), 3), (2, Index(3))]:
         got = tree.validate(given)
         assert got == a and is_int_tuple(got, 2)
-    assert tree.confluent((Index(2), 3), (3, 7)) == (2, 3)
-    assert tree.distance((2, Index(3)), (0, 0)) == 2
+    assert tree.predecessor((Index(2), 3)) == (1, 1)
     assert tree.busemann((Index(2), 3), (1, Index(0))) == 1
 
 
@@ -146,19 +98,15 @@ def test_every_query_returns_plain_int_pairs():
     assert ROOT == (0, 0) and is_int_tuple(ROOT, 2)
     for a in verts:
         assert is_int_tuple(tree.predecessor(a), 2) if a[0] > 0 else tree.predecessor(a) is None
-        assert all(is_int_tuple(c, 2) for c in tree.successors(a))
-        assert all(is_int_tuple(x, 2) for k in range(-3, 4) for x in tree.horocycle(a, k))
-        assert all(is_int_tuple(tree.confluent(a, b), 2) for b in verts)
 
 
 @pytest.mark.parametrize("address", [(1,), (1, 0, 0), [], "1"], ids=["single", "triple", "empty", "string"])
 def test_addresses_of_the_wrong_length_are_rejected_by_unpacking(address):
     tree = LayeredTree(2, 3)
-    assert address not in tree
     with pytest.raises(ValueError, match=r"^(too many|not enough) values to unpack \(expected 2"):
         tree.validate(address)
     with pytest.raises(ValueError, match="values to unpack"):
-        tree.successors(address)
+        tree.predecessor(address)
 
 
 BAD_ADDRESSES = [
@@ -182,20 +130,7 @@ BAD_ADDRESSES = [
 def test_every_query_rejects_bad_addresses(address, error, message):
     tree = LayeredTree(2, 3)
     good = (1, 0)
-    assert address not in tree
-    queries = [
-        tree.validate,
-        tree.predecessor,
-        tree.successors,
-        lambda a: tree.confluent(a, good),
-        lambda a: tree.confluent(good, a),
-        lambda a: tree.distance(a, good),
-        lambda a: tree.distance(good, a),
-        tree.busemann,
-        lambda a: tree.busemann(good, a),
-        lambda a: tree.horocycle(a, 0),
-    ]
-    for query in queries:
+    for query in (tree.validate, tree.predecessor, tree.busemann, lambda a: tree.busemann(good, a)):
         with pytest.raises(error, match=message):
             query(address)
         with pytest.raises(error, match=message):
@@ -204,24 +139,11 @@ def test_every_query_rejects_bad_addresses(address, error, message):
 
 def test_level_sizes():
     tree = LayeredTree(3, 4)
-    assert [tree.level_size(h) for h in range(5)] == [1, 3, 9, 27, 81]
-    assert sum(1 for _ in tree.vertices()) == 1 + 3 + 9 + 27 + 81
-
-
-@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=["float", "bool", "str"])
-def test_level_size_rejects_non_integer_levels(bad):
-    with pytest.raises(TypeError, match=rf"^level must be an integer, got {bad!r}$"):
-        LayeredTree(2, 3).level_size(bad)
-
-
-def test_level_size_accepts_index_objects():
-    assert LayeredTree(2, 3).level_size(Index(2)) == 4
-    with pytest.raises(ValueError, match=r"^level 4 outside \[0, 3\]$"):
-        LayeredTree(2, 3).level_size(Index(4))
+    assert Counter(level for level, _ in tree.vertices()) == {0: 1, 1: 3, 2: 9, 3: 27, 4: 81}
 
 
 # ---------------------------------------------------------------------------
-# predecessor / successors
+# predecessor
 
 def test_predecessor_examples():
     assert LayeredTree(2, 4).predecessor((3, 5)) == (2, 2)
@@ -229,93 +151,15 @@ def test_predecessor_examples():
     assert LayeredTree(2, 3).predecessor((0, 0)) is None
 
 
-def test_successors_examples():
-    assert LayeredTree(2, 3).successors((1, 1)) == [(2, 2), (2, 3)]
-    assert LayeredTree(3, 2).successors((2, 4)) == []
-    assert LayeredTree(2, 3).successors((0, 0)) == [(1, 0), (1, 1)]
-
-
 @pytest.mark.parametrize("branching", [2, 3, 4])
 @pytest.mark.parametrize("layers", [1, 3, 5])
 def test_predecessor_successor_duality(branching, layers):
+    # the children of (h, k) are (h + 1, k*b + c) for c < b, and every vertex but the root
+    # is one of them: the predecessor maps each child back to (h, k)
     tree = LayeredTree(branching, layers)
-    for a in addresses(tree):
-        children = tree.successors(a)
-        if a[0] < layers:
-            assert len(children) == branching
-            for child in children:
-                assert tree.predecessor(child) == a
-        else:
-            assert children == []
-        if a[0] > 0:
-            assert a in tree.successors(tree.predecessor(a))
-
-
-# ---------------------------------------------------------------------------
-# confluent
-
-def test_confluent_reconstructs_figure_instance():
-    # x two steps and the basepoint one step below their meet, in a binary tree
-    assert LayeredTree(2, 3).confluent((3, 2), (2, 0)) == (1, 0)
-
-
-def test_confluent_full_chain_intersection():
-    tree = LayeredTree(2, 3)
-    assert tree.confluent((3, 0), (3, 7)) == (0, 0)
-    assert tree.confluent((3, 0), (3, 7)) == confluent_oracle((3, 0), (3, 7), 2)
-
-
-@pytest.mark.parametrize("branching,layers", [(2, 3), (3, 2), (2, 4)])
-def test_confluent_properties_and_oracle(branching, layers):
-    tree = LayeredTree(branching, layers)
-    verts = addresses(tree)
-    for a in verts:
-        assert tree.confluent(a, a) == a
-        for b in verts:
-            c = tree.confluent(a, b)
-            assert c == tree.confluent(b, a)
-            assert c[0] <= min(a[0], b[0])
-            assert c == confluent_oracle(a, b, branching)
-            # lies on both predecessor chains
-            assert tuple(c) in chain_to_root(a, branching)
-            assert tuple(c) in chain_to_root(b, branching)
-
-
-# ---------------------------------------------------------------------------
-# distance
-
-def test_distance_examples():
-    tree = LayeredTree(2, 3)
-    assert tree.distance((3, 2), (1, 0)) == 2
-    assert tree.distance((3, 0), (3, 7)) == 6
-    for a in addresses(tree):
-        assert tree.distance(a, a) == 0
-
-
-@pytest.mark.parametrize("branching", [2, 3])
-@pytest.mark.parametrize("layers", [1, 2, 3, 4])
-def test_distance_matches_bfs_oracle(branching, layers):
-    tree = LayeredTree(branching, layers)
-    for source in addresses(tree):
-        oracle = bfs_distances(branching, layers, tuple(source))
-        for target in addresses(tree):
-            assert tree.distance(source, target) == oracle[tuple(target)]
-
-
-@pytest.mark.parametrize("layers", [3, 4])
-def test_distance_is_a_metric(layers):
-    tree = LayeredTree(2, layers)
-    verts = addresses(tree)
-    for a in verts:
-        for b in verts:
-            d = tree.distance(a, b)
-            assert d == tree.distance(b, a)
-            assert (d == 0) == (a == b)
-    for a in verts:
-        for b in verts:
-            dab = tree.distance(a, b)
-            for c in verts:
-                assert dab <= tree.distance(a, c) + tree.distance(c, b)
+    for level, index in addresses(tree):
+        children = [(level + 1, index * branching + c) for c in range(branching)] if level < layers else []
+        assert [tree.predecessor(child) for child in children] == [(level, index)] * len(children)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +168,11 @@ def test_distance_is_a_metric(layers):
 def test_busemann_worked_example():
     tree = LayeredTree(2, 3)
     x, o = (3, 2), (2, 0)
-    c = tree.confluent(x, o)
+    c = confluent_oracle(x, o, 2)
     assert c == (1, 0)
-    assert tree.distance(x, c) == 2
-    assert tree.distance(o, c) == 1
+    distance = bfs_distances(2, 3, c)
+    assert distance[x] == 2
+    assert distance[o] == 1
     assert tree.busemann(x, o) == 1
 
 
@@ -358,44 +203,21 @@ def test_busemann_basepoint_change_is_constant():
 # ---------------------------------------------------------------------------
 # horocycles
 
-def test_horocycle_examples():
-    tree = LayeredTree(2, 3)
-    assert tree.horocycle((0, 0), 2) == [(2, 0), (2, 1), (2, 2), (2, 3)]
-    assert tree.horocycle((0, 0), -1) == []
-    assert LayeredTree(2, 2).horocycle((1, 0), 0) == [(1, 0), (1, 1)]
-    assert tree.horocycle((2, 1), Index(1)) == tree.horocycle((0, 0), 3)
-    with pytest.raises(TypeError, match="relative height must be an integer"):
-        tree.horocycle((0, 0), 2.0)
-
-
 @pytest.mark.parametrize("branching", [2, 3])
 @pytest.mark.parametrize("layers", [1, 2, 3, 4])
 def test_busemann_and_horocycles_exhaustively(branching, layers):
     # every (x, o) pair: the level difference equals d(x, c) - d(o, c) with c the
-    # confluent, and horocycle(o, k) lists exactly the x with busemann(x, o) == k
+    # confluent, and the horocycle {x : busemann(x, o) == k} is the whole level o[0] + k
     tree = LayeredTree(branching, layers)
     verts = addresses(tree)
+    distance_from = {c: bfs_distances(branching, layers, c) for c in verts}
     for o in verts:
         heights = {}
         for x in verts:
-            c = tree.confluent(x, o)
-            assert tree.busemann(x, o) == tree.distance(x, c) - tree.distance(o, c)
+            distance = distance_from[confluent_oracle(x, o, branching)]
+            assert tree.busemann(x, o) == distance[x] - distance[o]
             heights.setdefault(tree.busemann(x, o), []).append(x)
-        for k in range(-layers - 1, layers + 2):
-            assert tree.horocycle(o, k) == heights.get(k, [])
-
-
-def test_horocycles_partition_the_vertex_set():
-    tree = LayeredTree(3, 3)
-    o = (2, 4)
-    collected = []
-    for k in range(-tree.layers, tree.layers + 1):
-        level_set = tree.horocycle(o, k)
-        assert level_set == sorted(level_set)
-        for x in level_set:
-            assert tree.busemann(x, o) == k
-        collected += level_set
-    assert sorted(collected) == addresses(tree)
+        assert heights == {level - o[0]: [(level, i) for i in range(branching**level)] for level in range(layers + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +230,6 @@ def address_in(tree):
     return st.integers(0, tree.layers).flatmap(
         lambda level: st.tuples(st.just(level), st.integers(0, tree.branching**level - 1))
     )
-
-
-@settings(deadline=None, max_examples=200)
-@given(data=st.data())
-def test_distance_symmetry_and_confluent_consistency(data):
-    tree = data.draw(small_tree)
-    a = data.draw(address_in(tree))
-    b = data.draw(address_in(tree))
-    c = tree.confluent(a, b)
-    assert tree.distance(a, b) == tree.distance(b, a) == (a[0] - c[0]) + (b[0] - c[0])
-    assert c == confluent_oracle(a, b, tree.branching)
 
 
 @settings(deadline=None, max_examples=200)
@@ -446,5 +257,5 @@ def test_busemann_formula_against_parts(data):
     tree = data.draw(small_tree)
     x = data.draw(address_in(tree))
     o = data.draw(address_in(tree))
-    c = tree.confluent(x, o)
-    assert tree.busemann(x, o) == tree.distance(x, c) - tree.distance(o, c)
+    distance = bfs_distances(tree.branching, tree.layers, confluent_oracle(x, o, tree.branching))
+    assert tree.busemann(x, o) == distance[x] - distance[o]
