@@ -10,11 +10,10 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "export": ("ExportOptions", "export_json", "export_obj", "export_svg", "export_tikz", "format_number", "render",
-               "write_scene"),
+    "export": ("ExportOptions", "export_json", "export_obj", "export_svg", "export_tikz", "render", "write_scene"),
     "graph": ("Census", "DLGraph", "DLParams"),
     "layout": ("DEFAULT_VIEW", "KIND_DL", "KIND_TREE_P", "KIND_TREE_Q", "Scene3D", "brown_position", "build_scene",
-               "dl_position", "invert_doubled_position", "orange_position"),
+               "dl_position", "orange_position"),
     "tree": ("ROOT", "CapExceededError", "LayeredTree"),
     "verify": ("CheckResult", "VerificationReport", "check_counts", "check_degree_law", "check_lamplighter",
                "check_level_condition", "check_local_homogeneity", "check_scene_graph_agreement", "run_checks"),

@@ -79,18 +79,6 @@ def _format_ratio(num: int, den: int, digits: int) -> str:
     return f"{sign}{whole}." + str(frac).rjust(digits, "0").rstrip("0")
 
 
-def format_number(value, digits: int = 6) -> str:
-    """Shortest decimal with at most ``digits`` fractional digits (an int in ``0 .. MAX_DIGITS``), trailing zeros trimmed."""
-    from fractions import Fraction  # here, not at the top: fractions loads decimal, a cost every command would pay
-
-    digits = as_integer(digits, "digits")
-    if digits < 0:
-        raise ValueError(f"digits must be >= 0, got {_decimal(digits)}")
-    if digits > MAX_DIGITS:
-        raise ValueError(f"digits must be <= {MAX_DIGITS}, got {_decimal(digits)}")
-    return _format_ratio(*Fraction(value).as_integer_ratio(), digits)
-
-
 def _known_kinds(segments: tuple) -> tuple:
     """``segments``, once every kind is one of :data:`KINDS`; else ``ValueError`` names the first that is not."""
     if unknown := next(((i, kind) for i, (kind, _, _) in enumerate(segments) if kind not in KINDS), None):

@@ -19,6 +19,7 @@ the exact ``Fraction`` values, and rounding happens only at export time.
 
 from __future__ import annotations
 
+import operator
 import sys
 from numbers import Real
 
@@ -39,7 +40,8 @@ class Scene3D(Record):
     they are meant to be shown.
 
     ``view`` is (azimuth degrees, elevation degrees), two real numbers that
-    fit a finite float, stored as a tuple; only exporters interpret it.
+    fit a finite float, stored as a tuple, an angle with ``__index__`` as the
+    plain ``int``; bools raise ``TypeError``.  Only exporters interpret it.
     ``Scene3D(scene.params, view, scene.segments)`` shows the same segments
     from another view.
     """
@@ -48,7 +50,7 @@ class Scene3D(Record):
 
     def __init__(self, params: DLParams, view,
                  segments: tuple[tuple[str, tuple[int, int, int], tuple[int, int, int]], ...]) -> None:
-        angles = tuple(view)
+        angles = tuple(operator.index(a) if hasattr(a, "__index__") and not isinstance(a, bool) else a for a in view)
         if len(angles) != 2 or not all(isinstance(a, Real) and not isinstance(a, bool) for a in angles):
             raise TypeError(f"view must be two real numbers (azimuth, elevation), got {view!r}")
         if not all(abs(a) <= sys.float_info.max for a in angles):  # false for nan, inf and what a float cannot hold
@@ -64,22 +66,6 @@ def _coordinate(spacing: int, index: int) -> int:
     ``q**h`` (y).
     """
     return (2 * index + 1) * spacing - 1
-
-
-def _row_index(doubled, spacing: int, count: int) -> int | None:
-    """The index i < ``count`` with ``doubled == _coordinate(spacing, i)``, or None."""
-    if type(doubled) is not int:  # a float or a bool is never a scene coordinate
-        return None
-    # doubled + 1 = (2i + 1) * spacing: quotient i and remainder spacing by 2*spacing
-    index, rest = divmod(doubled + 1, 2 * spacing)
-    return index if rest == spacing and 0 <= index < count else None
-
-
-def _halved(doubled) -> str:
-    """``doubled / 2`` for an error message, printed as ``str(Fraction)`` prints it (a long int by its bit length)."""
-    if type(doubled) is not int:
-        return str(doubled / 2)
-    return f"{_decimal(doubled)}/2" if doubled & 1 else _decimal(doubled >> 1)
 
 
 def coordinate_rows(params: DLParams) -> tuple[list[list[int]], list[list[int]]]:
@@ -121,36 +107,6 @@ def dl_position(params: DLParams, vertex) -> tuple[Fraction, Fraction, Fraction]
     x, _, z = orange_position(params.p, params.layers, h, j)
     _, y, _ = brown_position(params.q, params.layers, h, k)
     return x, y, z
-
-
-def invert_doubled_position(params: DLParams, point) -> tuple[int, int, int]:
-    """Recover the DL vertex whose doubled position ``(2x, 2y, 2z)`` is ``point``.
-
-    This inverts a scene endpoint.  Raises ValueError, naming the undoubled
-    coordinate, when a coordinate is not an ``int`` or is off the lattice.
-    """
-    h, j = invert_tree_position(params, KIND_TREE_P, point)
-    return h, j, invert_tree_position(params, KIND_TREE_Q, point)[1]
-
-
-def invert_tree_position(params: DLParams, kind: str, point) -> tuple[int, int]:
-    """(drawing height, index) of the tree node at the doubled position ``point``:
-    the orange node read from x for ``kind`` tree-p, the brown node read from y
-    for tree-q.  Raises ValueError as :func:`invert_doubled_position` does."""
-    x, y, z = point
-    L = params.layers
-    if type(z) is not int or z & 1 or not 0 <= z <= 2 * L:
-        raise ValueError(f"z = {_halved(z)} is not a drawing height")
-    h = z >> 1
-    if kind == KIND_TREE_P:
-        j = _row_index(x, params.p ** (L - h), params.p**h)
-        if j is None:
-            raise ValueError(f"x = {_halved(x)} is not an orange node position at height {h}")
-        return h, j
-    k = _row_index(y, params.q**h, params.q ** (L - h))
-    if k is None:
-        raise ValueError(f"y = {_halved(y)} is not a brown node position at height {h}")
-    return h, k
 
 
 def build_scene(graph: DLGraph, view=DEFAULT_VIEW) -> Scene3D:

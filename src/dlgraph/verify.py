@@ -27,10 +27,7 @@ from collections import Counter
 from collections.abc import Callable
 
 from .graph import DLGraph
-from .layout import (
-    KIND_DL, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, coordinate_rows, invert_doubled_position,
-    invert_tree_position,
-)
+from .layout import KIND_DL, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, coordinate_rows
 from .tree import LayeredTree, Record, _decimal, as_integer
 
 PASS = "pass"
@@ -433,6 +430,35 @@ def check_lamplighter(g) -> dict:
     return {"states": expected_states, "slab_edges": len(edges)}
 
 
+def _halved(doubled) -> str:
+    """``doubled / 2`` for an error message, printed as ``str(Fraction)`` prints it (a long int by its bit length)."""
+    if type(doubled) is not int:
+        return str(doubled / 2)
+    return f"{_decimal(doubled)}/2" if doubled & 1 else _decimal(doubled >> 1)
+
+
+def _drawn_node(rows: dict, kind: str, point) -> tuple:
+    """The node of ``kind`` drawn at the doubled point ``(2x, 2y, 2z)``: (h, j)
+    read from x for tree-p, (h, k) from y for tree-q, (h, j, k) for dl.
+
+    ``rows`` maps 2h to (h, {2x: j}, {2y: k}).  A coordinate that is not an
+    ``int`` (a float or a bool never is) or not in its row raises ValueError
+    naming the undoubled value.
+    """
+    x, y, z = point
+    if type(z) is not int or (row := rows.get(z)) is None:
+        raise ValueError(f"z = {_halved(z)} is not a drawing height")
+    h, orange, brown = row
+    if kind != KIND_TREE_Q:
+        if type(x) is not int or (j := orange.get(x)) is None:
+            raise ValueError(f"x = {_halved(x)} is not an orange node position at height {h}")
+        if kind == KIND_TREE_P:
+            return h, j
+    if type(y) is not int or (k := brown.get(y)) is None:
+        raise ValueError(f"y = {_halved(y)} is not a brown node position at height {h}")
+    return (h, k) if kind == KIND_TREE_Q else (h, j, k)
+
+
 @_check()
 def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
     """Inverting the segments' coordinates reproduces the edge set and the
@@ -442,23 +468,17 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
     is a point of ints, that tree-p segments lie in the plane y = 0 and tree-q
     segments in x = 0.  A DL endpoint inverts to a DL vertex, a tree-p endpoint
     to an orange node and a tree-q endpoint to a brown node, each as (drawing
-    height, index).  Scene points are doubled, so a point of another type, or
-    one off the lattice, fails with the segment's index.
+    height, index), through one table per drawing height built from
+    ``coordinate_rows``.  Scene points are doubled, so a point of another
+    type, or one off the lattice, fails with the segment's index.
     """
     p, q, L = g.params.p, g.params.q, g.params.layers
     expected = Counter((KIND_DL, top, bottom) for top, bottom in g.edges())
     for n in range(1, L + 1):
         expected.update((KIND_TREE_P, (n, j), (n - 1, j // p)) for j in range(p**n))
         expected.update((KIND_TREE_Q, (n, k // q), (n - 1, k)) for k in range(q ** (L - n + 1)))
-    invert = {kind: functools.partial(invert_tree_position, scene.params, kind) for kind in (KIND_TREE_P, KIND_TREE_Q)}
-    invert[KIND_DL] = functools.partial(invert_doubled_position, scene.params)
-    # every valid doubled endpoint of each kind and the node the inversion reads from it
     xs, ys = coordinate_rows(scene.params)
-    points = {KIND_TREE_P: {}, KIND_TREE_Q: {}, KIND_DL: {}}
-    for h, (x_row, y_row) in enumerate(zip(xs, ys)):
-        points[KIND_TREE_P].update(((x, 0, 2 * h), (h, j)) for j, x in enumerate(x_row))
-        points[KIND_TREE_Q].update(((0, y, 2 * h), (h, k)) for k, y in enumerate(y_row))
-        points[KIND_DL].update(((x, y, 2 * h), (h, j, k)) for j, x in enumerate(x_row) for k, y in enumerate(y_row))
+    rows = {2 * h: (h, {x: j for j, x in enumerate(xs[h])}, {y: k for k, y in enumerate(ys[h])}) for h in range(len(xs))}
     for i, (kind, a, b) in enumerate(scene.segments):
         if kind in (KIND_TREE_P, KIND_TREE_Q):
             if not all(type(c) is int for c in (*a, *b)):  # a bool's type is bool, not int
@@ -470,15 +490,9 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
         elif kind != KIND_DL:
             raise _Fail(f"segment {i} has unknown kind {kind!r}")
         try:
-            va, vb = points[kind][a], points[kind][b]
-        except (KeyError, TypeError):  # not a drawn point, or an unhashable one
-            va = None
-        # a float or bool equal to a lattice value finds its node too, so the types decide
-        if va is None or not type(a[0]) is type(a[1]) is type(a[2]) is type(b[0]) is type(b[1]) is type(b[2]) is int:
-            try:
-                va, vb = invert[kind](a), invert[kind](b)
-            except (TypeError, ValueError) as exc:
-                raise _Fail(f"segment {i}: {exc}")
+            va, vb = _drawn_node(rows, kind, a), _drawn_node(rows, kind, b)
+        except (TypeError, ValueError) as exc:
+            raise _Fail(f"segment {i}: {exc}")
         top, bottom = (va, vb) if va[0] > vb[0] else (vb, va)
         key = (kind, top, bottom)
         if top[0] - bottom[0] != 1 or key not in expected:

@@ -20,8 +20,6 @@ from dlgraph import (
     brown_position,
     check_local_homogeneity,
     dl_position,
-    format_number,
-    invert_doubled_position,
     orange_position,
     run_checks,
 )
@@ -138,12 +136,8 @@ RANGE_MESSAGES = {
     "orange_position": (lambda: orange_position(2, 3, HUGE, 0), "level <16610-bit int> outside [0, 3]"),
     "brown_position": (lambda: brown_position(3, 3, 1, -HUGE), "index -<16610-bit int> invalid at drawn height 1"),
     "dl_position": (lambda: dl_position(PARAMS, (1, HUGE, 0)), "index <16610-bit int> invalid at level 1"),
-    "invert_doubled_position": (lambda: invert_doubled_position(PARAMS, (2 * HUGE + 1, 0, 0)),
-                                "x = <16611-bit int>/2 is not an orange node position at height 0"),
     "ExportOptions-high": (lambda: ExportOptions(decimal_digits=HUGE), "decimal_digits must be <= 1000, got <16610-bit int>"),
     "ExportOptions-low": (lambda: ExportOptions(decimal_digits=-HUGE), "decimal_digits must be >= 1, got -<16610-bit int>"),
-    "format_number-high": (lambda: format_number(1, HUGE), "digits must be <= 1000, got <16610-bit int>"),
-    "format_number-low": (lambda: format_number(1, -HUGE), "digits must be >= 0, got -<16610-bit int>"),
     "run_checks-radius": (lambda: run_checks(DLGraph(PARAMS), radius=HUGE), "radius must be in [1, 3], got <16610-bit int>"),
     "check_local_homogeneity-radius": (lambda: check_local_homogeneity(DLGraph(PARAMS), -HUGE),
                                        "radius must be >= 1, got -<16610-bit int>"),

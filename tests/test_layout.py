@@ -18,7 +18,6 @@ from dlgraph import (
     brown_position,
     build_scene,
     dl_position,
-    invert_doubled_position,
     orange_position,
 )
 
@@ -215,20 +214,26 @@ def test_segments_and_positions_are_plain_tuples():
         assert type(position) is tuple and [type(c) for c in position] == [Fraction] * 3
 
 
+def doubled_positions(params):
+    """``{doubled dl_position: vertex}`` over every DL vertex."""
+    return {tuple(int(2 * c) for c in dl_position(params, v)): v for v in DLGraph(params).vertices()}
+
+
 @pytest.mark.parametrize("p,q,layers", [(2, 3, 3), (3, 2, 3), (3, 3, 2)])
 def test_scene_endpoints_are_the_public_positions(p, q, layers):
     # every endpoint is the public position of its kind, doubled
     params = DLParams(p, q, layers)
+    vertex_at = doubled_positions(params)
     for kind, a, b in scene_for(p, q, layers).segments:
         for point in (a, b):
             h = point[2] // 2
             if kind == KIND_DL:
-                expected = dl_position(params, invert_doubled_position(params, point))
+                expected = dl_position(params, vertex_at[point])
             elif kind == KIND_TREE_P:
-                _, j, _ = invert_doubled_position(params, (point[0], int(2 * brown_position(q, layers, h, 0)[1]), point[2]))
+                _, j, _ = vertex_at[(point[0], int(2 * brown_position(q, layers, h, 0)[1]), point[2])]
                 expected = orange_position(p, layers, h, j)
             else:
-                _, _, k = invert_doubled_position(params, (int(2 * orange_position(p, layers, h, 0)[0]), point[1], point[2]))
+                _, _, k = vertex_at[(int(2 * orange_position(p, layers, h, 0)[0]), point[1], point[2])]
                 expected = brown_position(q, layers, h, k)
             assert point == tuple(2 * c for c in expected)
             assert [type(c) for c in expected] == [Fraction] * 3
@@ -249,13 +254,12 @@ def test_per_height_positions_are_injective(p, q, layers):
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_dl_segments_invert_to_the_edge_set(p, q, layers):
     g = DLGraph(DLParams(p, q, layers))
-    scene = build_scene(g)
+    vertex_at = doubled_positions(g.params)
     inverted = Counter()
-    for kind, a, b in scene.segments:
+    for kind, a, b in build_scene(g).segments:
         if kind != KIND_DL:
             continue
-        va = invert_doubled_position(g.params, a)
-        vb = invert_doubled_position(g.params, b)
+        va, vb = vertex_at[a], vertex_at[b]
         top, bottom = (va, vb) if va[0] > vb[0] else (vb, va)
         inverted[(top, bottom)] += 1
     expected = Counter((a, b) for a, b in g.edges())
@@ -266,30 +270,9 @@ def test_dl_segments_invert_to_the_edge_set(p, q, layers):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_inversion_round_trips_vertices(p, q, layers):
+    # one doubled point per vertex, and the DL segments draw exactly those points
     params = DLParams(p, q, layers)
-    for v in DLGraph(params).vertices():
-        assert invert_doubled_position(params, tuple(int(2 * c) for c in dl_position(params, v))) == v
-
-
-def test_doubled_inversion_rejects_off_lattice_and_non_int_coordinates():
-    params = DLParams(2, 3, 3)
-    assert invert_doubled_position(params, (3, 2, 2)) == (1, 0, 0)
-    # the messages name the undoubled coordinate
-    with pytest.raises(ValueError, match=r"^z = 1/2 is not a drawing height$"):
-        invert_doubled_position(params, (3, 2, 1))
-    with pytest.raises(ValueError, match=r"^z = 4 is not a drawing height$"):
-        invert_doubled_position(params, (3, 2, 8))
-    with pytest.raises(ValueError, match=r"^x = 2 is not an orange node position at height 1$"):
-        invert_doubled_position(params, (4, 2, 2))
-    with pytest.raises(ValueError, match=r"^y = 101 is not a brown node position at height 1$"):
-        invert_doubled_position(params, (3, 202, 2))
-    # orange index j = -1
-    with pytest.raises(ValueError, match=r"^x = -5/2 is not an orange node position at height 1$"):
-        invert_doubled_position(params, (-5, 2, 2))
-    # brown index k = q**(L-h) = 9, one spacing past the last node
-    with pytest.raises(ValueError, match=r"^y = 28 is not a brown node position at height 1$"):
-        invert_doubled_position(params, (3, 56, 2))
-    # a float or a bool is not a doubled coordinate, even where its value is on the lattice
-    for bad in [(3.0, 2, 2), (3, 2.0, 2), (3, 2, 2.0), (3, 2, True), (True, 0, 6)]:
-        with pytest.raises(ValueError, match="is not a"):
-            invert_doubled_position(params, bad)
+    vertex_at = doubled_positions(params)
+    assert sorted(vertex_at.values()) == sorted(DLGraph(params).vertices())
+    drawn = {point for kind, a, b in scene_for(p, q, layers).segments if kind == KIND_DL for point in (a, b)}
+    assert drawn == vertex_at.keys()

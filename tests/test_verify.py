@@ -675,26 +675,31 @@ def test_scene_agreement_passes():
     assert result.detail == {"dl_segments": 114}
 
 
-def test_scene_agreement_inverts_only_points_it_has_no_table_entry_for(monkeypatch):
-    calls = []
+# a DL endpoint of DL(2,3) L=3 and the counterexample it fails with; messages name the undoubled coordinate
+HAND_BUILT_DL_POINTS = {
+    "z-half": ((3, 2, 1), "z = 1/2 is not a drawing height"),
+    "z-above": ((3, 2, 8), "z = 4 is not a drawing height"),
+    "x-between": ((4, 2, 2), "x = 2 is not an orange node position at height 1"),
+    "y-between": ((3, 202, 2), "y = 101 is not a brown node position at height 1"),
+    "x-index-minus-one": ((-5, 2, 2), "x = -5/2 is not an orange node position at height 1"),
+    "y-one-past-last": ((3, 56, 2), "y = 28 is not a brown node position at height 1"),  # k = q**(L-h) = 9
+    "x-huge": ((2 * 10**5000 + 1, 0, 0), "x = <16611-bit int>/2 is not an orange node position at height 0"),
+    # a float or a bool is not a doubled coordinate, even where its value is on the lattice
+    "float-x": ((3.0, 2, 2), "x = 1.5 is not an orange node position at height 1"),
+    "float-y": ((3, 2.0, 2), "y = 1.0 is not a brown node position at height 1"),
+    "float-z": ((3, 2, 2.0), "z = 1.0 is not a drawing height"),
+    "bool-z": ((3, 2, True), "z = 0.5 is not a drawing height"),
+    "bool-x": ((True, 0, 6), "x = 0.5 is not an orange node position at height 3"),
+}
 
-    def counting(honest):
-        def invert(*args):
-            calls.append(args[-1])
-            return honest(*args)
 
-        return invert
-
-    for name in ("invert_doubled_position", "invert_tree_position"):
-        monkeypatch.setattr(verify, name, counting(getattr(verify, name)))
-    g = graph(2, 3, 4)
-    scene = build_scene(g)
-    assert check_scene_graph_agreement(g, scene).status == "pass"
-    assert calls == []
-    damaged, index = _with_endpoint(scene, "dl", lambda a: (float(a[0]), a[1], a[2]))
-    result = check_scene_graph_agreement(g, damaged)
-    assert result.counterexample.startswith(f"segment {index}: x = ")
-    assert calls == [damaged.segments[index][1]]
+@pytest.mark.parametrize("point,message", HAND_BUILT_DL_POINTS.values(), ids=HAND_BUILT_DL_POINTS.keys())
+def test_scene_agreement_names_the_coordinate_a_dl_point_misses(point, message):
+    g = graph(2, 3, 3)
+    scene, index = _with_endpoint(build_scene(g), "dl", lambda a: point)
+    result = check_scene_graph_agreement(g, scene)
+    assert result.status == "fail"
+    assert result.counterexample == f"segment {index}: {message}"
 
 
 def test_scene_agreement_fails_on_corrupted_segment():
