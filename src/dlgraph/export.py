@@ -22,7 +22,7 @@ from .layout import (
 )
 from .tree import LayeredTree, Record, _decimal, as_integer
 
-FORMATS = ("tikz", "json", "obj", "svg")
+FORMATS = ("tikz", "json", "obj", "svg")  # tuple(_RENDERERS), spelled out: each writer's default ExportOptions() checks it first
 # Most fractional digits a number may be printed with: 10**digits is computed
 # per call, and far below Python's 4300-digit int-to-str limit.
 MAX_DIGITS = 1000

@@ -27,7 +27,7 @@ from collections import Counter
 from collections.abc import Callable
 
 from .graph import DLGraph
-from .layout import KIND_DL, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, coordinate_rows
+from .layout import KIND_DL, KIND_TREE_P, KIND_TREE_Q, KINDS, Scene3D, build_scene, coordinate_rows
 from .tree import LayeredTree, Record, _decimal, as_integer
 
 PASS = "pass"
@@ -466,45 +466,45 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
 
     Also insists that every segment has a known kind, that every tree endpoint
     is a point of ints, that tree-p segments lie in the plane y = 0 and tree-q
-    segments in x = 0.  A DL endpoint inverts to a DL vertex, a tree-p endpoint
-    to an orange node and a tree-q endpoint to a brown node, each as (drawing
-    height, index), through one table per drawing height built from
-    ``coordinate_rows``.  Scene points are doubled, so a point of another
-    type, or one off the lattice, fails with the segment's index.
+    segments in x = 0.  An endpoint inverts to a node of its segment's kind
+    through one table per drawing height from ``coordinate_rows``, so a point
+    of another type, or off the doubled lattice, fails with the segment's
+    index.  Each kind counts its (top, bottom) edges down in its own
+    ``Counter``; a mismatch names the first nonzero remainder: dl, tree-p, tree-q.
     """
     p, q, L = g.params.p, g.params.q, g.params.layers
-    expected = Counter((KIND_DL, top, bottom) for top, bottom in g.edges())
+    expected = {KIND_DL: Counter((top, bottom) for top, bottom in g.edges()), KIND_TREE_P: Counter(), KIND_TREE_Q: Counter()}
     for n in range(1, L + 1):
-        expected.update((KIND_TREE_P, (n, j), (n - 1, j // p)) for j in range(p**n))
-        expected.update((KIND_TREE_Q, (n, k // q), (n - 1, k)) for k in range(q ** (L - n + 1)))
+        expected[KIND_TREE_P].update(((n, j), (n - 1, j // p)) for j in range(p**n))
+        expected[KIND_TREE_Q].update(((n, k // q), (n - 1, k)) for k in range(q ** (L - n + 1)))
     xs, ys = coordinate_rows(scene.params)
     rows = {2 * h: (h, {x: j for j, x in enumerate(xs[h])}, {y: k for k, y in enumerate(ys[h])}) for h in range(len(xs))}
     for i, (kind, a, b) in enumerate(scene.segments):
-        if kind in (KIND_TREE_P, KIND_TREE_Q):
-            if not all(type(c) is int for c in (*a, *b)):  # a bool's type is bool, not int
-                raise _Fail(f"segment {i}: {kind} endpoints {a}, {b} are not points of ints")
-            if kind == KIND_TREE_P and (a[1] != 0 or b[1] != 0):
-                raise _Fail(f"segment {i} (tree-p) leaves the plane y=0")
-            if kind == KIND_TREE_Q and (a[0] != 0 or b[0] != 0):
-                raise _Fail(f"segment {i} (tree-q) leaves the plane x=0")
-        elif kind != KIND_DL:
+        if kind not in KINDS:  # by equality, as the writers test it: a kind such as a list cannot key a table
             raise _Fail(f"segment {i} has unknown kind {kind!r}")
+        counts = expected[kind]
+        if kind != KIND_DL and not all(type(c) is int for c in (*a, *b)):  # a bool's type is bool, not int
+            raise _Fail(f"segment {i}: {kind} endpoints {a}, {b} are not points of ints")
+        if kind == KIND_TREE_P and (a[1] != 0 or b[1] != 0):
+            raise _Fail(f"segment {i} (tree-p) leaves the plane y=0")
+        if kind == KIND_TREE_Q and (a[0] != 0 or b[0] != 0):
+            raise _Fail(f"segment {i} (tree-q) leaves the plane x=0")
         try:
             va, vb = _drawn_node(rows, kind, a), _drawn_node(rows, kind, b)
         except (TypeError, ValueError) as exc:
             raise _Fail(f"segment {i}: {exc}")
-        top, bottom = (va, vb) if va[0] > vb[0] else (vb, va)
-        key = (kind, top, bottom)
-        if top[0] - bottom[0] != 1 or key not in expected:
+        top, bottom = edge = (va, vb) if va[0] > vb[0] else (vb, va)
+        if top[0] - bottom[0] != 1 or (left := counts.get(edge)) is None:
             nodes = "vertices" if kind == KIND_DL else f"{kind} nodes"
             raise _Fail(f"segment {i} joins non-adjacent {nodes} {tuple(va)}, {tuple(vb)}")
-        expected[key] -= 1
+        counts[edge] = left - 1
     # every drawn edge is an expected one, so a difference shows as an expected edge's nonzero remainder
-    for (kind, top, bottom), left in expected.items():
-        if left:  # recount only the edge to name: as often as g.edges() lists it, or once for a tree edge
-            count = sum((u, w) == (top, bottom) for u, w in g.edges()) if kind == KIND_DL else 1
-            edge = "edge" if kind == KIND_DL else f"{kind} edge"
-            raise _Fail(f"{edge} {tuple(top)}-{tuple(bottom)} drawn {count - left} times, expected {count}")
+    for kind, counts in expected.items():
+        for (top, bottom), left in counts.items():
+            if left:  # recount only the edge to name: as often as g.edges() lists it, or once for a tree edge
+                count = sum((u, w) == (top, bottom) for u, w in g.edges()) if kind == KIND_DL else 1
+                name = "edge" if kind == KIND_DL else f"{kind} edge"
+                raise _Fail(f"{name} {tuple(top)}-{tuple(bottom)} drawn {count - left} times, expected {count}")
     return {"dl_segments": sum(kind == KIND_DL for kind, _, _ in scene.segments)}
 
 

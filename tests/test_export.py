@@ -32,7 +32,7 @@ from dlgraph import (
     render,
     write_scene,
 )
-from dlgraph.export import DEFAULT_COLORS, DEFAULT_SVG_COLORS, MAX_DIGITS, _format_ratio
+from dlgraph.export import DEFAULT_COLORS, DEFAULT_SVG_COLORS, FORMATS, MAX_DIGITS, _RENDERERS, _format_ratio
 
 from support import Index, edge_set, project_point, reference_format_number, reference_svg
 
@@ -508,6 +508,34 @@ class RefusingSink:
 
     def write(self, data) -> int:
         return 0
+
+
+class ShortWriteSink:
+    """A byte sink whose ``write`` takes at most ``limit`` bytes per call, as a pipe may."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit, self.received, self.calls = limit, bytearray(), 0
+
+    def write(self, data) -> int:
+        self.calls += 1
+        taken = bytes(data[: self.limit])
+        self.received += taken
+        return len(taken)
+
+
+@pytest.mark.parametrize("format", FORMATS)
+def test_write_scene_offers_the_rest_after_a_short_write(format):
+    scene, opts = reference_scene(), ExportOptions(format=format)
+    expected = render(scene, opts).encode("utf-8")
+    sink = ShortWriteSink(7)
+    write_scene(scene, opts, sink)
+    assert bytes(sink.received) == expected
+    assert sink.calls == -(-len(expected) // 7)
+
+
+def test_format_names_are_the_writer_table_keys():
+    # ExportOptions and --format read FORMATS, render reads the table: adding a writer to one only fails here
+    assert FORMATS == tuple(_RENDERERS)
 
 
 def test_write_scene_raises_when_the_sink_takes_nothing():

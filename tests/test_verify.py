@@ -833,6 +833,30 @@ def test_scene_agreement_fails_on_damaged_tree_segments(kind, damage, counterexa
     assert result.counterexample == counterexample
 
 
+def _first_segment(scene, kind, step):
+    """Index of the first ``kind`` segment of height step ``step`` (its top endpoint at drawing height ``step``)."""
+    return next(i for i, (k, a, _) in enumerate(scene.segments) if k == kind and a[2] == 2 * step)
+
+
+@pytest.mark.parametrize(
+    "dropped,counterexample",
+    [
+        ([("tree-q", 1)], "tree-q edge (1, 0)-(0, 0) drawn 0 times, expected 1"),
+        ([("tree-p", 2)], "tree-p edge (2, 0)-(1, 0) drawn 0 times, expected 1"),
+        # each kind has its own table, scanned tree-p before tree-q whatever the height step
+        ([("tree-q", 1), ("tree-p", 2)], "tree-p edge (2, 0)-(1, 0) drawn 0 times, expected 1"),
+    ],
+    ids=["q-step-1", "p-step-2", "both"],
+)
+def test_scene_agreement_names_tree_p_before_tree_q(dropped, counterexample):
+    g = graph(2, 3, 3)
+    scene = build_scene(g)
+    drop = {_first_segment(scene, kind, step) for kind, step in dropped}
+    segments = tuple(seg for i, seg in enumerate(scene.segments) if i not in drop)
+    result = check_scene_graph_agreement(g, Scene3D(scene.params, scene.view, segments))
+    assert (result.status, result.counterexample) == ("fail", counterexample)
+
+
 @pytest.mark.parametrize(
     "kind,top,bottom,counterexample",
     [
@@ -854,9 +878,9 @@ def test_scene_agreement_fails_on_tree_segments_between_non_adjacent_nodes(kind,
     assert result.counterexample == counterexample
 
 
-@pytest.mark.parametrize("kind", ["bogus", "DL", None])
+@pytest.mark.parametrize("kind", ["bogus", "DL", None, ["dl"]])
 def test_scene_agreement_fails_on_a_segment_of_unknown_kind(kind):
-    # a kind that is neither tree kind is not read as "dl"
+    # a kind that is neither tree kind is not read as "dl"; a list, which cannot key a table, fails the same way
     g = graph(2, 3, 3)
     scene = build_scene(g)
     index = next(i for i, seg in enumerate(scene.segments) if seg[0] == "dl")
