@@ -15,11 +15,8 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .export import FORMATS, MAX_DIGITS, ExportOptions, write_scene
 from .graph import DEFAULT_VERTEX_CAP, DLGraph, DLParams
-from .layout import DEFAULT_VIEW, build_scene
 from .tree import CapExceededError
-from .verify import CHECKS, DEFAULT_BALL_RADIUS, MAX_BALL_RADIUS, run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -32,6 +29,13 @@ FIGURE_PRESETS = {
     "dl32": ((2, 3, 3), (165, 10)),
     "dl32-alt": ((2, 3, 3), (15, 25)),
 }
+
+# The parser's values, spelled out so that each command loads only the modules it runs; tests pin each to the library value
+FORMATS = ("tikz", "json", "obj", "svg")
+MAX_DIGITS = 1000
+DEFAULT_VIEW = (165, 10)
+CHECK_NAMES = ("counts", "degree_law", "lamplighter", "level_condition", "local_homogeneity", "scene_graph_agreement")
+DEFAULT_BALL_RADIUS, MAX_BALL_RADIUS = 2, 3
 
 
 def _finite_float(text: str) -> float:
@@ -75,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", parents=[params], help="run the structural checks")
     verify.add_argument("--checks", default=None,
-                        help="comma-separated subset of: " + ",".join(CHECKS))
+                        help="comma-separated subset of: " + ",".join(CHECK_NAMES))
     verify.add_argument("-r", "--radius", type=int, default=DEFAULT_BALL_RADIUS,
                         choices=list(range(1, MAX_BALL_RADIUS + 1)),
                         help=f"ball radius for local homogeneity (default {DEFAULT_BALL_RADIUS})")
@@ -114,17 +118,26 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _cmd_export(args) -> int:
-    graph = DLGraph(DLParams(args.p, args.q, args.layers, vertex_cap=args.cap))
-    opts = ExportOptions(format=args.format, colors=args.colors, axis_labels=not args.no_axis_labels,
-                         decimal_digits=args.digits)
-    scene = build_scene(graph, args.view)
-    with _open_sink(args.output) as sink:
+def _write_scene(graph: DLGraph, view, output: str, **options) -> int:
+    from .export import ExportOptions, write_scene
+    from .layout import build_scene
+
+    opts = ExportOptions(**options)
+    scene = build_scene(graph, view)
+    with _open_sink(output) as sink:
         write_scene(scene, opts, sink)
     return EXIT_OK
 
 
+def _cmd_export(args) -> int:
+    graph = DLGraph(DLParams(args.p, args.q, args.layers, vertex_cap=args.cap))
+    return _write_scene(graph, args.view, args.output, format=args.format, colors=args.colors,
+                        axis_labels=not args.no_axis_labels, decimal_digits=args.digits)
+
+
 def _cmd_verify(args) -> int:
+    from .verify import run_checks
+
     graph = DLGraph(DLParams(args.p, args.q, args.layers, vertex_cap=args.cap))
     names = args.checks.split(",") if args.checks is not None else None
     report = run_checks(graph, names=names, radius=args.radius)
@@ -136,11 +149,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_figure(args) -> int:
     (p, q, layers), view = FIGURE_PRESETS[args.name]
-    graph = DLGraph(DLParams(p, q, layers))
-    scene = build_scene(graph, view)
-    with _open_sink(args.output) as sink:
-        write_scene(scene, ExportOptions(format="tikz"), sink)
-    return EXIT_OK
+    return _write_scene(DLGraph(DLParams(p, q, layers)), view, args.output, format="tikz")
 
 
 def _discard_stdout() -> None:

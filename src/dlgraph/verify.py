@@ -477,6 +477,7 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
     for n in range(1, L + 1):
         expected[KIND_TREE_P].update(((n, j), (n - 1, j // p)) for j in range(p**n))
         expected[KIND_TREE_Q].update(((n, k // q), (n - 1, k)) for k in range(q ** (L - n + 1)))
+    dl_edges = expected[KIND_DL].total()  # on PASS each dl segment has counted one of these down
     xs, ys = coordinate_rows(scene.params)
     rows = {2 * h: (h, {x: j for j, x in enumerate(xs[h])}, {y: k for k, y in enumerate(ys[h])}) for h in range(len(xs))}
     for i, (kind, a, b) in enumerate(scene.segments):
@@ -505,7 +506,7 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
                 count = sum((u, w) == (top, bottom) for u, w in g.edges()) if kind == KIND_DL else 1
                 name = "edge" if kind == KIND_DL else f"{kind} edge"
                 raise _Fail(f"{name} {tuple(top)}-{tuple(bottom)} drawn {count - left} times, expected {count}")
-    return {"dl_segments": sum(kind == KIND_DL for kind, _, _ in scene.segments)}
+    return {"dl_segments": dl_edges}
 
 
 # Each entry runs one check on (graph, ball radius); only here is it said

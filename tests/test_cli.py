@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 
 import dlgraph
 from dlgraph import VerificationReport
-from dlgraph.cli import EXIT_CAP, EXIT_OK, EXIT_OUTPUT, EXIT_USAGE, EXIT_VERIFY_FAILED, entrypoint, main
+from dlgraph.cli import (EXIT_CAP, EXIT_OK, EXIT_OUTPUT, EXIT_USAGE, EXIT_VERIFY_FAILED, build_parser,
+                         entrypoint, main)
 
 
 def run(capsys, *argv):
@@ -150,7 +152,7 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
         CheckResult("check_counts", {"p": 2, "q": 3, "layers": 3}, "fail",
                     "enumerated 1 vertices, closed form 65", 0.0),
     ))
-    monkeypatch.setattr("dlgraph.cli.run_checks", lambda *a, **k: failing)
+    monkeypatch.setattr("dlgraph.verify.run_checks", lambda *a, **k: failing)
     code, out, _ = run(capsys, "verify")
     assert code == EXIT_VERIFY_FAILED
     assert "FAILURES detected" in out
@@ -337,7 +339,8 @@ def test_export_into_a_reader_that_stops_early_exits_four(unbuffered):
 
 def test_the_cli_imports_only_the_standard_library():
     # -S skips site, whose .pth files may import third-party modules (certifi, say) before dlgraph is imported
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import dlgraph.cli; "
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import dlgraph.cli, dlgraph.export, dlgraph.verify; "
             "new = {name.partition('.')[0] for name in set(sys.modules) - before} - {'dlgraph'}; "
             "print(sorted(new - sys.stdlib_module_names))")
     src = Path(dlgraph.__file__).parent.parent
@@ -345,18 +348,51 @@ def test_the_cli_imports_only_the_standard_library():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def _option(command, flag):
+    parser = build_parser()
+    commands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return next(action for action in commands.choices[command]._actions if flag in action.option_strings)
+
+
+def test_parser_values_are_the_library_values():
+    # cli.py spells them out so that no command loads a module it does not run:
+    # a writer, check or bound added on one side only fails here
+    from dlgraph import export, layout, verify
+
+    assert _option("export", "--format").choices == export.FORMATS
+    assert _option("export", "--digits").help == f"max fractional digits, 1-{export.MAX_DIGITS} (default 6)"
+    assert _option("export", "--view").default == layout.DEFAULT_VIEW
+    assert _option("verify", "--checks").help == "comma-separated subset of: " + ",".join(verify.CHECKS)
+    radius = _option("verify", "--radius")
+    assert radius.choices == list(range(1, verify.MAX_BALL_RADIUS + 1))
+    assert radius.default == verify.DEFAULT_BALL_RADIUS
+
+
+def _command(*argv):
+    """A statement that runs one command with its output discarded."""
+    return (f"from dlgraph.cli import main; sys.stdout = sys.stderr = open(os.devnull, 'w'); "
+            f"assert main({list(argv)!r}) == 0")
+
+
 @pytest.mark.parametrize("statement, modules", [
     # a graph needs graph.py and tree.py alone: every other public name loads on first use
     ("import dlgraph; dlgraph.DLGraph(dlgraph.DLParams(2, 2, 8))", ["dlgraph", "dlgraph.graph", "dlgraph.tree"]),
     ("import dlgraph; dlgraph.layout.build_scene", ["dlgraph", "dlgraph.graph", "dlgraph.layout", "dlgraph.tree"]),
-    ("import dlgraph.cli", ["dlgraph", "dlgraph.cli", "dlgraph.export", "dlgraph.graph", "dlgraph.layout",
-                            "dlgraph.tree", "dlgraph.verify"]),
+    # each command imports what it runs: no command but verify loads verify.py, and only the writers load export.py
+    (_command("stats", "-L", "2"), ["dlgraph", "dlgraph.cli", "dlgraph.graph", "dlgraph.tree"]),
+    (_command("figure", "--name", "dl32"), ["dlgraph", "dlgraph.cli", "dlgraph.export", "dlgraph.graph",
+                                            "dlgraph.layout", "dlgraph.tree"]),
+    (_command("export", "-L", "2", "--format", "svg"), ["dlgraph", "dlgraph.cli", "dlgraph.export", "dlgraph.graph",
+                                                        "dlgraph.layout", "dlgraph.tree"]),
+    (_command("verify", "-L", "2"), ["dlgraph", "dlgraph.cli", "dlgraph.graph", "dlgraph.layout", "dlgraph.tree",
+                                     "dlgraph.verify"]),
 ])
 def test_starting_a_command_loads_no_module_it_does_not_need(statement, modules):
     # these cost every process milliseconds to import, and only the library functions that use them import them
     unneeded = ["dataclasses", "fractions", "inspect", "json", "typing"]
-    code = (f"import sys; sys.path.insert(0, sys.argv[1]); {statement}; "
-            f"print(sorted(name for name in sys.modules if name.partition('.')[0] in {{'dlgraph', *{unneeded}}}))")
+    code = (f"import os, sys; sys.path.insert(0, sys.argv[1]); {statement}; "
+            f"print(sorted(name for name in sys.modules if name.partition('.')[0] in {{'dlgraph', *{unneeded}}}), "
+            "file=sys.__stdout__)")
     src = Path(dlgraph.__file__).parent.parent
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{modules}\n", "")
