@@ -1,19 +1,21 @@
 """Command-line front door: generate, export, verify, and render preset figures.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 size cap
-exceeded, 4 output could not be written, including a closed pipe on stdout
-(one ``error:`` line on stderr).  All artifact output is deterministic;
-timing diagnostics go to stderr only.
+exceeded, 4 output could not be written, including a closed pipe or a
+closed descriptor on stdout (one ``error:`` line on stderr).  All artifact
+output is deterministic; timing diagnostics go to stderr only, and a closed
+or unwritable stderr drops them without changing the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .graph import DEFAULT_VERTEX_CAP, DLGraph, DLParams
 from .tree import CapExceededError
@@ -96,10 +98,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout():
+    """``sys.stdout``, which Python sets to None when descriptor 1 was closed
+    at start; then this raises the error a write to it would."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
+def _diagnose(line: str) -> None:
+    """One line on stderr, dropped if it cannot be written: diagnostics never change the exit code."""
+    with suppress(OSError):
+        sys.stderr.write(line + "\n")
+    _flush_stderr()
+
+
+def _flush_stderr() -> None:
+    """Flush stderr, or point its descriptor at devnull if it cannot be written: a buffered stderr keeps
+    the bytes of a failed write, and the interpreter's flush at exit would fail on them with status 120."""
+    try:
+        sys.stderr.flush()
+    except OSError:
+        _discard(sys.stderr)
+
+
 @contextmanager
 def _open_sink(path: str):
     if path == "-":
-        yield sys.stdout.buffer
+        yield _stdout().buffer
         sys.stdout.buffer.flush()
     else:
         with open(path, "wb") as sink:
@@ -109,7 +135,7 @@ def _open_sink(path: str):
 def _cmd_stats(args) -> int:
     graph = DLGraph(DLParams(args.p, args.q, args.layers, vertex_cap=args.cap))
     census = graph.census()
-    out = sys.stdout
+    out = _stdout()
     out.write(f"DL({args.p},{args.q}) truncation, layers={args.layers}\n")
     out.write(f"vertices: {census.vertex_count}\n")
     out.write(f"edges: {census.edge_count}\n")
@@ -141,9 +167,9 @@ def _cmd_verify(args) -> int:
     graph = DLGraph(DLParams(args.p, args.q, args.layers, vertex_cap=args.cap))
     names = args.checks.split(",") if args.checks is not None else None
     report = run_checks(graph, names=names, radius=args.radius)
-    sys.stdout.write(report.to_text())
+    _stdout().write(report.to_text())
     for entry in report.entries:
-        sys.stderr.write(f"{entry.name}: {entry.elapsed:.3f}s\n")
+        _diagnose(f"{entry.name}: {entry.elapsed:.3f}s")
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
 
@@ -152,12 +178,12 @@ def _cmd_figure(args) -> int:
     return _write_scene(DLGraph(DLParams(p, q, layers)), view, args.output, format="tikz")
 
 
-def _discard_stdout() -> None:
-    """Point stdout at devnull, so the interpreter's flush at exit cannot raise
-    BrokenPipeError again (the "Note on SIGPIPE" in the ``signal`` docs)."""
+def _discard(stream) -> None:
+    """Point the descriptor of ``stream`` at devnull, so the interpreter's flush at exit cannot fail on it
+    again (the "Note on SIGPIPE" in the ``signal`` docs)."""
     try:
-        fd = sys.stdout.fileno()
-    except (OSError, ValueError):  # stdout replaced by an object without a descriptor
+        fd = stream.fileno()
+    except (OSError, ValueError):  # a stream replaced by an object without a descriptor
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
@@ -165,24 +191,32 @@ def _discard_stdout() -> None:
 
 
 def main(argv=None) -> int:
+    if sys.stderr is None:  # descriptor 2 was closed at start; argparse would fall back to stdout
+        sys.stderr = open(os.devnull, "w")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except OSError:  # argparse before 3.11 lets a failed write of its usage message escape parser.exit(2)
+        return EXIT_USAGE
+    finally:
+        _flush_stderr()  # argparse 3.11+ ignores that failure, and stderr still holds the message
     started = time.perf_counter()
     try:
         status = args.handler(args)
-        sys.stdout.flush()  # a closed pipe must fail here, not in the flush at exit
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed pipe must fail here, not in the flush at exit
     except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return EXIT_CAP
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return EXIT_USAGE
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         if isinstance(exc, BrokenPipeError):
-            _discard_stdout()
+            _discard(sys.stdout)
         return EXIT_OUTPUT
-    sys.stderr.write(f"total: {time.perf_counter() - started:.3f}s\n")
+    _diagnose(f"total: {time.perf_counter() - started:.3f}s")
     return status
 
 

@@ -104,46 +104,39 @@ class _Skip(Exception):
     """Raised by a check body that does not apply to the graph; its text is the reason."""
 
 
-def _check(*param_names: str) -> Callable:
+def _check(body: Callable) -> Callable:
     """Turn a check body ``body(g, ...)`` into a check with the same
     signature that returns a :class:`CheckResult`.
 
-    The body takes arguments without defaults, and the check binds them as a
-    call would, or raises ``TypeError``.  The body returns its PASS detail,
-    or raises :class:`_Fail` or :class:`_Skip`; any other exception passes through.  The result is named
-    after the body, and its params are p, q and layers plus the arguments
-    named by ``param_names``, integer bounds that pass through ``as_integer`` first.
+    The check calls the body with its own arguments, so Python binds them
+    and raises ``TypeError`` for a bad call.  The body returns its PASS
+    detail, or raises :class:`_Fail` or :class:`_Skip`; any other exception
+    passes through.  The result is named after the body; its params are p, q
+    and layers, and ``radius`` through ``as_integer`` if the body takes one.
     """
+    names = body.__code__.co_varnames[: body.__code__.co_argcount]
 
-    def decorate(body: Callable) -> Callable:
-        names = body.__code__.co_varnames[: body.__code__.co_argcount]
+    @functools.wraps(body)
+    def check(*args, **kwargs) -> CheckResult:
+        started = time.perf_counter()
+        status, counterexample = PASS, None
+        try:
+            detail = body(*args, **kwargs)
+        except _Fail as exc:
+            status, counterexample, detail = FAIL, str(exc), None
+        except _Skip as exc:
+            status, detail = SKIP, {"reason": str(exc)}
+        arguments = dict(zip(names, args)) | kwargs  # the body accepted the call, so each name is here once
+        g = arguments["g"]
+        params = {"p": g.params.p, "q": g.params.q, "layers": g.params.layers}
+        if "radius" in arguments:
+            params["radius"] = as_integer(arguments["radius"], "radius")
+        return CheckResult(body.__name__, params, status, counterexample, time.perf_counter() - started, detail)
 
-        @functools.wraps(body)
-        def check(*args, **kwargs) -> CheckResult:
-            started = time.perf_counter()
-            arguments = dict(zip(names, args)) | kwargs
-            # an extra positional or a repeated argument leaves fewer keys than arguments given
-            if len(arguments) != len(args) + len(kwargs) or arguments.keys() != set(names):
-                raise TypeError(f"{body.__name__}() takes each of ({', '.join(names)}) once, "
-                                f"got {len(args)} positional and the keywords {sorted(kwargs)}")
-            arguments.update((name, as_integer(arguments[name], name)) for name in param_names)
-            g = arguments["g"]
-            params = {"p": g.params.p, "q": g.params.q, "layers": g.params.layers} | {name: arguments[name] for name in param_names}
-            status, counterexample = PASS, None
-            try:
-                detail = body(**arguments)
-            except _Fail as exc:
-                status, counterexample, detail = FAIL, str(exc), None
-            except _Skip as exc:
-                status, detail = SKIP, {"reason": str(exc)}
-            return CheckResult(body.__name__, params, status, counterexample, time.perf_counter() - started, detail)
-
-        return check
-
-    return decorate
+    return check
 
 
-@_check()
+@_check
 def check_degree_law(g) -> dict:
     """Every vertex has q down-neighbours (unless h = 0) and p up-neighbours (unless h = layers)."""
     p, q, L = g.params.p, g.params.q, g.params.layers
@@ -161,7 +154,7 @@ def check_degree_law(g) -> dict:
     return {"degree_histogram": dict(sorted(histogram.items()))}
 
 
-@_check()
+@_check
 def check_level_condition(g) -> dict:
     """Both components of every vertex sit at opposite relative heights.
 
@@ -193,7 +186,7 @@ def check_level_condition(g) -> dict:
     return {"basepoints": basepoints, "pairings": checked}
 
 
-@_check()
+@_check
 def check_counts(g) -> dict:
     """Enumerated vertex/edge counts match the closed forms; handshake holds."""
     expected_v, expected_e = g.params.vertex_count, g.params.edge_count
@@ -244,11 +237,13 @@ def _balls_isomorphic(ball_a: tuple[dict, dict], ball_b: tuple[dict, dict]) -> b
     Colour refinement (1-dimensional Weisfeiler-Leman) of both balls
     together, from each vertex's distance, runs to a stable partition; one
     rank table numbers the colours of both balls, so they compare.  Unequal
-    colour counts rule out an isomorphism.  Otherwise a backtracking search
-    maps ``ball_a`` in BFS order, each vertex to an unused vertex of its
-    colour in ``ball_b``, so after the centre a mapped neighbour's image
-    prunes every choice.  Balls that are not isomorphic but that refinement
-    cannot tell apart may still take the search exponential time.
+    colour counts rule out an isomorphism.  Otherwise a backtracking search,
+    on a stack of candidate iterators rather than by recursion, maps
+    ``ball_a`` in BFS order, each vertex to an unused vertex of its colour in
+    ``ball_b`` adjacent to the images of its mapped neighbours.  Equal colour
+    counts give both balls as many edges, so such a bijection is an
+    isomorphism.  Balls that are not isomorphic but that refinement cannot
+    tell apart may still take the search exponential time.
     """
     (dist_a, adj_a), (dist_b, adj_b) = ball_a, ball_b
     colour_a, colour_b = dict(dist_a), dict(dist_b)
@@ -266,34 +261,28 @@ def _balls_isomorphic(ball_a: tuple[dict, dict], ball_b: tuple[dict, dict]) -> b
     candidates: dict = {}
     for v, colour in colour_b.items():
         candidates.setdefault(colour, []).append(v)
-    order = list(dist_a)
-    mapping: dict = {}
-    used: set = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
+    order, mapping, used = list(dist_a), {}, set()
+    stack = [iter(candidates[colour_a[order[0]]])]  # the untried candidates of each vertex being placed
+    while stack:
+        u = order[len(stack) - 1]
+        if u in mapping:  # back at u from a dead end: free its image for the next candidate
+            used.remove(mapping.pop(u))
+        images = [mapping[w] for w in adj_a[u] if w in mapping]
+        for v in stack[-1]:
+            if v not in used and all(m in adj_b[v] for m in images):
+                break
+        else:
+            stack.pop()
+            continue
+        mapping[u] = v
+        used.add(v)
+        if len(stack) == len(order):
             return True
-        u = order[i]
-        mapped_neighbors = [mapping[w] for w in adj_a[u] if w in mapping]
-        for v in candidates[colour_a[u]]:
-            if v in used:
-                continue
-            if any(m not in adj_b[v] for m in mapped_neighbors):
-                continue
-            if sum(1 for w in adj_b[v] if w in used) != len(mapped_neighbors):
-                continue
-            mapping[u] = v
-            used.add(v)
-            if extend(i + 1):
-                return True
-            del mapping[u]
-            used.discard(v)
-        return False
-
-    return extend(0)
+        stack.append(iter(candidates[colour_a[order[len(stack)]]]))
+    return False
 
 
-@_check("radius")
+@_check
 def check_local_homogeneity(g, radius: int) -> dict:
     """All interior balls of the given radius are pairwise isomorphic.
 
@@ -315,6 +304,7 @@ def check_local_homogeneity(g, radius: int) -> dict:
     reference ball is not certified, or some implied vertex was never
     compared, every ball goes to the search.
     """
+    radius = as_integer(radius, "radius")
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {_decimal(radius)}")
     L = g.params.layers
@@ -384,7 +374,7 @@ def _slab_edges(b: int, layers: int) -> set:
     return edges
 
 
-@_check()
+@_check
 def check_lamplighter(g) -> dict:
     """For p = q = b, the truncation is isomorphic to a lamplighter slab.
 
@@ -459,7 +449,7 @@ def _drawn_node(rows: dict, kind: str, point) -> tuple:
     return (h, k) if kind == KIND_TREE_Q else (h, j, k)
 
 
-@_check()
+@_check
 def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
     """Inverting the segments' coordinates reproduces the edge set and the
     parent-child edges of both trees bijectively.

@@ -337,6 +337,61 @@ def test_export_into_a_reader_that_stops_early_exits_four(unbuffered):
     assert "Traceback" not in err
 
 
+COMMANDS = [("stats",), ("export", "-L", "2"), ("verify", "-L", "2"), ("figure", "--name", "dl32")]
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_closed_stdout_exits_four_with_one_error_line(argv):
+    # a process started with descriptor 1 closed gets sys.stdout = None from Python
+    proc = subprocess.run([sys.executable, "-m", "dlgraph", *argv], env=_env(False), stderr=subprocess.PIPE,
+                          preexec_fn=lambda: os.close(1), timeout=120, text=True)
+    assert proc.returncode == EXIT_OUTPUT
+    assert proc.stderr.splitlines() == ["error: [Errno 9] Bad file descriptor"]
+
+
+def test_closed_stdout_leaves_an_output_file_alone(tmp_path):
+    target = tmp_path / "dl32.tex"
+    proc = subprocess.run([sys.executable, "-m", "dlgraph", "figure", "--name", "dl32", "-o", str(target)],
+                          env=_env(False), stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert target.read_bytes() == (Path(__file__).parent / "golden" / "dl32.tex").read_bytes()
+
+
+def _close_stderr():
+    os.close(2)  # Python then sets sys.stderr to None
+
+
+def _read_only_stderr():
+    # Python opens sys.stderr on descriptor 2, and each write to it fails with EBADF
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(fd, 2)
+    os.close(fd)
+
+
+@pytest.mark.parametrize("broken", [_close_stderr, _read_only_stderr])
+@pytest.mark.parametrize("argv,code", [
+    *((argv, EXIT_OK) for argv in COMMANDS),
+    (("stats", "-p", "1"), EXIT_USAGE),
+    (("stats", "--cap", "1"), EXIT_CAP),
+])
+def test_unwritable_stderr_keeps_the_exit_code_and_the_output(argv, code, broken, capsysbinary):
+    # the diagnostics (timings, total, error line) are dropped; stdout is what an in-process run prints
+    proc = subprocess.run([sys.executable, "-m", "dlgraph", *argv], env=_env(False), stdout=subprocess.PIPE,
+                          preexec_fn=broken, timeout=120)
+    assert proc.returncode == code
+    assert main(list(argv)) == code
+    assert proc.stdout == capsysbinary.readouterr().out
+
+
+@pytest.mark.parametrize("broken", [_close_stderr, _read_only_stderr])
+def test_unwritable_stderr_keeps_the_usage_exit_code(broken):
+    # argparse's usage message goes nowhere, not to stdout, and the code is 2 on every supported Python
+    proc = subprocess.run([sys.executable, "-m", "dlgraph", "stats", "-p", "x"], env=_env(False),
+                          stdout=subprocess.PIPE, preexec_fn=broken, timeout=120)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == b""
+
+
 def test_the_cli_imports_only_the_standard_library():
     # -S skips site, whose .pth files may import third-party modules (certifi, say) before dlgraph is imported
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "

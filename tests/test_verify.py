@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -478,6 +479,59 @@ def test_ball_search_tells_apart_balls_colour_refinement_does_not():
     assert stable[0] == stable[1]
     assert not nx.is_isomorphic(nx_a, nx_b, node_match=_same_distance)
     assert not verify._balls_isomorphic(ball_a, ball_b)
+
+
+def _ball_around_0(adjacency: dict, radius: int) -> tuple[dict, dict]:
+    """The :func:`verify._ball` of ``radius`` around vertex 0 of the graph ``{vertex: neighbours}``."""
+    return verify._ball(SimpleNamespace(neighbors=lambda v: sorted(adjacency[v])), 0, radius, {})
+
+
+def _drawn_connected_graph(data, n: int) -> dict:
+    """A connected graph on 0..n-1: a drawn tree, each vertex after 0 hung below an earlier one, plus drawn edges."""
+    adjacency = {u: set() for u in range(n)}
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    tree = [(data.draw(st.integers(0, w - 1)), w) for w in range(1, n)]
+    for u, w in tree + data.draw(st.lists(st.sampled_from(pairs), max_size=n)):
+        adjacency[u].add(w)
+        adjacency[w].add(u)
+    return adjacency
+
+
+@settings(deadline=None, max_examples=300)
+@given(n=st.integers(4, 8), radius=st.integers(1, 3), renamed=st.booleans(), data=st.data())
+def test_ball_search_agrees_with_networkx_on_small_graphs(n, radius, renamed, data):
+    # the second graph is drawn on its own, or is the first with the names other
+    # than 0 permuted and up to one edge added; both balls are centred at 0
+    nx = pytest.importorskip("networkx")
+    a = _drawn_connected_graph(data, n)
+    if renamed:
+        name = dict(enumerate([0, *data.draw(st.permutations(range(1, n)))]))
+        b = {name[u]: {name[w] for w in near} for u, near in a.items()}
+        for u, w in data.draw(st.lists(st.sampled_from([(u, w) for u in range(n) for w in range(u + 1, n)]), max_size=1)):
+            b[u].add(w)
+            b[w].add(u)
+    else:
+        b = _drawn_connected_graph(data, n)
+    ball_a, ball_b = _ball_around_0(a, radius), _ball_around_0(b, radius)
+    expected = nx.is_isomorphic(_networkx_ball(nx, ball_a), _networkx_ball(nx, ball_b), node_match=_same_distance)
+    assert verify._balls_isomorphic(ball_a, ball_b) == expected
+
+
+def test_ball_search_maps_a_pair_with_a_used_neighbour_left_over():
+    # some candidate here is adjacent to a used vertex that is not the image of
+    # a mapped neighbour; the balls are isomorphic all the same
+    a = {0: [2, 3, 4, 5], 1: [2, 4], 2: [0, 1, 4, 5], 3: [0, 4, 5], 4: [0, 1, 2, 3], 5: [0, 2, 3]}
+    b = {0: [1, 3, 4, 5], 1: [0, 3, 5], 2: [3, 4], 3: [0, 1, 2, 4], 4: [0, 2, 3, 5], 5: [0, 1, 4]}
+    assert verify._balls_isomorphic(_ball_around_0(a, 2), _ball_around_0(b, 2))
+
+
+def test_ball_search_places_more_vertices_than_the_recursion_limit():
+    # two 3000-vertex paths from their end, one under other names: one search frame per vertex
+    n = 3000
+    assert n > sys.getrecursionlimit()
+    path = ({i: i for i in range(n)}, {i: frozenset(w for w in (i - 1, i + 1) if 0 <= w < n) for i in range(n)})
+    renamed = ({-i: i for i in range(n)}, {-i: frozenset(-w for w in near) for i, near in path[1].items()})
+    assert verify._balls_isomorphic(path, renamed)
 
 
 # ---------------------------------------------------------------------------
