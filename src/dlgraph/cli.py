@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 size cap
 exceeded, 4 output could not be written, including a closed pipe or a
-closed descriptor on stdout (one ``error:`` line on stderr).  All artifact
-output is deterministic; timing diagnostics go to stderr only, and a closed
-or unwritable stderr drops them without changing the exit code.
+closed descriptor on stdout, for ``--help`` too (one ``error:`` line on
+stderr), 130 interrupted by SIGINT (Ctrl-C; one ``error: interrupted``
+line).  All artifact output is deterministic; timing diagnostics go to
+stderr only, and a closed or unwritable stderr drops them without changing
+the exit code.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_OUTPUT = 4
+EXIT_INTERRUPTED = 130
 
 # name -> ((p, q, layers), (azimuth, elevation))
 FIGURE_PRESETS = {
@@ -50,8 +53,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        """The help on stdout, or exit 4 with one ``error:`` line: with stdout
+        closed, argparse would print it on stderr and exit 0."""
+        try:
+            _stdout().write(self.format_help())
+            sys.stdout.flush()
+        except OSError as exc:
+            raise SystemExit(_output_failed(exc))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dlgraph",
         description="Finite Diestel-Leader graph truncations: stats, exports, verification, preset figures.",
     )
@@ -190,6 +204,13 @@ def _discard(stream) -> None:
     os.close(devnull)
 
 
+def _output_failed(exc: OSError) -> int:
+    _diagnose(f"error: {exc}")
+    if isinstance(exc, BrokenPipeError):
+        _discard(sys.stdout)
+    return EXIT_OUTPUT
+
+
 def main(argv=None) -> int:
     if sys.stderr is None:  # descriptor 2 was closed at start; argparse would fall back to stdout
         sys.stderr = open(os.devnull, "w")
@@ -212,10 +233,10 @@ def main(argv=None) -> int:
         _diagnose(f"error: {exc}")
         return EXIT_USAGE
     except OSError as exc:
-        _diagnose(f"error: {exc}")
-        if isinstance(exc, BrokenPipeError):
-            _discard(sys.stdout)
-        return EXIT_OUTPUT
+        return _output_failed(exc)
+    except KeyboardInterrupt:
+        _diagnose("error: interrupted")
+        return EXIT_INTERRUPTED
     _diagnose(f"total: {time.perf_counter() - started:.3f}s")
     return status
 

@@ -205,10 +205,10 @@ def check_counts(g) -> dict:
     return {"vertices": enum_v, "edges": enum_e, "degree_sum": degree_sum}
 
 
-def _ball(g, center, radius: int, neighbor_cache: dict) -> tuple[dict, dict]:
+def _ball(neighbors: Callable, center, radius: int) -> tuple[dict, dict]:
     """The ball of ``radius`` around ``center`` as (BFS distance from the
-    centre, induced adjacency sets); leaves the neighbours of every ball
-    vertex in ``neighbor_cache``.
+    centre, induced adjacency sets), reading each ball vertex's neighbours
+    through ``neighbors``.
 
     ``dist`` lists the vertices in BFS order, so each vertex after the centre
     follows a neighbour one step closer; :func:`_balls_isomorphic` maps them
@@ -217,17 +217,14 @@ def _ball(g, center, radius: int, neighbor_cache: dict) -> tuple[dict, dict]:
     dist = {center: 0}
     order = [center]
     for u in order:  # the loop reaches the vertices it appends, in BFS order
-        near = neighbor_cache.get(u)
-        if near is None:
-            near = neighbor_cache[u] = tuple(g.neighbors(u))
         d = dist[u] + 1
         if d > radius:
             continue
-        for w in near:
+        for w in neighbors(u):
             if w not in dist:
                 dist[w] = d
                 order.append(w)
-    return dist, {u: frozenset(w for w in neighbor_cache[u] if w in dist) for u in dist}
+    return dist, {u: frozenset(w for w in neighbors(u) if w in dist) for u in dist}
 
 
 def _balls_isomorphic(ball_a: tuple[dict, dict], ball_b: tuple[dict, dict]) -> bool:
@@ -302,7 +299,8 @@ def check_local_homogeneity(g, radius: int) -> dict:
     refinement of both balls together and then an exhaustive backtracking
     search in BFS order, which alone can declare a failure.  If the
     reference ball is not certified, or some implied vertex was never
-    compared, every ball goes to the search.
+    compared, every ball goes to the search.  The pass keeps no neighbour
+    list: the balls read them through one memo of ``g.neighbors`` per call.
     """
     radius = as_integer(radius, "radius")
     if radius < 1:
@@ -311,7 +309,7 @@ def check_local_homogeneity(g, radius: int) -> dict:
     if L < 2 * radius:
         raise _Skip(f"not applicable: layers < 2*radius ({L} < {2 * radius})")
     implied = DLGraph(g.params)
-    interior, neighbor_cache, near_damage, compared = [], {}, set(), 0
+    interior, seen, near_damage, compared = [], set(), set(), 0
     for v in g.vertices():
         h, _, _ = v
         try:
@@ -319,48 +317,30 @@ def check_local_homogeneity(g, radius: int) -> dict:
                 interior.append(v)
         except TypeError:  # a height that does not compare with ints
             raise _Fail(f"vertex {tuple(v)} has height {h!r}, not an int")
-        if v in neighbor_cache:  # a vertex listed twice keeps its first list
+        if v in seen:  # a vertex listed twice is compared once
             continue
-        near = neighbor_cache[v] = tuple(g.neighbors(v))
+        seen.add(v)
         try:
             expected = tuple(implied.neighbors(v))
             compared += 1  # distinct implied vertices: vertex_count once each is listed
         except (TypeError, ValueError):
             expected = None
-        if near != expected:
+        if tuple(g.neighbors(v)) != expected:
             near_damage.add(v)
     frontier = {v for v in near_damage if v in implied}
     for _ in range(radius):
         frontier = {w for u in frontier for w in implied.neighbors(u)} - near_damage
         near_damage |= frontier
+    neighbors = functools.cache(g.neighbors)
     reference = interior[0]
-    reference_ball = _ball(g, reference, radius, neighbor_cache)
+    reference_ball = _ball(neighbors, reference, radius)
     certified = compared == g.params.vertex_count and reference not in near_damage
     for v in interior[1:]:
         if certified and v not in near_damage:
             continue
-        if not _balls_isomorphic(reference_ball, _ball(g, v, radius, neighbor_cache)):
+        if not _balls_isomorphic(reference_ball, _ball(neighbors, v, radius)):
             raise _Fail(f"ball around {tuple(v)} is not isomorphic to the ball around {tuple(reference)}")
     return {"interior_vertices": len(interior), "ball_size": len(reference_ball[0])}
-
-
-def _lamp_state(v: tuple[int, int, int], b: int, layers: int) -> tuple[tuple[int, ...], int]:
-    """Encode a DL vertex as (lamp configuration, cursor).
-
-    The orange index contributes the digits below the cursor (most
-    significant first), the brown index the digits at and above it (least
-    significant first).  Each digit is one ``divmod`` by b.
-    """
-    h, j, k = v
-    digits = []
-    for _ in range(h):
-        j, digit = divmod(j, b)
-        digits.append(digit)
-    digits.reverse()
-    for _ in range(h, layers):
-        k, digit = divmod(k, b)
-        digits.append(digit)
-    return tuple(digits), h
 
 
 def _slab_edges(b: int, layers: int) -> set:
@@ -380,14 +360,17 @@ def check_lamplighter(g) -> dict:
 
     States are (f, cursor) with f: positions 0..layers-1 -> Z/b and cursor in
     0..layers; states a cursor step apart are adjacent iff their
-    configurations agree away from the lower cursor position.  The explicit
-    digit encoding of :func:`_lamp_state` must be a bijection carrying the
-    DL edge set exactly onto the slab edge set, moving one lamp per step.
+    configurations agree away from the lower cursor position.  Entry n of
+    one digit table lists the base-b digits of 0 .. b**n - 1, most
+    significant first; (h, j, k) takes those of j mod b**h, then those of
+    k mod b**(L - h) reversed.  That encoding must be a bijection carrying
+    the DL edge set exactly onto the slab edge set, moving one lamp per step.
     """
     p, q, L = g.params.p, g.params.q, g.params.layers
     if p != q:
         raise _Skip("not applicable: p != q")
     b = p
+    counting = [list(itertools.product(range(b), repeat=n)) for n in range(L + 1)]
     encoding = {}
     for v in g.vertices():
         h, j, k = v
@@ -395,7 +378,8 @@ def check_lamplighter(g) -> dict:
             raise _Fail(f"vertex {tuple(v)} is not a triple of ints")
         if not 0 <= h <= L:  # digits are taken mod b, so only the cursor h can leave the slab
             raise _Fail(f"vertex {tuple(v)} has cursor {h} outside [0, {L}]")
-        encoding[tuple(v)] = _lamp_state(v, b, L)  # a plain tuple also keys a vertex given as a list
+        # a plain tuple also keys a vertex given as a list
+        encoding[tuple(v)] = counting[h][j % b**h] + counting[L - h][k % b ** (L - h)][::-1], h
     seen: dict = {}
     for v, state in encoding.items():
         if state in seen:

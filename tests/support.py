@@ -10,6 +10,7 @@ the library."""
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from fractions import Fraction
@@ -214,18 +215,18 @@ def homogeneity_by_search(g, radius: int) -> tuple[str, str | None, dict | None]
     is sent to the exact search, with no neighbour-list pass in front."""
     L = g.params.layers
     interior = [v for v in g.vertices() if radius <= v[0] <= L - radius]
-    neighbor_cache: dict = {}
+    neighbors = functools.cache(g.neighbors)
     reference = interior[0]
-    reference_ball = verify._ball(g, reference, radius, neighbor_cache)
+    reference_ball = verify._ball(neighbors, reference, radius)
     for v in interior[1:]:
-        if not verify._balls_isomorphic(reference_ball, verify._ball(g, v, radius, neighbor_cache)):
+        if not verify._balls_isomorphic(reference_ball, verify._ball(neighbors, v, radius)):
             return "fail", f"ball around {tuple(v)} is not isomorphic to the ball around {tuple(reference)}", None
     return "pass", None, {"interior_vertices": len(interior), "ball_size": len(reference_ball[0])}
 
 
 def lamp_state_by_powers(v, b: int, layers: int) -> tuple[tuple[int, ...], int]:
-    """What ``verify._lamp_state`` must return, each digit read by one
-    division by a power of b."""
+    """The (lamp configuration, cursor) that ``check_lamplighter`` must give
+    the vertex ``v``, each digit read by one division by a power of b."""
     h, j, k = v
     digits = [(j // b ** (h - 1 - i)) % b for i in range(h)]
     digits += [(k // b ** (i - h)) % b for i in range(h, layers)]

@@ -3,18 +3,25 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dlgraph
 from dlgraph import VerificationReport
-from dlgraph.cli import (EXIT_CAP, EXIT_OK, EXIT_OUTPUT, EXIT_USAGE, EXIT_VERIFY_FAILED, build_parser,
-                         entrypoint, main)
+from dlgraph.cli import (CHECK_NAMES, EXIT_CAP, EXIT_INTERRUPTED, EXIT_OK, EXIT_OUTPUT, EXIT_USAGE,
+                         EXIT_VERIFY_FAILED, build_parser, entrypoint, main)
 
 
 def run(capsys, *argv):
@@ -340,9 +347,10 @@ def test_export_into_a_reader_that_stops_early_exits_four(unbuffered):
 COMMANDS = [("stats",), ("export", "-L", "2"), ("verify", "-L", "2"), ("figure", "--name", "dl32")]
 
 
-@pytest.mark.parametrize("argv", COMMANDS)
+@pytest.mark.parametrize("argv", [*COMMANDS, ("--help",), ("verify", "--help")])
 def test_closed_stdout_exits_four_with_one_error_line(argv):
-    # a process started with descriptor 1 closed gets sys.stdout = None from Python
+    # a process started with descriptor 1 closed gets sys.stdout = None from Python;
+    # argparse would then print the help on stderr
     proc = subprocess.run([sys.executable, "-m", "dlgraph", *argv], env=_env(False), stderr=subprocess.PIPE,
                           preexec_fn=lambda: os.close(1), timeout=120, text=True)
     assert proc.returncode == EXIT_OUTPUT
@@ -390,6 +398,120 @@ def test_unwritable_stderr_keeps_the_usage_exit_code(broken):
                           stdout=subprocess.PIPE, preexec_fn=broken, timeout=120)
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == b""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the wait channel from /proc")
+def test_sigint_exits_130_with_one_error_line(tmp_path):
+    # export -o FIFO blocks in open() until a reader comes, so the interrupt arrives there whatever the host's speed
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # a shell without job control starts background jobs with SIGINT ignored, and Python would leave it ignored
+    proc = subprocess.Popen([sys.executable, "-m", "dlgraph", "export", "-L", "3", "-o", str(fifo)], env=_env(False),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 60
+        while Path(f"/proc/{proc.pid}/wchan").read_text() != "wait_for_partner":  # the kernel's wait for a FIFO's peer
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == EXIT_INTERRUPTED
+    assert err == "error: interrupted\n"
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert os.read(reader, 1) == b""
+    finally:
+        os.close(reader)
+
+
+# ---------------------------------------------------------------------------
+# the argv grammar
+
+ESCAPED = "\udcff"  # a non-UTF-8 argv byte, as Python decodes it (surrogateescape)
+HUGE = "1" + "0" * 30
+SIZES = ("-p", "-q", "-L", "--layers")  # a huge one exceeds the default cap before any graph is built
+# each flag: the number of values it takes, its valid spellings and its invalid or huge ones
+VALUES = {
+    "-p": (1, ["2", "3"], ["1", "-2", "x", "2.5", HUGE, "9" * 5000]),
+    "-q": (1, ["2", "3"], ["0", "x", HUGE]),
+    "-L": (1, ["1", "2", "4"], ["0", "-1", "x", HUGE, "9" * 5000]),
+    "--layers": (1, ["3"], ["0", HUGE]),
+    "--cap": (1, ["0", "1000", "200000"], ["-1", "x"]),
+    "-o": (1, ["-", "out", "missing/out", ""], []),  # each path but "-" is joined to a temporary directory
+    "--format": (1, ["tikz", "json", "obj", "svg"], ["pdf"]),
+    "--view": (2, ["30", "-71.7", "1e-300", "1e300"], ["inf", "nan", "x", "9" * 5000]),
+    "--colors": (3, ["red", "#00ff00", "not a colour"], []),
+    "--no-axis-labels": (0, [], []),
+    "--digits": (1, ["1", "6", "1000"], ["0", "-1", "x", HUGE]),
+    "--checks": (1, ["counts", "lamplighter,local_homogeneity", ",".join(CHECK_NAMES)], ["bogus", ","]),
+    "-r": (1, ["1", "2", "3"], ["0", "4", "x", HUGE]),
+    "--radius": (1, ["2"], ["9"]),
+    "--name": (1, ["dl32", "dl32-alt"], ["dl33"]),
+    "-h": (0, [], []),
+    "--bogus": (0, [], []),
+}
+PARAMS = ["-p", "-q", "-L", "--layers", "--cap"]
+FLAGS = {
+    "stats": PARAMS,
+    "export": [*PARAMS, "-o", "--format", "--view", "--colors", "--no-axis-labels", "--digits"],
+    "verify": [*PARAMS, "--checks", "-r", "--radius"],
+    "figure": ["--name", "-o"],
+}
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_CAP, EXIT_OUTPUT}
+
+
+@st.composite
+def argvs(draw, directory: str):
+    """A command, valid, invalid or missing, with flags of that command or of any, and values that are valid,
+    invalid, huge, empty, surrogate-escaped or too few.  A huge cap comes only with parameters small enough to build."""
+    command = draw(st.sampled_from([*FLAGS, "bogus", "", ESCAPED, None]))
+    own, bad, huge_cap = (draw(st.booleans()) for _ in range(3))
+    own = own and command in FLAGS
+    tokens = []
+    flags = draw(st.lists(st.sampled_from(FLAGS[command] if own else list(VALUES)), max_size=6))
+    if own and command == "figure":
+        flags.insert(0, "--name")  # the one required flag
+    for flag in flags:
+        count, valid, invalid = VALUES[flag]
+        if bad and not (huge_cap and flag in SIZES):
+            valid = [*valid, *invalid, "", ESCAPED, "2" + ESCAPED]
+        values = [draw(st.sampled_from(valid)) for _ in range(count)]
+        if flag == "-o":
+            values = [value if value == "-" else os.path.join(directory, value) for value in values]
+        if bad and values and draw(st.integers(0, 9)) == 0:  # too few values
+            values = values[: draw(st.integers(0, count - 1))]
+        tokens += [flag, *values]
+    if huge_cap:
+        tokens += ["--cap", HUGE]
+    if command is not None:
+        tokens.insert(0 if own else draw(st.integers(0, len(tokens))), command)
+    return tokens
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_every_argv_ends_in_a_documented_exit_with_at_most_one_error_line(data):
+    with tempfile.TemporaryDirectory() as directory:
+        argv = data.draw(argvs(directory), label="argv")
+        out, err = io.BytesIO(), io.BytesIO()
+        # what Python gives a UTF-8 process: strict stdout, backslash-escaping stderr
+        stdout = io.TextIOWrapper(out, encoding="utf-8", write_through=True)
+        stderr = io.TextIOWrapper(err, encoding="utf-8", errors="backslashreplace", write_through=True)
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    lines = err.getvalue().decode("utf-8").splitlines()
+    assert code in DOCUMENTED_EXITS
+    assert sum("error:" in line for line in lines) <= 1
+    assert not any("Traceback" in line for line in lines)
+    if code in (EXIT_USAGE, EXIT_CAP):
+        assert out.getvalue() == b""
 
 
 def test_the_cli_imports_only_the_standard_library():

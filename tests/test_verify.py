@@ -9,8 +9,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +36,6 @@ from dlgraph import (
 )
 from dlgraph import verify
 from dlgraph.cli import main
-from dlgraph.verify import _lamp_state
 
 from support import (
     SWEEP_DAMAGES,
@@ -181,6 +180,19 @@ def test_local_homogeneity_radius_one_ball_size():
     assert result.detail["ball_size"] == 6
 
 
+def test_local_homogeneity_keeps_no_table_of_neighbour_lists():
+    # a table of all 19,171 vertices' neighbour tuples takes the peak to about 9 MiB
+    g = graph(2, 3, 8)
+    tracemalloc.start()
+    try:
+        result = check_local_homogeneity(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == "pass"
+    assert peak < 4 * 2**20
+
+
 def test_local_homogeneity_rejects_shallow_graphs():
     result = check_local_homogeneity(graph(2, 3, 3), 2)
     assert result.status == "skip"
@@ -297,9 +309,9 @@ def test_local_homogeneity_induces_the_reference_ball_once(monkeypatch):
     centres = []
     honest = verify._ball
 
-    def counting(g, center, radius, neighbor_cache):
+    def counting(neighbors, center, radius):
         centres.append(center)
-        return honest(g, center, radius, neighbor_cache)
+        return honest(neighbors, center, radius)
 
     monkeypatch.setattr(verify, "_ball", counting)
     result = check_local_homogeneity(SwappedNames(graph(2, 3, 4), (2, 0, 0), (2, 3, 8)), 2)
@@ -417,7 +429,7 @@ ORACLE_BALLS = [(2, 2, 4, 2), (2, 3, 4, 2), (3, 3, 4, 2), (2, 2, 6, 3)]
 
 
 def _induced_ball(g, center, radius):
-    return verify._ball(g, center, radius, {})
+    return verify._ball(g.neighbors, center, radius)
 
 
 def _networkx_ball(nx, ball):
@@ -483,7 +495,7 @@ def test_ball_search_tells_apart_balls_colour_refinement_does_not():
 
 def _ball_around_0(adjacency: dict, radius: int) -> tuple[dict, dict]:
     """The :func:`verify._ball` of ``radius`` around vertex 0 of the graph ``{vertex: neighbours}``."""
-    return verify._ball(SimpleNamespace(neighbors=lambda v: sorted(adjacency[v])), 0, radius, {})
+    return verify._ball(lambda v: sorted(adjacency[v]), 0, radius)
 
 
 def _drawn_connected_graph(data, n: int) -> dict:
@@ -692,8 +704,8 @@ def test_lamp_encoding_move_semantics():
     b, layers = 2, 3
     g = graph(b, b, layers)
     for top, bottom in g.edges():
-        f_top, cur_top = _lamp_state(top, b, layers)
-        f_bot, cur_bot = _lamp_state(bottom, b, layers)
+        f_top, cur_top = lamp_state_by_powers(top, b, layers)
+        f_bot, cur_bot = lamp_state_by_powers(bottom, b, layers)
         position = cur_top - 1
         assert cur_bot == position
         assert f_top[position] == top[1] % b
@@ -701,21 +713,23 @@ def test_lamp_encoding_move_semantics():
         assert all(f_top[i] == f_bot[i] for i in range(layers) if i != position)
 
 
-@given(
-    st.integers(-40, 80),
-    st.integers(-(10**12), 10**12),
-    st.integers(-(10**12), 10**12),
-    st.integers(2, 7),
-    st.integers(0, 40),
-)
-def test_lamp_encoding_matches_the_digits_read_through_powers(h, j, k, b, layers):
-    assert _lamp_state((h, j, k), b, layers) == lamp_state_by_powers((h, j, k), b, layers)
+INDICES = st.one_of(*(st.integers(n - 10**3, n + 10**3) for n in (0, 10**12, -(10**12))))
+
+
+@given(st.data(), st.integers(2, 3), st.integers(1, 4))
+def test_lamp_encoding_matches_the_digits_read_through_powers(data, b, layers):
+    # an orange or brown index outside its range encodes like the vertex it equals mod b**h or b**(L-h)
+    h = data.draw(st.integers(0, layers))
+    j, k = data.draw(st.tuples(INDICES, INDICES).filter(lambda jk: (jk[0] % b**h, jk[1] % b ** (layers - h)) != jk))
+    result = check_lamplighter(MutatedGraph(graph(b, b, layers), add_vertices=[(h, j, k)]))
+    in_range, state = (h, j % b**h, k % b ** (layers - h)), lamp_state_by_powers((h, j, k), b, layers)
+    assert result.counterexample == f"vertices {in_range} and {(h, j, k)} collide on {state}"
 
 
 def test_lamp_encoding_is_injective():
     b, layers = 3, 3
     g = graph(b, b, layers)
-    states = {_lamp_state(v, b, layers) for v in g.vertices()}
+    states = {lamp_state_by_powers(v, b, layers) for v in g.vertices()}
     assert len(states) == (layers + 1) * b**layers
 
 
