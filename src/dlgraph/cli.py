@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager, suppress
+from contextlib import nullcontext, suppress
 
 from .graph import DEFAULT_VERTEX_CAP, DLGraph, DLParams
 from .tree import CapExceededError
@@ -136,16 +136,6 @@ def _flush_stderr() -> None:
         _discard(sys.stderr)
 
 
-@contextmanager
-def _open_sink(path: str):
-    if path == "-":
-        yield _stdout().buffer
-        sys.stdout.buffer.flush()
-    else:
-        with open(path, "wb") as sink:
-            yield sink
-
-
 def _cmd_stats(args) -> int:
     graph = DLGraph(DLParams(args.p, args.q, args.layers, vertex_cap=args.cap))
     census = graph.census()
@@ -159,13 +149,15 @@ def _cmd_stats(args) -> int:
 
 
 def _write_scene(graph: DLGraph, view, output: str, **options) -> int:
-    from .export import ExportOptions, write_scene
+    from .export import ExportOptions, _write_all, render
     from .layout import build_scene
 
     opts = ExportOptions(**options)
-    scene = build_scene(graph, view)
-    with _open_sink(output) as sink:
-        write_scene(scene, opts, sink)
+    # rendered and encoded before -o is opened, so a failure or Ctrl-C until then leaves the path as it was;
+    # main flushes stdout
+    data = render(build_scene(graph, view), opts).encode("utf-8")
+    with open(output, "wb") if output != "-" else nullcontext(_stdout().buffer) as sink:
+        _write_all(data, sink)
     return EXIT_OK
 
 

@@ -1,8 +1,9 @@
 """Serializers for :class:`~dlgraph.layout.Scene3D`: TikZ/pgfplots, JSON, OBJ, SVG.
 
 Every writer is a pure function of (scene, options) and produces the same
-bytes on every call.  Numbers are printed as the shortest decimal with at
-most ``decimal_digits`` fractional digits; "-0" is normalized to "0".
+bytes on every call; ``Scene3D`` has already checked every segment's kind.
+Numbers are printed as the shortest decimal with at most ``decimal_digits``
+fractional digits; "-0" is normalized to "0".
 """
 
 from __future__ import annotations
@@ -79,13 +80,6 @@ def _format_ratio(num: int, den: int, digits: int) -> str:
     return f"{sign}{whole}." + str(frac).rjust(digits, "0").rstrip("0")
 
 
-def _known_kinds(segments: tuple) -> tuple:
-    """``segments``, once every kind is one of :data:`KINDS`; else ``ValueError`` names the first that is not."""
-    if unknown := next(((i, kind) for i, (kind, _, _) in enumerate(segments) if kind not in KINDS), None):
-        raise ValueError("segment {} has unknown kind {!r}".format(*unknown))
-    return segments
-
-
 def export_tikz(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     """Standalone LaTeX document with one literal-coordinate ``\\addplot3`` per segment.
 
@@ -93,7 +87,7 @@ def export_tikz(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     an "on background layer" scope.  No TikZ-side arithmetic is emitted, so
     the bytes depend only on the scene and options.
     """
-    segments, digits = _known_kinds(scene.segments), opts.decimal_digits
+    digits = opts.decimal_digits
     az, el = (_format_ratio(*angle.as_integer_ratio(), digits) for angle in scene.view)
     style = dict(zip(KINDS, opts.colors or DEFAULT_COLORS))
     lines = [
@@ -113,7 +107,7 @@ def export_tikz(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     if opts.axis_labels:
         lines += ["    xlabel=$x$,", "    zlabel=$z$,", "    ylabel=$y$,"]
     lines.append("    ]")
-    for kind, a, b in segments:
+    for kind, a, b in scene.segments:
         a = ",".join(_format_ratio(c, 2, digits) for c in a)
         b = ",".join(_format_ratio(c, 2, digits) for c in b)
         stmt = f"\\addplot3[{style[kind]},thick] coordinates {{({a}) ({b})}};"
@@ -179,7 +173,7 @@ def export_obj(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     """Wavefront OBJ: deduplicated ``v`` records, then per-kind ``g`` groups of ``l`` records."""
     digits = opts.decimal_digits
     grouped = {kind: [] for kind in KINDS}
-    for segment in _known_kinds(scene.segments):
+    for segment in scene.segments:
         grouped[segment[0]].append(segment)
 
     index: dict[tuple, int] = {}
@@ -227,7 +221,7 @@ def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     sas, cas, ces, den = sa * s, ca * s, ce * s, 2 * s * s
     projected: dict[str, list[tuple[int, int, int, int]]] = {kind: [] for kind in KINDS}
     us, vs = [], []
-    for kind, (xa, ya, za), (xb, yb, zb) in _known_kinds(scene.segments):
+    for kind, (xa, ya, za), (xb, yb, zb) in scene.segments:
         ua, ub = cas * ya - sas * xa, cas * yb - sas * xb
         va = ces * za - se * (ca * xa + sa * ya)
         vb = ces * zb - se * (ca * xb + sa * yb)
@@ -277,12 +271,17 @@ def render(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
 
 
 def write_scene(scene: Scene3D, opts: ExportOptions, sink: io.BufferedIOBase) -> None:
-    """Encode the rendered document as UTF-8 into a byte sink.
+    """Encode the rendered document as UTF-8 into a byte sink, through :func:`_write_all`."""
+    _write_all(render(scene, opts).encode("utf-8"), sink)
+
+
+def _write_all(data: bytes, sink: io.BufferedIOBase) -> None:
+    """Write all of ``data`` to ``sink``.
 
     A buffered pipe whose reader has gone may report a short count instead of
     raising, so the rest is offered again until the sink raises its own error;
     a sink that takes nothing raises ``OSError``."""
-    data = memoryview(render(scene, opts).encode("utf-8"))
+    data = memoryview(data)
     while data:
         written = sink.write(data)
         if not written:

@@ -104,6 +104,19 @@ def test_export_is_byte_deterministic(tmp_path, capsys, format):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("format,view", [("obj", ()), ("tikz", ("--view", "33.3", "-71.7"))])
+def test_digits_reach_only_the_view_angles(capsys, format, view):
+    # every coordinate is a multiple of 1/2, printed exactly at any --digits; only TikZ's view= line can round
+    outputs = []
+    for digits in ("1", "6", "1000"):
+        code, out, _ = run(capsys, "export", "-L", "3", "--format", format, *view, "--digits", digits)
+        assert code == EXIT_OK
+        outputs.append(out.splitlines())
+    coordinates = [[line for line in lines if not line.startswith("    view=")] for lines in outputs]
+    assert coordinates[0] == coordinates[1] == coordinates[2]
+    assert (outputs[0] == outputs[2]) == (format == "obj")  # at 1000 digits the view prints the float 33.3 in full
+
+
 @pytest.mark.parametrize("argv", [
     *(("export", "-p", "2", "-q", "3", "-L", "3", "--format", fmt) for fmt in ("tikz", "json", "obj", "svg")),
     ("verify", "-p", "2", "-q", "2", "-L", "4"),
@@ -363,6 +376,20 @@ def test_closed_stdout_leaves_an_output_file_alone(tmp_path):
                           env=_env(False), stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120)
     assert proc.returncode == EXIT_OK
     assert target.read_bytes() == (Path(__file__).parent / "golden" / "dl32.tex").read_bytes()
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier export\n"], ids=["absent", "present"])
+def test_a_failed_export_leaves_the_output_path_as_it_was(tmp_path, existing):
+    # the stroke is the argv byte 0xff, which fails only when the rendered document is encoded as UTF-8
+    target = tmp_path / "out.svg"
+    if existing is not None:
+        target.write_bytes(existing)
+    argv = ["export", "-L", "1", "--format", "svg", "--colors", ESCAPED, "a", "b", "-o", str(target)]
+    proc = subprocess.run([sys.executable, "-m", "dlgraph", *argv], env=_env(False), stderr=subprocess.PIPE,
+                          timeout=120, text=True, errors="replace")
+    assert proc.returncode == EXIT_USAGE
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: 'utf-8' codec can't encode")
+    assert (target.read_bytes() if target.exists() else None) == existing
 
 
 def _close_stderr():

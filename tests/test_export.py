@@ -474,21 +474,6 @@ def test_svg_respects_color_overrides():
 # ---------------------------------------------------------------------------
 # dispatch, sinks, determinism
 
-@pytest.mark.parametrize("kind", ["bogus", "DL", None])
-@pytest.mark.parametrize("format", ["tikz", "obj", "svg"])
-def test_writers_reject_a_segment_of_unknown_kind(format, kind):
-    # the scene check's wording, from render and from the writer itself; JSON reads no segments
-    scene = reference_scene()
-    index = next(i for i, seg in enumerate(scene.segments) if seg[0] == KIND_DL)
-    segments = list(scene.segments)
-    segments[index] = (kind, *segments[index][1:])
-    damaged = Scene3D(scene.params, scene.view, tuple(segments))
-    writer = {"tikz": export_tikz, "obj": export_obj, "svg": export_svg}[format]
-    for write in (render, writer):
-        with pytest.raises(ValueError, match=f"^segment {index} has unknown kind {re.escape(repr(kind))}$"):
-            write(damaged, ExportOptions(format=format))
-
-
 def test_render_dispatch_matches_direct_calls():
     scene = tiny_scene()
     assert render(scene, ExportOptions(format="tikz")) == export_tikz(scene, ExportOptions(format="tikz"))

@@ -3,6 +3,7 @@ coordinate inversion that ties segments back to graph edges."""
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -190,6 +191,21 @@ def test_scene_view_is_a_tuple_and_replace_revalidates_it():
     assert turned.view == (0, 90) and turned.segments is scene.segments
     with pytest.raises(ValueError, match=r"^view angles must be finite floats, got \(nan, 0\)$"):
         Scene3D(scene.params, (float("nan"), 0), scene.segments)
+
+
+@pytest.mark.parametrize("at", [KIND_TREE_P, KIND_TREE_Q, KIND_DL])
+@pytest.mark.parametrize("kind", ["bogus", "DL", None, ["dl"]], ids=["bogus", "DL", "None", "list"])
+def test_scene_rejects_a_segment_of_unknown_kind(kind, at):
+    # by equality: a kind that is neither tree kind is not read as "dl", and a list is rejected, not hashed;
+    # of two bad segments the earlier is named, so no writer or check meets either
+    scene = scene_for(2, 3, 3)
+    index = next(i for i, (k, _, _) in enumerate(scene.segments) if k == at)
+    segments = list(scene.segments)
+    segments[index] = (kind, *segments[index][1:])
+    segments[-1] = ("bogus", *segments[-1][1:])
+    with pytest.raises(ValueError, match=f"^segment {index} has unknown kind {re.escape(repr(kind))}$"):
+        Scene3D(scene.params, scene.view, tuple(segments))
+    assert Scene3D(scene.params, (15, 25), scene.segments).segments is scene.segments
 
 
 def test_segments_connect_consecutive_heights():
