@@ -21,7 +21,7 @@ from .layout import (
     Scene3D,
     coordinate_rows,
 )
-from .tree import LayeredTree, Record, _decimal, as_integer
+from .tree import Record, _decimal, as_integer
 
 FORMATS = ("tikz", "json", "obj", "svg")  # tuple(_RENDERERS), spelled out: each writer's default ExportOptions() checks it first
 # Most fractional digits a number may be printed with: 10**digits is computed
@@ -127,9 +127,9 @@ def _json_number(value):
 def export_json(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     """One JSON object with the DL vertices/edges plus both tree layers.
 
-    A vertex id is the vertex's rank in ``DLGraph.vertices()``; tree node
-    ids follow ``LayeredTree.vertices()`` within each tree ("level" of a
-    brown node is its internal level ``layers - drawn height``).  Tree edges
+    A vertex id is the vertex's rank in ``DLGraph.vertices()``; tree node ids
+    follow ``vertices()`` of the graph's trees ``orange`` and ``brown`` (the "level"
+    of a brown node is its internal level ``layers - drawn height``).  Tree edges
     are (parent, child) id pairs, the parent by ``LayeredTree.predecessor``.
     """
     import json  # here, not at the top: only this writer needs it
@@ -142,24 +142,21 @@ def export_json(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     ys = [[y / 2 for y in row] for row in ys]
     g = DLGraph(params)
     ids = {v: i for i, v in enumerate(g.vertices())}
-    # p**L and q**L are the sizes of heights L and 0, so neither exceeds vertex_cap
-    orange = LayeredTree(p, L, level_cap=params.vertex_cap)
-    brown = LayeredTree(q, L, level_cap=params.vertex_cap)
     doc = {
         "params": {"p": p, "q": q, "layers": L},
         "view": [_json_number(az), _json_number(el)],
         "vertices": [{"id": i, "h": h, "orange": j, "brown": k, "pos": [xs[h][j], ys[h][k], float(h)]}
                      for (h, j, k), i in ids.items()],
         "edges": [{"a": ids[a], "b": ids[b], "kind": "dl"} for a, b in g.edges()],
-        "tree_p": _tree_block(orange, lambda level, index: [xs[level][index], 0.0, float(level)]),
-        "tree_q": _tree_block(brown, lambda level, index: [0.0, ys[L - level][index], float(L - level)]),
+        "tree_p": _tree_block(g.orange, lambda level, index: [xs[level][index], 0.0, float(level)]),
+        "tree_q": _tree_block(g.brown, lambda level, index: [0.0, ys[L - level][index], float(L - level)]),
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _tree_block(tree: LayeredTree, position: Callable[[int, int], list[float]]) -> dict:
-    """Nodes in ``tree.vertices()`` order and (parent, child) id edges of one tree
-    layer; ``position(level, index)`` is the drawn position of a node."""
+def _tree_block(tree, position: Callable[[int, int], list[float]]) -> dict:
+    """Nodes in ``tree.vertices()`` order and (parent, child) id edges of ``tree``, a
+    graph's ``orange`` or ``brown``; ``position(level, index)`` is the drawn position of a node."""
     ids, nodes, edges = {}, [], []
     for node in tree.vertices():
         if (parent := tree.predecessor(node)) is not None:

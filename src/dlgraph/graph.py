@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 
-from .tree import Record, _decimal, as_integer, check_cap
+from .tree import LayeredTree, Record, _decimal, as_integer, check_cap
 
 DEFAULT_VERTEX_CAP = 200_000
 
@@ -72,7 +72,8 @@ class Census(Record):
 
 
 class DLGraph:
-    """Finite truncation of DL(p, q) over heights 0..layers.
+    """Finite truncation of DL(p, q) over heights 0..layers: the horocyclic product of its
+    trees ``orange`` and ``brown`` (each a :class:`LayeredTree` of depth layers, branching p and q).
 
     Immutable after construction; every query is a pure function, so
     concurrent reads are safe.  Vertices and edges enumerate in a fixed
@@ -84,8 +85,11 @@ class DLGraph:
         self.params = params
         p, q, L = params.p, params.q, params.layers
         self.p, self.q, self.layers = p, q, L
-        self._orange_sizes = [p**h for h in range(L + 1)]
-        self._brown_sizes = [q ** (L - h) for h in range(L + 1)]
+        # p**L and q**L are the sizes of heights L and 0, so neither tree exceeds vertex_cap
+        self.orange = LayeredTree(p, L, level_cap=params.vertex_cap)
+        self.brown = LayeredTree(q, L, level_cap=params.vertex_cap)
+        self._orange_sizes = self.orange._level_sizes
+        self._brown_sizes = self.brown._level_sizes[::-1]  # brown level L - h is drawn at height h
 
     def validate(self, vertex) -> tuple[int, int, int]:
         """Return ``vertex`` as an ``(h, j, k)`` tuple of ints, rejecting non-integer and out-of-range components."""

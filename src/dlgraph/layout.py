@@ -37,8 +37,10 @@ DEFAULT_VIEW = (165, 10)
 class Scene3D(Record):
     """Drawn lines as ``(kind, a, b)`` tuples, each endpoint the doubled int
     tuple ``(2x, 2y, 2z)`` and ``a`` the higher one, plus the view under which
-    they are meant to be shown.  The first segment whose kind is not one of
-    :data:`KINDS` (a list included) raises ``ValueError`` naming its index.
+    they are meant to be shown.  ``segments`` is stored as ``tuple(segments)``, so an
+    iterator is read once and a later edit of a list does not reach the scene.  The first
+    segment whose kind is not one of :data:`KINDS` (a list included) raises ``ValueError``
+    naming its index.
 
     ``view`` is (azimuth degrees, elevation degrees), two real numbers that
     fit a finite float, stored as a tuple, an angle with ``__index__`` as the
@@ -56,6 +58,7 @@ class Scene3D(Record):
             raise TypeError(f"view must be two real numbers (azimuth, elevation), got {view!r}")
         if not all(abs(a) <= sys.float_info.max for a in angles):  # false for nan, inf and what a float cannot hold
             raise ValueError(f"view angles must be finite floats, got {view!r}")
+        segments = tuple(segments)  # the same object for a tuple, such as build_scene's
         for i, (kind, _, _) in enumerate(segments):
             if kind not in KINDS:  # by equality: a kind such as a list is rejected, not hashed
                 raise ValueError(f"segment {i} has unknown kind {kind!r}")

@@ -28,7 +28,7 @@ from collections.abc import Callable
 
 from .graph import DLGraph
 from .layout import KIND_DL, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, coordinate_rows
-from .tree import LayeredTree, Record, _decimal, as_integer
+from .tree import Record, _decimal, as_integer
 
 PASS = "pass"
 FAIL = "fail"
@@ -164,17 +164,15 @@ def check_level_condition(g) -> dict:
     has relative height -h, for every basepoint choice.
 
     Validation alone decides this.  In a tree the relative height b(x, o)
-    is the level difference of x and o (:meth:`LayeredTree.busemann`), so
-    once the orange node (h, j) and the brown node (L - h, k) are valid
-    addresses, the orange height is h and the brown one is (L - h) - L = -h
-    against every basepoint at level L.  The detail keeps counting the
-    q**L basepoints and one pairing per validated vertex on top of them.
+    is the level difference of x and o (:meth:`LayeredTree.busemann`), so once the
+    orange node (h, j) and the brown node (L - h, k) are valid in the trees of
+    ``DLGraph(g.params)``, the orange height is h and the brown one is (L - h) - L = -h
+    against every basepoint at level L.  The detail keeps counting the q**L
+    basepoints and one pairing per validated vertex on top of them.
     """
-    p, q, L = g.params.p, g.params.q, g.params.layers
-    # p**L and q**L are the sizes of heights L and 0, so neither exceeds vertex_cap
-    orange = LayeredTree(p, L, level_cap=g.params.vertex_cap)
-    brown = LayeredTree(q, L, level_cap=g.params.vertex_cap)
-    basepoints = checked = q**L
+    implied = DLGraph(g.params)
+    orange, brown, L = implied.orange, implied.brown, implied.layers
+    basepoints = checked = implied.q**L
     for v in g.vertices():
         h, j, k = v
         try:
@@ -285,8 +283,9 @@ def check_local_homogeneity(g, radius: int) -> dict:
 
     Interior means radius <= h <= layers - radius, where the truncation ball
     coincides with the ball of the untruncated graph; a graph with fewer
-    than 2*radius layers has no interior, and the check reports SKIP.  Each
-    ball is compared with a fixed reference ball.
+    than 2*radius layers has no interior, and the check reports SKIP; one
+    whose ``vertices()`` lists no vertex at those heights fails.  Each ball
+    is compared with a fixed reference ball.
 
     DL(p, q) is vertex-transitive, so every interior ball of the undamaged
     truncation is the same ball.  One pass therefore compares the neighbour
@@ -327,6 +326,8 @@ def check_local_homogeneity(g, radius: int) -> dict:
             expected = None
         if tuple(g.neighbors(v)) != expected:
             near_damage.add(v)
+    if not interior:
+        raise _Fail(f"no vertex listed at the interior heights {radius}..{L - radius}")
     frontier = {v for v in near_damage if v in implied}
     for _ in range(radius):
         frontier = {w for u in frontier for w in implied.neighbors(u)} - near_damage

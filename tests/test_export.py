@@ -49,6 +49,17 @@ def tiny_scene():
     return build_scene(DLGraph(DLParams(2, 2, 1)))
 
 
+# doubled coordinates that build_scene never emits (negative ones) beside odd and zero ones
+HALVES = (-4, -3, -1, 0, 1, 3)
+
+
+def half_integer_scene(view=DEFAULT_VIEW):
+    """A hand-built scene in which every kind takes every value of HALVES in every axis."""
+    segments = tuple((kind, (c, d, c), (d, c, -c)) for kind in (KIND_TREE_P, KIND_TREE_Q, KIND_DL)
+                     for c, d in zip(HALVES, reversed(HALVES)))
+    return Scene3D(DLParams(2, 2, 1), view, segments)
+
+
 # ---------------------------------------------------------------------------
 # number formatting
 
@@ -229,6 +240,20 @@ def test_tikz_statements_follow_scene_order():
         assert style == style_for[kind]
         assert a == ",".join(reference_format_number(Fraction(c, 2)) for c in seg_a)
         assert b == ",".join(reference_format_number(Fraction(c, 2)) for c in seg_b)
+
+
+@pytest.mark.parametrize("digits", [1, 2, 6, 1000])
+def test_tikz_and_obj_print_negative_and_odd_halves_exactly(digits):
+    scene = half_integer_scene()
+    opts = ExportOptions(decimal_digits=digits)
+    halved = lambda point, sep: sep.join(reference_format_number(Fraction(c, 2), digits) for c in point)  # noqa: E731
+    statements = STATEMENT.findall(export_tikz(scene, opts))
+    assert [(a, b) for _, a, b in statements] == [(halved(a, ","), halved(b, ",")) for _, a, b in scene.segments]
+    # the scene lists its kinds in OBJ's group order, so the v records follow its endpoints, each once
+    points = dict.fromkeys(point for _, a, b in scene.segments for point in (a, b))
+    v_records = [line for line in export_obj(scene, opts).splitlines() if line.startswith("v ")]
+    assert v_records == ["v " + halved(point, " ") for point in points]
+    assert {"-2", "-1.5", "-0.5", "0", "0.5", "1.5"} <= {c for record in v_records for c in record.split()[1:]}
 
 
 def test_tikz_background_scope_wraps_exactly_the_tree_q_statements():
@@ -450,6 +475,10 @@ def test_svg_matches_the_fraction_reference_on_the_reference_scene(view):
     assert export_svg(scene, opts) == reference_svg(scene, opts)
     point_scene = Scene3D(scene.params, scene.view, scene.segments[:0])
     assert export_svg(point_scene, opts) == reference_svg(point_scene, opts)
+    halves = half_integer_scene(view)
+    for digits in (1, 2, 6, 1000):
+        opts = ExportOptions(format="svg", decimal_digits=digits)
+        assert export_svg(halves, opts) == reference_svg(halves, opts)
 
 
 def test_svg_degenerate_scene_gets_unit_viewbox():

@@ -206,6 +206,16 @@ def test_build_examples():
     assert DLParams(3, 2, 2).vertex_count == 19
 
 
+@pytest.mark.parametrize("p,q,layers", [(2, 3, 4), (3, 2, 3), (2, 2, 1)])
+def test_graph_carries_the_two_trees_it_is_the_horocyclic_product_of(p, q, layers):
+    cap = closed_form_vertices(p, q, layers)  # the smallest cap the graph admits admits its trees too
+    g = DLGraph(DLParams(p, q, layers, vertex_cap=cap))
+    assert g.orange == LayeredTree(p, layers, level_cap=cap) and g.brown == LayeredTree(q, layers, level_cap=cap)
+    # the brown tree is stored upside down: (h, j, k) pairs orange (h, j) with brown (layers - h, k)
+    pairs = [(h, j, k) for h, j in g.orange.vertices() for level, k in g.brown.vertices() if level == layers - h]
+    assert pairs == list(g.vertices())
+
+
 def test_vertex_enumeration_order_and_index():
     g = DLGraph(DLParams(2, 3, 2))
     listed = list(g.vertices())

@@ -19,6 +19,7 @@ from dlgraph import (
     brown_position,
     build_scene,
     dl_position,
+    export_tikz,
     orange_position,
 )
 
@@ -206,6 +207,24 @@ def test_scene_rejects_a_segment_of_unknown_kind(kind, at):
     with pytest.raises(ValueError, match=f"^segment {index} has unknown kind {re.escape(repr(kind))}$"):
         Scene3D(scene.params, scene.view, tuple(segments))
     assert Scene3D(scene.params, (15, 25), scene.segments).segments is scene.segments
+
+
+def test_scene_reads_an_iterator_of_segments_once():
+    # the kind test walks the stored tuple, so a generator is not left exhausted
+    scene = scene_for(2, 3, 2)
+    from_generator = Scene3D(scene.params, scene.view, (segment for segment in scene.segments))
+    assert type(from_generator.segments) is tuple and from_generator.segments == scene.segments
+    assert export_tikz(from_generator) == export_tikz(scene)
+
+
+def test_scene_keeps_its_segments_when_the_given_list_changes():
+    # an edit after construction reaches neither the scene nor a writer, so no writer meets an unknown kind
+    scene = scene_for(2, 3, 2)
+    segments = list(scene.segments)
+    from_list = Scene3D(scene.params, scene.view, segments)
+    segments[0] = ("bogus", *segments[0][1:])
+    assert type(from_list.segments) is tuple and from_list.segments == scene.segments
+    assert export_tikz(from_list) == export_tikz(scene)
 
 
 def test_segments_connect_consecutive_heights():

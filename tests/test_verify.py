@@ -391,6 +391,33 @@ def test_local_homogeneity_searches_every_ball_when_a_vertex_is_never_listed(mon
     assert searched == [v for v in g.vertices() if v[0] == 2][1:]
 
 
+class ListedAt:
+    """A DL graph whose ``vertices()`` lists only the vertices at the given heights; its edges and neighbour lists are honest."""
+
+    def __init__(self, base: DLGraph, heights):
+        self.base = base
+        self.params = base.params
+        self.heights = heights
+
+    def vertices(self):
+        return (v for v in self.base.vertices() if v[0] in self.heights)
+
+    def edges(self):
+        return self.base.edges()
+
+    def neighbors(self, v) -> list[tuple]:
+        return self.base.neighbors(v)
+
+
+@pytest.mark.parametrize("heights", [(), (0,)], ids=["none", "height-0"])
+def test_local_homogeneity_fails_when_no_interior_vertex_is_listed(heights):
+    # DL(2,2) L=4 has interior height 2 at r = 2; with nothing listed there, there is no reference ball
+    report = run_checks(ListedAt(graph(2, 2, 4), heights))
+    entry = {entry.name: entry for entry in report.entries}["check_local_homogeneity"]
+    assert (entry.status, entry.counterexample) == ("fail", "no vertex listed at the interior heights 2..2")
+    assert len(report.entries) == len(verify.CHECKS) and not report.all_passed
+
+
 # (p, q, layers) of the graphs the damage oracle compares at radius 1 and 2
 DAMAGE_GRAPHS = [(2, 2, 4), (2, 3, 4), (3, 2, 4), (3, 3, 4), (2, 2, 6)]
 
