@@ -1,9 +1,9 @@
 """Serializers for :class:`~dlgraph.layout.Scene3D`: TikZ/pgfplots, JSON, OBJ, SVG.
 
 Every writer is a pure function of (scene, options) and produces the same
-bytes on every call; ``Scene3D`` has already checked every segment's kind.
-Numbers are printed as the shortest decimal with at most ``decimal_digits``
-fractional digits; "-0" is normalized to "0".
+bytes on every call; ``Scene3D`` has already checked every segment's kind
+and endpoints.  Numbers are printed as the shortest decimal with at most
+``decimal_digits`` fractional digits; "-0" is normalized to "0".
 """
 
 from __future__ import annotations

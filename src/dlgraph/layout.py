@@ -37,10 +37,11 @@ DEFAULT_VIEW = (165, 10)
 class Scene3D(Record):
     """Drawn lines as ``(kind, a, b)`` tuples, each endpoint the doubled int
     tuple ``(2x, 2y, 2z)`` and ``a`` the higher one, plus the view under which
-    they are meant to be shown.  ``segments`` is stored as ``tuple(segments)``, so an
-    iterator is read once and a later edit of a list does not reach the scene.  The first
-    segment whose kind is not one of :data:`KINDS` (a list included) raises ``ValueError``
-    naming its index.
+    they are meant to be shown.  ``params`` must be a :class:`DLParams`, else ``TypeError``.
+    ``segments`` is stored as ``tuple(segments)``, so an iterator is read once and a later
+    edit of a list does not reach the scene.  The first bad segment raises, naming its index:
+    ``TypeError`` if it is not a tuple ``(kind, a, b)`` of two tuples of three ``int`` values
+    (a float or a bool is not one), ``ValueError`` if its kind is not one of :data:`KINDS`.
 
     ``view`` is (azimuth degrees, elevation degrees), two real numbers that
     fit a finite float, stored as a tuple, an angle with ``__index__`` as the
@@ -53,13 +54,25 @@ class Scene3D(Record):
 
     def __init__(self, params: DLParams, view,
                  segments: tuple[tuple[str, tuple[int, int, int], tuple[int, int, int]], ...]) -> None:
+        if not isinstance(params, DLParams):
+            raise TypeError(f"params must be a DLParams, got {type(params).__name__}")
         angles = tuple(operator.index(a) if hasattr(a, "__index__") and not isinstance(a, bool) else a for a in view)
         if len(angles) != 2 or not all(isinstance(a, Real) and not isinstance(a, bool) for a in angles):
             raise TypeError(f"view must be two real numbers (azimuth, elevation), got {view!r}")
         if not all(abs(a) <= sys.float_info.max for a in angles):  # false for nan, inf and what a float cannot hold
             raise ValueError(f"view angles must be finite floats, got {view!r}")
         segments = tuple(segments)  # the same object for a tuple, such as build_scene's
-        for i, (kind, _, _) in enumerate(segments):
+        for i, segment in enumerate(segments):
+            try:
+                kind, a, b = segment
+                (x, y, z), (u, v, w) = a, b
+            except (TypeError, ValueError):  # not iterable, or of the wrong size
+                well_formed = False
+            else:  # a bool's type is bool, not int
+                well_formed = (type(segment) is type(a) is type(b) is tuple
+                               and type(x) is type(y) is type(z) is type(u) is type(v) is type(w) is int)
+            if not well_formed:
+                raise TypeError(f"segment {i} is not a tuple (kind, a, b) of two tuples of three ints")
             if kind not in KINDS:  # by equality: a kind such as a list is rejected, not hashed
                 raise ValueError(f"segment {i} has unknown kind {kind!r}")
         self._set(params, angles, segments)

@@ -76,25 +76,6 @@ class VerificationReport(Record):
         lines.append(f"{counts[PASS]} passed, {counts[FAIL]} failed, {counts[SKIP]} skipped; {verdict}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        import json  # here, not at the top: no command needs it
-
-        doc = {
-            "all_passed": self.all_passed,
-            "checks": [
-                {
-                    "name": entry.name,
-                    "params": {k: entry.params[k] for k in sorted(entry.params)},
-                    "status": entry.status,
-                    "counterexample": entry.counterexample,
-                    "detail": entry.detail,
-                    "elapsed_seconds": entry.elapsed,
-                }
-                for entry in self.entries
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
-
 
 class _Fail(Exception):
     """Raised by a check body; its text is the counterexample."""
@@ -405,31 +386,29 @@ def check_lamplighter(g) -> dict:
     return {"states": expected_states, "slab_edges": len(edges)}
 
 
-def _halved(doubled) -> str:
+def _halved(doubled: int) -> str:
     """``doubled / 2`` for an error message, printed as ``str(Fraction)`` prints it (a long int by its bit length)."""
-    if type(doubled) is not int:
-        return str(doubled / 2)
     return f"{_decimal(doubled)}/2" if doubled & 1 else _decimal(doubled >> 1)
 
 
-def _drawn_node(rows: dict, kind: str, point) -> tuple:
+def _drawn_node(rows: dict, kind: str, point: tuple[int, int, int]) -> tuple:
     """The node of ``kind`` drawn at the doubled point ``(2x, 2y, 2z)``: (h, j)
     read from x for tree-p, (h, k) from y for tree-q, (h, j, k) for dl.
 
-    ``rows`` maps 2h to (h, {2x: j}, {2y: k}).  A coordinate that is not an
-    ``int`` (a float or a bool never is) or not in its row raises ValueError
+    ``rows`` maps 2h to (h, {2x: j}, {2y: k}).  ``Scene3D`` has made the point
+    a tuple of three ints; a coordinate not in its row raises ValueError
     naming the undoubled value.
     """
     x, y, z = point
-    if type(z) is not int or (row := rows.get(z)) is None:
+    if (row := rows.get(z)) is None:
         raise ValueError(f"z = {_halved(z)} is not a drawing height")
     h, orange, brown = row
     if kind != KIND_TREE_Q:
-        if type(x) is not int or (j := orange.get(x)) is None:
+        if (j := orange.get(x)) is None:
             raise ValueError(f"x = {_halved(x)} is not an orange node position at height {h}")
         if kind == KIND_TREE_P:
             return h, j
-    if type(y) is not int or (k := brown.get(y)) is None:
+    if (k := brown.get(y)) is None:
         raise ValueError(f"y = {_halved(y)} is not a brown node position at height {h}")
     return (h, k) if kind == KIND_TREE_Q else (h, j, k)
 
@@ -439,14 +418,17 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
     """Inverting the segments' coordinates reproduces the edge set and the
     parent-child edges of both trees bijectively.
 
-    Also insists that every tree endpoint is a point of ints, that tree-p
-    segments lie in the plane y = 0 and tree-q segments in x = 0 (``Scene3D``
-    has checked every kind).  An endpoint inverts to a node of its segment's kind
-    through one table per drawing height from ``coordinate_rows``, so a point
-    of another type, or off the doubled lattice, fails with the segment's
-    index.  Each kind counts its (top, bottom) edges down in its own
-    ``Counter``; a mismatch names the first nonzero remainder: dl, tree-p, tree-q.
+    Also insists that tree-p segments lie in the plane y = 0 and tree-q
+    segments in x = 0.  ``scene`` must be a :class:`Scene3D`, else ``TypeError``,
+    so each kind and each endpoint, a tuple of three ints, has been checked.
+    An endpoint inverts to a node of its segment's kind through one table per
+    drawing height from ``coordinate_rows``, so a point off the doubled
+    lattice fails with the segment's index.  Each kind counts its (top, bottom)
+    edges down in its own ``Counter``; a mismatch names the first nonzero
+    remainder: dl, tree-p, tree-q.
     """
+    if not isinstance(scene, Scene3D):  # a duck-typed scene's 3.0 would match the int key 3
+        raise TypeError(f"scene must be a Scene3D, got {type(scene).__name__}")
     p, q, L = g.params.p, g.params.q, g.params.layers
     expected = {KIND_DL: Counter((top, bottom) for top, bottom in g.edges()), KIND_TREE_P: Counter(), KIND_TREE_Q: Counter()}
     for n in range(1, L + 1):
@@ -457,15 +439,13 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
     rows = {2 * h: (h, {x: j for j, x in enumerate(xs[h])}, {y: k for k, y in enumerate(ys[h])}) for h in range(len(xs))}
     for i, (kind, a, b) in enumerate(scene.segments):
         counts = expected[kind]
-        if kind != KIND_DL and not all(type(c) is int for c in (*a, *b)):  # a bool's type is bool, not int
-            raise _Fail(f"segment {i}: {kind} endpoints {a}, {b} are not points of ints")
         if kind == KIND_TREE_P and (a[1] != 0 or b[1] != 0):
             raise _Fail(f"segment {i} (tree-p) leaves the plane y=0")
         if kind == KIND_TREE_Q and (a[0] != 0 or b[0] != 0):
             raise _Fail(f"segment {i} (tree-q) leaves the plane x=0")
         try:
             va, vb = _drawn_node(rows, kind, a), _drawn_node(rows, kind, b)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise _Fail(f"segment {i}: {exc}")
         top, bottom = edge = (va, vb) if va[0] > vb[0] else (vb, va)
         if top[0] - bottom[0] != 1 or (left := counts.get(edge)) is None:

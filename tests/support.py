@@ -6,7 +6,8 @@ chains and a breadth-first search as the oracles for the Busemann height, the
 local-homogeneity verdict of an exhaustive ball search as the oracle for the
 library's check, a lamp state read digit by digit through powers of b, and a
 reference SVG writer in exact ``Fraction`` arithmetic for the integer one in
-the library."""
+the library, and the text of ``Scene3D``'s refusal of a segment whose
+endpoints are not int triples."""
 
 from __future__ import annotations
 
@@ -19,6 +20,9 @@ from typing import Iterator
 from dlgraph import KIND_DL, KIND_TREE_P, KIND_TREE_Q, DLGraph, DLParams, ExportOptions, Scene3D
 from dlgraph import verify
 from dlgraph.export import DEFAULT_SVG_COLORS
+
+# Scene3D's refusal of a segment whose endpoints are not tuples of three ints, at the segment's index
+NOT_INTS = "segment {index} is not a tuple (kind, a, b) of two tuples of three ints"
 
 
 class Index:

@@ -34,7 +34,7 @@ from dlgraph import (
 )
 from dlgraph.export import DEFAULT_COLORS, DEFAULT_SVG_COLORS, FORMATS, MAX_DIGITS, _RENDERERS, _format_ratio
 
-from support import Index, edge_set, project_point, reference_format_number, reference_svg
+from support import NOT_INTS, Index, edge_set, project_point, reference_format_number, reference_svg
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -254,6 +254,40 @@ def test_tikz_and_obj_print_negative_and_odd_halves_exactly(digits):
     v_records = [line for line in export_obj(scene, opts).splitlines() if line.startswith("v ")]
     assert v_records == ["v " + halved(point, " ") for point in points]
     assert {"-2", "-1.5", "-0.5", "0", "0.5", "1.5"} <= {c for record in v_records for c in record.split()[1:]}
+
+
+COORDINATE = st.integers(-(2**70), 2**70)  # negative, odd and past 2**64
+POINT = st.one_of(
+    st.tuples(COORDINATE, COORDINATE, COORDINATE),
+    st.lists(st.one_of(COORDINATE, st.floats(-1e6, 1e6), st.booleans()), min_size=2, max_size=4)
+    .flatmap(lambda coordinates: st.sampled_from([tuple(coordinates), coordinates])),
+)
+NUMBER = re.compile(r"-?\d+(\.\d+)?")
+SVG_NUMBERS = re.compile(r'(?:viewBox|stroke-width|x1|y1|x2|y2)="([^"]*)"')
+
+
+def _is_int_triple(point):
+    return type(point) is tuple and len(point) == 3 and all(type(c) is int for c in point)
+
+
+@settings(deadline=None, max_examples=200)
+@given(segments=st.lists(st.tuples(st.sampled_from([KIND_TREE_P, KIND_TREE_Q, KIND_DL]), POINT, POINT), max_size=5))
+def test_writers_print_every_coordinate_as_a_decimal(segments):
+    # a scene is refused at the first segment whose endpoints are not int triples, or
+    # every point TikZ and OBJ print has three coordinates, and every number TikZ, OBJ and SVG print is a decimal
+    bad = next((i for i, (_, a, b) in enumerate(segments) if not (_is_int_triple(a) and _is_int_triple(b))), None)
+    if bad is not None:
+        with pytest.raises(TypeError, match=f"^{re.escape(NOT_INTS.format(index=bad))}$"):
+            Scene3D(DLParams(2, 2, 1), DEFAULT_VIEW, segments)
+        return
+    scene = Scene3D(DLParams(2, 2, 1), DEFAULT_VIEW, segments)
+    points = [point for _, a, b in STATEMENT.findall(export_tikz(scene)) for point in (a, b)]
+    points += [line[2:] for line in export_obj(scene).splitlines() if line.startswith("v ")]
+    coordinates = [point.replace(",", " ").split() for point in points]
+    assert all(len(point) == 3 for point in coordinates)
+    numbers = [c for point in coordinates for c in point]
+    numbers += [c for value in SVG_NUMBERS.findall(export_svg(scene)) for c in value.split()]
+    assert all(NUMBER.fullmatch(c) for c in numbers), numbers
 
 
 def test_tikz_background_scope_wraps_exactly_the_tree_q_statements():

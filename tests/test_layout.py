@@ -23,7 +23,7 @@ from dlgraph import (
     orange_position,
 )
 
-from support import Index
+from support import NOT_INTS, Index
 
 
 def scene_for(p, q, layers, view=(165, 10)):
@@ -207,6 +207,57 @@ def test_scene_rejects_a_segment_of_unknown_kind(kind, at):
     with pytest.raises(ValueError, match=f"^segment {index} has unknown kind {re.escape(repr(kind))}$"):
         Scene3D(scene.params, scene.view, tuple(segments))
     assert Scene3D(scene.params, (15, 25), scene.segments).segments is scene.segments
+
+
+BAD_ENDPOINTS = {
+    "float": lambda a: (a[0], a[1], float(a[2])),
+    "bool": lambda a: (bool(a[0]), a[1], a[2]),
+    "list": list,
+    "two": lambda a: a[:2],
+    "four": lambda a: (*a, 0),
+    "huge-int": lambda a: (10**5000, a[1], float(a[2])),  # too long for str(): no message prints a coordinate
+}
+
+
+@pytest.mark.parametrize("at", [KIND_TREE_P, KIND_TREE_Q, KIND_DL])
+@pytest.mark.parametrize("damage", BAD_ENDPOINTS.values(), ids=BAD_ENDPOINTS.keys())
+def test_scene_refuses_an_endpoint_that_is_not_three_ints(damage, at):
+    # of two bad segments the earlier is named, so no writer or check meets either
+    scene = scene_for(2, 3, 3)
+    index = next(i for i, (k, _, _) in enumerate(scene.segments) if k == at)
+    segments = list(scene.segments)
+    kind, a, b = segments[index]
+    segments[index] = (kind, a, damage(b))
+    segments[-1] = (segments[-1][0], (0, 0, 0.0), segments[-1][2])
+    with pytest.raises(TypeError, match=f"^{re.escape(NOT_INTS.format(index=index))}$"):
+        Scene3D(scene.params, scene.view, tuple(segments))
+
+
+BAD_SEGMENTS = {
+    "list": list,
+    "two-items": lambda segment: segment[:2],
+    "four-items": lambda segment: (*segment, segment[2]),
+    "not-iterable": lambda segment: 7,
+    "huge-int": lambda segment: (segment[0], (10**5000, 0), segment[2]),
+}
+
+
+@pytest.mark.parametrize("damage", BAD_SEGMENTS.values(), ids=BAD_SEGMENTS.keys())
+def test_scene_refuses_a_segment_that_is_not_a_kind_and_two_points(damage):
+    # a bad size raises the documented TypeError naming the segment, not an unpacking error
+    scene = scene_for(2, 3, 2)
+    segments = list(scene.segments)
+    segments[5] = damage(segments[5])
+    segments[7] = ("bogus", *segments[7][1:])
+    with pytest.raises(TypeError, match=f"^{re.escape(NOT_INTS.format(index=5))}$"):
+        Scene3D(scene.params, scene.view, segments)
+
+
+@pytest.mark.parametrize("params", [None, DLGraph(DLParams(2, 3, 2)), (2, 3, 2)], ids=["None", "graph", "tuple"])
+def test_scene_params_must_be_dl_params(params):
+    scene = scene_for(2, 3, 2)
+    with pytest.raises(TypeError, match=f"^params must be a DLParams, got {type(params).__name__}$"):
+        Scene3D(params, scene.view, scene.segments)
 
 
 def test_scene_reads_an_iterator_of_segments_once():

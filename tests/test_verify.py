@@ -4,13 +4,13 @@ deterministically."""
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +42,7 @@ from support import (
     SWEEP_GRAPHS,
     Index,
     MutatedGraph,
+    NOT_INTS,
     edge_set,
     homogeneity_by_search,
     lamp_state_by_powers,
@@ -223,7 +224,6 @@ def test_direct_check_records_an_index_radius_as_int(call):
     assert type(result.params["radius"]) is int and result.params["radius"] == 2
     report = verify.VerificationReport((result,))
     assert report.to_text().startswith("[PASS] check_local_homogeneity(layers=4 p=2 q=3 radius=2)  ball_size=22 ")
-    assert json.loads(report.to_json())["checks"][0]["params"]["radius"] == 2
 
 
 def test_local_homogeneity_fails_on_removed_interior_edge():
@@ -770,31 +770,45 @@ def test_scene_agreement_passes():
     assert result.detail == {"dl_segments": 114}
 
 
-# a DL endpoint of DL(2,3) L=3 and the counterexample it fails with; messages name the undoubled coordinate
+# a DL endpoint of DL(2,3) L=3 and the refusal it meets; the check's counterexamples name the undoubled coordinate
 HAND_BUILT_DL_POINTS = {
-    "z-half": ((3, 2, 1), "z = 1/2 is not a drawing height"),
-    "z-above": ((3, 2, 8), "z = 4 is not a drawing height"),
-    "x-between": ((4, 2, 2), "x = 2 is not an orange node position at height 1"),
-    "y-between": ((3, 202, 2), "y = 101 is not a brown node position at height 1"),
-    "x-index-minus-one": ((-5, 2, 2), "x = -5/2 is not an orange node position at height 1"),
-    "y-one-past-last": ((3, 56, 2), "y = 28 is not a brown node position at height 1"),  # k = q**(L-h) = 9
-    "x-huge": ((2 * 10**5000 + 1, 0, 0), "x = <16611-bit int>/2 is not an orange node position at height 0"),
-    # a float or a bool is not a doubled coordinate, even where its value is on the lattice
-    "float-x": ((3.0, 2, 2), "x = 1.5 is not an orange node position at height 1"),
-    "float-y": ((3, 2.0, 2), "y = 1.0 is not a brown node position at height 1"),
-    "float-z": ((3, 2, 2.0), "z = 1.0 is not a drawing height"),
-    "bool-z": ((3, 2, True), "z = 0.5 is not a drawing height"),
-    "bool-x": ((True, 0, 6), "x = 0.5 is not an orange node position at height 3"),
+    "z-half": ((3, 2, 1), "segment {index}: z = 1/2 is not a drawing height"),
+    "z-above": ((3, 2, 8), "segment {index}: z = 4 is not a drawing height"),
+    "x-between": ((4, 2, 2), "segment {index}: x = 2 is not an orange node position at height 1"),
+    "y-between": ((3, 202, 2), "segment {index}: y = 101 is not a brown node position at height 1"),
+    "x-index-minus-one": ((-5, 2, 2), "segment {index}: x = -5/2 is not an orange node position at height 1"),
+    # k = q**(L-h) = 9
+    "y-one-past-last": ((3, 56, 2), "segment {index}: y = 28 is not a brown node position at height 1"),
+    "x-huge": ((2 * 10**5000 + 1, 0, 0),
+               "segment {index}: x = <16611-bit int>/2 is not an orange node position at height 0"),
+    # a float or a bool is not a doubled coordinate, even where its value is on the lattice: Scene3D refuses it
+    "float-x": ((3.0, 2, 2), NOT_INTS),
+    "float-y": ((3, 2.0, 2), NOT_INTS),
+    "float-z": ((3, 2, 2.0), NOT_INTS),
+    "bool-z": ((3, 2, True), NOT_INTS),
+    "bool-x": ((True, 0, 6), NOT_INTS),
 }
 
 
-@pytest.mark.parametrize("point,message", HAND_BUILT_DL_POINTS.values(), ids=HAND_BUILT_DL_POINTS.keys())
-def test_scene_agreement_names_the_coordinate_a_dl_point_misses(point, message):
-    g = graph(2, 3, 3)
-    scene, index = _with_endpoint(build_scene(g), "dl", lambda a: point)
-    result = check_scene_graph_agreement(g, scene)
+def _refusal(g, kind, endpoint):
+    """The index of the first ``kind`` segment of ``g``'s scene, and how that scene is refused
+    when that segment's first endpoint ``a`` becomes ``endpoint(a)``: the text of ``Scene3D``'s
+    ``TypeError``, or else the scene check's counterexample, which must be a FAIL."""
+    scene = build_scene(g)
+    index = _first_of_kind(scene, kind)
+    try:
+        damaged, _ = _with_endpoint(scene, kind, endpoint)
+    except TypeError as exc:
+        return index, str(exc)
+    result = check_scene_graph_agreement(g, damaged)
     assert result.status == "fail"
-    assert result.counterexample == f"segment {index}: {message}"
+    return index, result.counterexample
+
+
+@pytest.mark.parametrize("point,refusal", HAND_BUILT_DL_POINTS.values(), ids=HAND_BUILT_DL_POINTS.keys())
+def test_scene_agreement_names_the_coordinate_a_dl_point_misses(point, refusal):
+    index, text = _refusal(graph(2, 3, 3), "dl", lambda a: point)
+    assert text == refusal.format(index=index)
 
 
 def test_scene_agreement_fails_on_corrupted_segment():
@@ -840,14 +854,19 @@ def test_scene_agreement_checks_tree_planes():
     assert result.counterexample == "segment 2 (tree-q) leaves the plane x=0"
 
 
-def _with_endpoint(scene, kind, endpoint):
+def _first_of_kind(scene, kind):
+    return next(i for i, seg in enumerate(scene.segments) if seg[0] == kind)
+
+
+def _with_endpoint(scene, kind, endpoint, make=Scene3D):
     """``scene`` with the first segment of ``kind`` given ``endpoint(a)`` as its
-    first endpoint; returns the new scene and that segment's index."""
+    first endpoint, made by ``make(params=..., view=..., segments=...)``; returns
+    the new scene and that segment's index."""
     segments = list(scene.segments)
-    index = next(i for i, seg in enumerate(segments) if seg[0] == kind)
+    index = _first_of_kind(scene, kind)
     _, a, b = segments[index]
     segments[index] = (kind, endpoint(a), b)
-    return Scene3D(scene.params, scene.view, tuple(segments)), index
+    return make(params=scene.params, view=scene.view, segments=tuple(segments)), index
 
 
 @pytest.mark.parametrize(
@@ -862,12 +881,10 @@ def _with_endpoint(scene, kind, endpoint):
     ids=["float-x", "float-z", "bool-y", "odd-z", "odd-x"],
 )
 def test_scene_agreement_fails_on_hand_built_dl_points(damage):
-    # a DL point that is not a lattice point of ints fails with its segment index, never raises
-    g = graph(2, 3, 2)
-    scene, index = _with_endpoint(build_scene(g), "dl", damage)
-    result = check_scene_graph_agreement(g, scene)
-    assert result.status == "fail"
-    assert result.counterexample.startswith(f"segment {index}: ")
+    # a DL point that is not a lattice point of ints is refused with its segment index:
+    # by Scene3D's TypeError if it is not ints, else by the check's FAIL
+    index, text = _refusal(graph(2, 3, 2), "dl", damage)
+    assert re.match(rf"segment {index}\b", text)
 
 
 @pytest.mark.parametrize("kind", ["tree-p", "tree-q"])
@@ -877,12 +894,14 @@ def test_scene_agreement_fails_on_hand_built_dl_points(damage):
     ids=["float-x", "float-z", "bool-xy"],
 )
 def test_scene_agreement_fails_on_tree_points_that_are_not_ints(kind, damage):
-    # the same values as floats or bools still lie in the tree's plane; the type alone fails
+    # the same values as floats or bools still lie in the tree's plane; the type alone is refused, when the scene
+    # is made, and the check refuses a scene that was not made by Scene3D, whose 3.0 would match the int key 3
     g = graph(2, 3, 2)
-    scene, index = _with_endpoint(build_scene(g), kind, damage)
-    result = check_scene_graph_agreement(g, scene)
-    assert result.status == "fail"
-    assert result.counterexample.startswith(f"segment {index}: {kind} endpoints")
+    index, text = _refusal(g, kind, damage)
+    assert text == NOT_INTS.format(index=index)
+    duck, _ = _with_endpoint(build_scene(g), kind, damage, make=SimpleNamespace)
+    with pytest.raises(TypeError, match="^scene must be a Scene3D, got SimpleNamespace$"):
+        check_scene_graph_agreement(g, duck)
 
 
 def _moved(axis, by):
@@ -1095,15 +1114,6 @@ def test_report_text_is_stable_and_timing_free():
     assert text == run_checks(graph(), names=["counts"]).to_text()
     assert "[PASS] check_counts(layers=3 p=2 q=3)" in text
     assert "elapsed" not in text and "second" not in text
-
-
-def test_report_json_shape():
-    report = run_checks(graph(), names=["counts", "degree_law"])
-    doc = json.loads(report.to_json())
-    assert doc["all_passed"] is True
-    assert [c["name"] for c in doc["checks"]] == ["check_counts", "check_degree_law"]
-    for entry in doc["checks"]:
-        assert set(entry) == {"name", "params", "status", "counterexample", "detail", "elapsed_seconds"}
 
 
 def test_failed_entries_always_carry_counterexamples():
