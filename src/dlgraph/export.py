@@ -21,7 +21,7 @@ from .layout import (
     Scene3D,
     coordinate_rows,
 )
-from .tree import Record, _decimal, as_integer
+from .tree import Record, _shown, as_integer
 
 FORMATS = ("tikz", "json", "obj", "svg")  # tuple(_RENDERERS), spelled out: each writer's default ExportOptions() checks it first
 # Most fractional digits a number may be printed with: 10**digits is computed
@@ -50,18 +50,18 @@ class ExportOptions(Record):
     def __init__(self, format: str = "tikz", colors: tuple[str, str, str] | None = None, axis_labels: bool = True,
                  decimal_digits: int = 6) -> None:
         if format not in FORMATS:
-            raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+            raise ValueError(f"unknown format {_shown(format)}; expected one of {FORMATS}")
         if colors is not None:
             if not (isinstance(colors, (tuple, list)) and len(colors) == 3 and all(isinstance(c, str) for c in colors)):
-                raise TypeError(f"colors must be None or three strings, got {colors!r}")
+                raise TypeError(f"colors must be None or three strings, got {_shown(colors)}")
             colors = tuple(colors)
         if type(axis_labels) is not bool:
-            raise TypeError(f"axis_labels must be a bool, got {axis_labels!r}")
+            raise TypeError(f"axis_labels must be a bool, got {_shown(axis_labels)}")
         decimal_digits = as_integer(decimal_digits, "decimal_digits")
         if decimal_digits < 1:
-            raise ValueError(f"decimal_digits must be >= 1, got {_decimal(decimal_digits)}")
+            raise ValueError(f"decimal_digits must be >= 1, got {_shown(decimal_digits)}")
         if decimal_digits > MAX_DIGITS:
-            raise ValueError(f"decimal_digits must be <= {MAX_DIGITS}, got {_decimal(decimal_digits)}")
+            raise ValueError(f"decimal_digits must be <= {MAX_DIGITS}, got {_shown(decimal_digits)}")
         self._set(format, colors, axis_labels, decimal_digits)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 
-from .tree import LayeredTree, Record, _decimal, as_integer, check_cap
+from .tree import LayeredTree, Record, _shown, as_integer, check_cap
 
 DEFAULT_VERTEX_CAP = 200_000
 
@@ -41,7 +41,7 @@ class DLParams(Record):
         self._set(as_integer(p, "p"), as_integer(q, "q"), as_integer(layers, "layers"), as_integer(vertex_cap, "vertex_cap"))
         for name, low in (("p", 2), ("q", 2), ("layers", 1), ("vertex_cap", 0)):
             if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {_decimal(getattr(self, name))}")
+                raise ValueError(f"{name} must be >= {low}, got {_shown(getattr(self, name))}")
         subject = "DL({p},{q}) with layers={layers} holds {size}"
         numbers = {"p": self.p, "q": self.q, "layers": self.layers, "cap": self.vertex_cap}
         bits = self.layers * (max(self.p, self.q).bit_length() - 1)  # max(p, q)**layers >= 2**bits
@@ -79,9 +79,12 @@ class DLGraph:
     concurrent reads are safe.  Vertices and edges enumerate in a fixed
     order (ascending height, then orange, then brown; each edge once with
     the higher endpoint first) so downstream output is deterministic.
+    ``params`` must be a :class:`DLParams`, else ``TypeError``.
     """
 
     def __init__(self, params: DLParams):
+        if not isinstance(params, DLParams):  # only a DLParams has passed the vertex and edge caps
+            raise TypeError(f"params must be a DLParams, got {type(params).__name__}")
         self.params = params
         p, q, L = params.p, params.q, params.layers
         self.p, self.q, self.layers = p, q, L
@@ -97,11 +100,11 @@ class DLGraph:
         if not type(h) is type(j) is type(k) is int:  # a bool's type is bool, not int
             h, j, k = as_integer(h, "height"), as_integer(j, "orange index"), as_integer(k, "brown index")
         if not 0 <= h <= self.layers:
-            raise ValueError(f"height {_decimal(h)} outside [0, {self.layers}]")
+            raise ValueError(f"height {_shown(h)} outside [0, {self.layers}]")
         if not 0 <= j < self._orange_sizes[h]:
-            raise ValueError(f"orange index {_decimal(j)} invalid at height {h}")
+            raise ValueError(f"orange index {_shown(j)} invalid at height {h}")
         if not 0 <= k < self._brown_sizes[h]:
-            raise ValueError(f"brown index {_decimal(k)} invalid at height {h}")
+            raise ValueError(f"brown index {_shown(k)} invalid at height {h}")
         return h, j, k
 
     def __contains__(self, vertex) -> bool:

@@ -24,7 +24,7 @@ import sys
 from numbers import Real
 
 from .graph import DLGraph, DLParams
-from .tree import Record, _decimal, as_integer
+from .tree import Record, _shown, as_integer
 
 KIND_TREE_P = "tree-p"
 KIND_TREE_Q = "tree-q"
@@ -56,11 +56,14 @@ class Scene3D(Record):
                  segments: tuple[tuple[str, tuple[int, int, int], tuple[int, int, int]], ...]) -> None:
         if not isinstance(params, DLParams):
             raise TypeError(f"params must be a DLParams, got {type(params).__name__}")
-        angles = tuple(operator.index(a) if hasattr(a, "__index__") and not isinstance(a, bool) else a for a in view)
+        try:
+            angles = tuple(operator.index(a) if hasattr(a, "__index__") and not isinstance(a, bool) else a for a in view)
+        except TypeError:  # a view that is not iterable
+            angles = ()
         if len(angles) != 2 or not all(isinstance(a, Real) and not isinstance(a, bool) for a in angles):
-            raise TypeError(f"view must be two real numbers (azimuth, elevation), got {view!r}")
+            raise TypeError(f"view must be two real numbers (azimuth, elevation), got {_shown(view)}")
         if not all(abs(a) <= sys.float_info.max for a in angles):  # false for nan, inf and what a float cannot hold
-            raise ValueError(f"view angles must be finite floats, got {view!r}")
+            raise ValueError(f"view angles must be finite floats, got {_shown(view)}")
         segments = tuple(segments)  # the same object for a tuple, such as build_scene's
         for i, segment in enumerate(segments):
             try:
@@ -74,7 +77,7 @@ class Scene3D(Record):
             if not well_formed:
                 raise TypeError(f"segment {i} is not a tuple (kind, a, b) of two tuples of three ints")
             if kind not in KINDS:  # by equality: a kind such as a list is rejected, not hashed
-                raise ValueError(f"segment {i} has unknown kind {kind!r}")
+                raise ValueError(f"segment {i} has unknown kind {_shown(kind)}")
         self._set(params, angles, segments)
 
 
@@ -103,9 +106,9 @@ def orange_position(p: int, layers: int, level: int, index: int) -> tuple[Fracti
 
     level, index = as_integer(level, "level"), as_integer(index, "index")
     if not 0 <= level <= layers:
-        raise ValueError(f"level {_decimal(level)} outside [0, {layers}]")
+        raise ValueError(f"level {_shown(level)} outside [0, {layers}]")
     if not 0 <= index < p**level:
-        raise ValueError(f"index {_decimal(index)} invalid at level {level}")
+        raise ValueError(f"index {_shown(index)} invalid at level {level}")
     return Fraction(_coordinate(p ** (layers - level), index), 2), Fraction(0), Fraction(level)
 
 
@@ -115,9 +118,9 @@ def brown_position(q: int, layers: int, height: int, index: int) -> tuple[Fracti
 
     height, index = as_integer(height, "height"), as_integer(index, "index")
     if not 0 <= height <= layers:
-        raise ValueError(f"height {_decimal(height)} outside [0, {layers}]")
+        raise ValueError(f"height {_shown(height)} outside [0, {layers}]")
     if not 0 <= index < q ** (layers - height):
-        raise ValueError(f"index {_decimal(index)} invalid at drawn height {height}")
+        raise ValueError(f"index {_shown(index)} invalid at drawn height {height}")
     return Fraction(0), Fraction(_coordinate(q**height, index), 2), Fraction(height)
 
 

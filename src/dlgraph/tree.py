@@ -33,32 +33,36 @@ def as_integer(value, what: str) -> int:
     if type(value) is int:  # the common case; a bool's type is bool, not int
         return value
     if isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
+        raise TypeError(f"{what} must be an integer, got {_shown(value)}")
     try:
         return operator.index(value)
     except TypeError:
-        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+        raise TypeError(f"{what} must be an integer, got {_shown(value)}") from None
 
 
-def _decimal(n: int) -> str:
-    """``str(n)``, or ``n`` named by its bit length when it has too many digits for ``str()``."""
+def _shown(value) -> str:
+    """``repr(value)``, or past the int-to-str digit limit: an int by its bit length, a tuple item by item, else the type."""
     try:
-        return str(n)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit int>"
+        return repr(value)
+    except ValueError:  # an int with more digits than repr() prints
+        if isinstance(value, int):
+            return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit int>"
+        if isinstance(value, tuple):
+            return "(" + ", ".join(map(_shown, value)) + ("," if len(value) == 1 else "") + ")"
+        return f"<{type(value).__name__}>"
 
 
 def check_cap(message: str, bits: int, count: Callable[[], int], cap: int, /, **numbers: int) -> None:
     """Raise :class:`CapExceededError` if a size of at least ``2**bits``, exactly ``count()``, exceeds ``cap``;
     the bound decides first, so a size too large to sum is never counted.  The message is
-    ``message.format(size=..., **numbers)``, built only when raised, with each int through :func:`_decimal`."""
+    ``message.format(size=..., **numbers)``, built only when raised, with each int through :func:`_shown`."""
     if bits >= cap.bit_length():
-        size = f"at least 2**{_decimal(bits)}"
+        size = f"at least 2**{_shown(bits)}"
     elif (total := count()) > cap:
-        size = _decimal(total)
+        size = _shown(total)
     else:
         return
-    raise CapExceededError(message.format(size=size, **{name: _decimal(n) for name, n in numbers.items()}))
+    raise CapExceededError(message.format(size=size, **{name: _shown(n) for name, n in numbers.items()}))
 
 
 class Record:
@@ -92,7 +96,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+        return f"{type(self).__name__}(" + ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self._fields) + ")"
 
     def __reduce__(self):
         return type(self), self._values()
@@ -117,7 +121,7 @@ class LayeredTree(Record):
         level_cap = as_integer(level_cap, "level_cap")
         for name, value, low in (("branching", branching, 2), ("layers", layers, 1), ("level_cap", level_cap, 0)):
             if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {_decimal(value)}")
+                raise ValueError(f"{name} must be >= {low}, got {_shown(value)}")
         bits = layers * (branching.bit_length() - 1)  # branching**layers >= 2**bits
         check_cap("level {layers} would hold {size} vertices (cap: {cap})", bits, lambda: branching**layers,
                   level_cap, layers=layers, cap=level_cap)
@@ -129,9 +133,9 @@ class LayeredTree(Record):
         if not type(level) is type(index) is int:  # a bool's type is bool, not int
             level, index = as_integer(level, "level"), as_integer(index, "index")
         if not 0 <= level <= self.layers:
-            raise ValueError(f"level {_decimal(level)} outside [0, {self.layers}]")
+            raise ValueError(f"level {_shown(level)} outside [0, {self.layers}]")
         if not 0 <= index < self._level_sizes[level]:
-            raise ValueError(f"index {_decimal(index)} outside [0, {_decimal(self.branching)}**{level}) at level {level}")
+            raise ValueError(f"index {_shown(index)} outside [0, {_shown(self.branching)}**{level}) at level {level}")
         return level, index
 
     def vertices(self) -> Iterator[tuple[int, int]]:

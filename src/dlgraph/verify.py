@@ -28,7 +28,7 @@ from collections.abc import Callable
 
 from .graph import DLGraph
 from .layout import KIND_DL, KIND_TREE_P, KIND_TREE_Q, Scene3D, build_scene, coordinate_rows
-from .tree import Record, _decimal, as_integer
+from .tree import Record, _shown, as_integer
 
 PASS = "pass"
 FAIL = "fail"
@@ -64,7 +64,7 @@ class VerificationReport(Record):
         """Human-readable report, one line per check, stable field order, no timings."""
         lines = []
         for entry in self.entries:
-            params = " ".join(f"{k}={v}" for k, v in sorted(entry.params.items()))
+            params = " ".join(f"{k}={_shown(v)}" for k, v in sorted(entry.params.items()))
             line = f"[{entry.status.upper():4}] {entry.name}({params})"
             if entry.detail:
                 line += "  " + " ".join(f"{k}={v}" for k, v in sorted(entry.detail.items()))
@@ -127,11 +127,11 @@ def check_degree_law(g) -> dict:
         try:
             expected = (q if h > 0 else 0) + (p if h < L else 0)
         except TypeError:  # a height that does not compare with ints
-            raise _Fail(f"vertex {tuple(v)} has height {h!r}, not an int")
+            raise _Fail(f"vertex {_shown(tuple(v))} has height {_shown(h)}, not an int")
         actual = len(g.neighbors(v))
         histogram[actual] = histogram.get(actual, 0) + 1
         if actual != expected:
-            raise _Fail(f"vertex {tuple(v)} has degree {actual}, expected {expected}")
+            raise _Fail(f"vertex {_shown(tuple(v))} has degree {actual}, expected {expected}")
     return {"degree_histogram": dict(sorted(histogram.items()))}
 
 
@@ -160,7 +160,7 @@ def check_level_condition(g) -> dict:
             orange.validate((h, j))
             brown.validate((L - h, k))
         except (TypeError, ValueError) as exc:
-            raise _Fail(f"vertex {tuple(v)} is not a height-matched tree pair: {exc}")
+            raise _Fail(f"vertex {_shown(tuple(v))} is not a height-matched tree pair: {exc}")
         checked += 1
     return {"basepoints": basepoints, "pairings": checked}
 
@@ -284,10 +284,10 @@ def check_local_homogeneity(g, radius: int) -> dict:
     """
     radius = as_integer(radius, "radius")
     if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {_decimal(radius)}")
+        raise ValueError(f"radius must be >= 1, got {_shown(radius)}")
     L = g.params.layers
     if L < 2 * radius:
-        raise _Skip(f"not applicable: layers < 2*radius ({L} < {2 * radius})")
+        raise _Skip(f"not applicable: layers < 2*radius ({L} < {_shown(2 * radius)})")
     implied = DLGraph(g.params)
     interior, seen, near_damage, compared = [], set(), set(), 0
     for v in g.vertices():
@@ -296,7 +296,7 @@ def check_local_homogeneity(g, radius: int) -> dict:
             if radius <= h <= L - radius:
                 interior.append(v)
         except TypeError:  # a height that does not compare with ints
-            raise _Fail(f"vertex {tuple(v)} has height {h!r}, not an int")
+            raise _Fail(f"vertex {_shown(tuple(v))} has height {_shown(h)}, not an int")
         if v in seen:  # a vertex listed twice is compared once
             continue
         seen.add(v)
@@ -321,7 +321,7 @@ def check_local_homogeneity(g, radius: int) -> dict:
         if certified and v not in near_damage:
             continue
         if not _balls_isomorphic(reference_ball, _ball(neighbors, v, radius)):
-            raise _Fail(f"ball around {tuple(v)} is not isomorphic to the ball around {tuple(reference)}")
+            raise _Fail(f"ball around {_shown(tuple(v))} is not isomorphic to the ball around {_shown(tuple(reference))}")
     return {"interior_vertices": len(interior), "ball_size": len(reference_ball[0])}
 
 
@@ -357,15 +357,15 @@ def check_lamplighter(g) -> dict:
     for v in g.vertices():
         h, j, k = v
         if not type(h) is type(j) is type(k) is int:  # a bool's type is bool, not int
-            raise _Fail(f"vertex {tuple(v)} is not a triple of ints")
+            raise _Fail(f"vertex {_shown(tuple(v))} is not a triple of ints")
         if not 0 <= h <= L:  # digits are taken mod b, so only the cursor h can leave the slab
-            raise _Fail(f"vertex {tuple(v)} has cursor {h} outside [0, {L}]")
+            raise _Fail(f"vertex {_shown(tuple(v))} has cursor {_shown(h)} outside [0, {L}]")
         # a plain tuple also keys a vertex given as a list
         encoding[tuple(v)] = counting[h][j % b**h] + counting[L - h][k % b ** (L - h)][::-1], h
     seen: dict = {}
     for v, state in encoding.items():
         if state in seen:
-            raise _Fail(f"vertices {tuple(seen[state])} and {tuple(v)} collide on {state}")
+            raise _Fail(f"vertices {_shown(seen[state])} and {_shown(v)} collide on {state}")
         seen[state] = v
     expected_states = (L + 1) * b**L
     if len(encoding) != expected_states:
@@ -375,10 +375,10 @@ def check_lamplighter(g) -> dict:
     for top, bottom in g.edges():
         top, bottom = tuple(top), tuple(bottom)
         if top not in encoding or bottom not in encoding:
-            raise _Fail(f"edge {tuple(top)}-{tuple(bottom)} has an endpoint that is not a vertex")
+            raise _Fail(f"edge {_shown(top)}-{_shown(bottom)} has an endpoint that is not a vertex")
         image = (f_bot, cur_bot), (f_top, cur_top) = encoding[bottom], encoding[top]
         if cur_bot != cur_top - 1 or f_bot[:cur_bot] != f_top[:cur_bot] or f_bot[cur_bot + 1 :] != f_top[cur_bot + 1 :]:
-            raise _Fail(f"edge {tuple(top)}-{tuple(bottom)} maps outside the slab")
+            raise _Fail(f"edge {_shown(top)}-{_shown(bottom)} maps outside the slab")
         edges.add(image)
     # the images are distinct and inside the slab, so none is extra, and they fill it iff they number its L * b**(L+1) edges
     if len(edges) != L * b ** (L + 1):
@@ -388,7 +388,7 @@ def check_lamplighter(g) -> dict:
 
 def _halved(doubled: int) -> str:
     """``doubled / 2`` for an error message, printed as ``str(Fraction)`` prints it (a long int by its bit length)."""
-    return f"{_decimal(doubled)}/2" if doubled & 1 else _decimal(doubled >> 1)
+    return f"{_shown(doubled)}/2" if doubled & 1 else _shown(doubled >> 1)
 
 
 def _drawn_node(rows: dict, kind: str, point: tuple[int, int, int]) -> tuple:
@@ -450,7 +450,7 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
         top, bottom = edge = (va, vb) if va[0] > vb[0] else (vb, va)
         if top[0] - bottom[0] != 1 or (left := counts.get(edge)) is None:
             nodes = "vertices" if kind == KIND_DL else f"{kind} nodes"
-            raise _Fail(f"segment {i} joins non-adjacent {nodes} {tuple(va)}, {tuple(vb)}")
+            raise _Fail(f"segment {i} joins non-adjacent {nodes} {_shown(va)}, {_shown(vb)}")
         counts[edge] = left - 1
     # every drawn edge is an expected one, so a difference shows as an expected edge's nonzero remainder
     for kind, counts in expected.items():
@@ -458,7 +458,7 @@ def check_scene_graph_agreement(g, scene: Scene3D) -> dict:
             if left:  # recount only the edge to name: as often as g.edges() lists it, or once for a tree edge
                 count = sum((u, w) == (top, bottom) for u, w in g.edges()) if kind == KIND_DL else 1
                 name = "edge" if kind == KIND_DL else f"{kind} edge"
-                raise _Fail(f"{name} {tuple(top)}-{tuple(bottom)} drawn {count - left} times, expected {count}")
+                raise _Fail(f"{name} {_shown(tuple(top))}-{_shown(tuple(bottom))} drawn {count - left} times, expected {count}")
     return {"dl_segments": dl_edges}
 
 
@@ -487,14 +487,14 @@ def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> Verification
     selected = {}  # each check once, in first-seen order
     for raw in CHECKS if names is None else names:
         if not isinstance(raw, str):
-            raise TypeError(f"check names must be strings, got {raw!r}")
+            raise TypeError(f"check names must be strings, got {_shown(raw)}")
         key = raw.removeprefix("check_")
         if key not in CHECKS:
-            raise ValueError(f"unknown check {raw!r}; available: {', '.join(CHECKS)}")
+            raise ValueError(f"unknown check {_shown(raw)}; available: {', '.join(CHECKS)}")
         selected[key] = None
     radius = as_integer(radius, "radius")
     if not 1 <= radius <= MAX_BALL_RADIUS:
-        raise ValueError(f"radius must be in [1, {MAX_BALL_RADIUS}], got {_decimal(radius)}")
+        raise ValueError(f"radius must be in [1, {MAX_BALL_RADIUS}], got {_shown(radius)}")
 
     entries = [CHECKS[key](g, radius) for key in selected]
     return VerificationReport(tuple(sorted(entries, key=lambda entry: entry.name)))

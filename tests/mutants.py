@@ -119,6 +119,9 @@ MUTANTS = (
     # Scene3D
     Mutant("layout.py", "if not isinstance(params, DLParams):", "if False:",
            "Scene3D refuses params that are not a DLParams", (S + "test_scene_params_must_be_dl_params",)),
+    Mutant("layout.py", "except TypeError:  # a view that is not iterable", "except ZeroDivisionError:",
+           "Scene3D refuses a view that is not iterable with its documented TypeError",
+           (S + "test_scene_rejects_a_bad_view",)),
     Mutant("layout.py", "if kind not in KINDS:", "if False:",
            "Scene3D refuses a segment of unknown kind", (S + "test_scene_rejects_a_segment_of_unknown_kind",)),
     Mutant("layout.py", "except (TypeError, ValueError):  # not iterable", "except ZeroDivisionError:  # not iterable",
@@ -130,6 +133,9 @@ MUTANTS = (
     Mutant("layout.py", "type(x) is type(y) is type(z) is type(u) is type(v) is type(w) is int", "True",
            "Scene3D refuses an endpoint coordinate that is not an int",
            (S + "test_scene_refuses_an_endpoint_that_is_not_three_ints",)),
+    # DLGraph
+    Mutant("graph.py", "if not isinstance(params, DLParams):", "if False:",
+           "DLGraph refuses params that are not a DLParams", (G + "test_graph_params_must_be_dl_params",)),
     # DLGraph.validate
     Mutant("graph.py", "if not 0 <= h <= self.layers:", "if False:",
            "DLGraph.validate refuses a height outside [0, layers]", (G + "test_every_query_rejects_bad_vertices",)),
@@ -137,6 +143,11 @@ MUTANTS = (
            "DLGraph.validate refuses an orange index outside its height", (G + "test_every_query_rejects_bad_vertices",)),
     Mutant("graph.py", "if not 0 <= k < self._brown_sizes[h]:", "if False:",
            "DLGraph.validate refuses a brown index outside its height", (G + "test_every_query_rejects_bad_vertices",)),
+    # the message printer
+    Mutant("tree.py", "except ValueError:  # an int with more digits than repr() prints", "except ZeroDivisionError:",
+           "a message names a value too long for repr() instead of raising repr()'s ValueError",
+           (G + "test_reprs_and_skip_reasons_name_ints_too_long_for_str_by_bit_length",
+            V + "test_a_vertex_too_long_for_str_is_named_by_bit_length")),
 )
 
 

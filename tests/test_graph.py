@@ -7,6 +7,7 @@ import copy
 import pickle
 import re
 from collections import Counter, deque
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,12 +18,14 @@ from dlgraph import (
     DLParams,
     ExportOptions,
     LayeredTree,
+    Scene3D,
     brown_position,
     check_local_homogeneity,
     dl_position,
     orange_position,
     run_checks,
 )
+from dlgraph.tree import as_integer
 
 from support import Index, edge_set, is_int_tuple
 
@@ -141,14 +144,43 @@ RANGE_MESSAGES = {
     "run_checks-radius": (lambda: run_checks(DLGraph(PARAMS), radius=HUGE), "radius must be in [1, 3], got <16610-bit int>"),
     "check_local_homogeneity-radius": (lambda: check_local_homogeneity(DLGraph(PARAMS), -HUGE),
                                        "radius must be >= 1, got -<16610-bit int>"),
+    # an entry may carry its exception type; ValueError when it does not
+    "Scene3D-view": (lambda: Scene3D(PARAMS, (HUGE, 0), ()), "view angles must be finite floats, got (<16610-bit int>, 0)"),
+    "Scene3D-kind": (lambda: Scene3D(PARAMS, (165, 10), [(HUGE, (0, 0, 0), (0, 0, 0))]),
+                     "segment 0 has unknown kind <16610-bit int>"),
+    "ExportOptions-format": (lambda: ExportOptions(format=HUGE),
+                             "unknown format <16610-bit int>; expected one of ('tikz', 'json', 'obj', 'svg')"),
+    "ExportOptions-axis_labels": (lambda: ExportOptions(axis_labels=HUGE), "axis_labels must be a bool, got <16610-bit int>",
+                                  TypeError),
+    "ExportOptions-colors": (lambda: ExportOptions(colors=(HUGE, "a", "b")),
+                             "colors must be None or three strings, got (<16610-bit int>, 'a', 'b')", TypeError),
+    "as_integer": (lambda: as_integer((HUGE,), "p"), "p must be an integer, got (<16610-bit int>,)", TypeError),
+    "run_checks-names": (lambda: run_checks(DLGraph(PARAMS), names=[HUGE]), "check names must be strings, got <16610-bit int>",
+                         TypeError),
 }
 
 
-@pytest.mark.parametrize("call,message", RANGE_MESSAGES.values(), ids=RANGE_MESSAGES.keys())
-def test_range_messages_name_ints_too_long_for_str_by_bit_length(call, message):
-    with pytest.raises(ValueError) as caught:
+@pytest.mark.parametrize("entry", RANGE_MESSAGES.values(), ids=RANGE_MESSAGES.keys())
+def test_range_messages_name_ints_too_long_for_str_by_bit_length(entry):
+    call, message, error = (*entry, ValueError)[:3]
+    with pytest.raises(error) as caught:
         call()
     assert str(caught.value) == message
+
+
+def test_reprs_and_skip_reasons_name_ints_too_long_for_str_by_bit_length():
+    assert repr(DLParams(2, 3, 3, vertex_cap=HUGE)).endswith(", vertex_cap=<16610-bit int>)")
+    result = check_local_homogeneity(DLGraph(PARAMS), HUGE)
+    assert result.status == "skip"
+    assert result.detail == {"reason": "not applicable: layers < 2*radius (3 < <16611-bit int>)"}
+
+
+@pytest.mark.parametrize("params", [SimpleNamespace(p=2, q=3, layers=3, vertex_cap=10), (2, 3, 3), None],
+                         ids=["duck-typed", "tuple", "None"])
+def test_graph_params_must_be_dl_params(params):
+    # a duck-typed params has not passed DLParams' vertex and edge caps
+    with pytest.raises(TypeError, match=f"^params must be a DLParams, got {type(params).__name__}$"):
+        DLGraph(params)
 
 
 def test_negative_caps_are_range_errors_and_a_zero_cap_is_a_cap_error():

@@ -177,8 +177,11 @@ def test_scene_planes_and_view():
         ((True, 0), TypeError),
         ((1, 2, 3), TypeError),
         ((1,), TypeError),
+        (5, TypeError),
+        (None, TypeError),
+        ((10**5000, 0), ValueError),
     ],
-    ids=["nan", "inf", "huge", "str", "bool", "three", "one"],
+    ids=["nan", "inf", "huge", "str", "bool", "three", "one", "int", "None", "too-long-for-str"],
 )
 def test_scene_rejects_a_bad_view(view, error):
     with pytest.raises(error, match=r"^view"):

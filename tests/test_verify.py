@@ -1071,6 +1071,44 @@ def test_vertices_with_heights_that_are_not_ints_fail_every_height_check(height)
     assert [name for name, entry in by_name.items() if entry.status != "fail"] == ["check_scene_graph_agreement"]
 
 
+BIT_INT = "<16610-bit int>"  # how a message names 10**5000, an int with more digits than str() prints by default
+TOO_LONG_FOR_STR = {
+    "height": ((10**5000, 0, 0), {
+        "check_degree_law": f"vertex ({BIT_INT}, 0, 0) has degree 0, expected 2",
+        "check_lamplighter": f"vertex ({BIT_INT}, 0, 0) has cursor {BIT_INT} outside [0, 4]",
+        "check_level_condition": f"vertex ({BIT_INT}, 0, 0) is not a height-matched tree pair: level {BIT_INT} outside [0, 4]",
+    }),
+    "orange": ((1, 10**5000, 0), {
+        "check_degree_law": f"vertex (1, {BIT_INT}, 0) has degree 0, expected 4",
+        "check_lamplighter": f"vertices (1, 0, 0) and (1, {BIT_INT}, 0) collide on ((0, 0, 0, 0), 1)",
+        "check_level_condition": f"vertex (1, {BIT_INT}, 0) is not a height-matched tree pair: "
+                                 f"index {BIT_INT} outside [0, 2**1) at level 1",
+    }),
+    "brown": ((1, 0, -(10**5000)), {
+        "check_degree_law": f"vertex (1, 0, -{BIT_INT}) has degree 0, expected 4",
+        "check_lamplighter": f"vertices (1, 0, 0) and (1, 0, -{BIT_INT}) collide on ((0, 0, 0, 0), 1)",
+        "check_level_condition": f"vertex (1, 0, -{BIT_INT}) is not a height-matched tree pair: "
+                                 f"index -{BIT_INT} outside [0, 2**3) at level 3",
+    }),
+    "list-height": (([10**5000], 0, 0), {
+        "check_degree_law": "vertex (<list>, 0, 0) has height <list>, not an int",
+        "check_lamplighter": "vertex (<list>, 0, 0) is not a triple of ints",
+        "check_level_condition": "vertex (<list>, 0, 0) is not a height-matched tree pair: level must be an integer, got <list>",
+        "check_local_homogeneity": "vertex (<list>, 0, 0) has height <list>, not an int",
+    }),
+}
+
+
+@pytest.mark.parametrize(("vertex", "counterexamples"), TOO_LONG_FOR_STR.values(), ids=TOO_LONG_FOR_STR.keys())
+def test_a_vertex_too_long_for_str_is_named_by_bit_length(vertex, counterexamples):
+    # every check reports, and a counterexample names an int too long for str() by its bit length
+    report = run_checks(MutatedGraph(graph(2, 2, 4), add_vertices=[vertex]))
+    assert len(report.entries) == 6
+    by_name = {entry.name: entry.counterexample for entry in report.entries}
+    assert by_name.pop("check_counts") == "enumerated 81 vertices, closed form 80"
+    assert {name: text for name, text in by_name.items() if text} == counterexamples
+
+
 def test_report_order_is_deterministic():
     backwards = run_checks(graph(), names=["scene_graph_agreement", "level_condition", "counts"])
     forwards = run_checks(graph(), names=["counts", "level_condition", "scene_graph_agreement"])
