@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "export": ("ExportOptions", "export_json", "export_obj", "export_svg", "export_tikz", "render", "write_scene"),
+    "export": ("ExportOptions", "render", "write_scene"),
     "graph": ("Census", "DLGraph", "DLParams"),
     "layout": ("DEFAULT_VIEW", "KIND_DL", "KIND_TREE_P", "KIND_TREE_Q", "Scene3D", "brown_position", "build_scene",
                "dl_position", "orange_position"),

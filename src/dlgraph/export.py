@@ -1,9 +1,12 @@
 """Serializers for :class:`~dlgraph.layout.Scene3D`: TikZ/pgfplots, JSON, OBJ, SVG.
 
-Every writer is a pure function of (scene, options) and produces the same
-bytes on every call; ``Scene3D`` has already checked every segment's kind
-and endpoints.  Numbers are printed as the shortest decimal with at most
-``decimal_digits`` fractional digits; "-0" is normalized to "0".
+:func:`render` is the one way to a writer.  It refuses, with ``TypeError``, a
+scene that is not a ``Scene3D`` (so every segment's kind and endpoints have
+been checked) and options that are not ``ExportOptions``; ``opts.format``
+picks the private writer.  Every writer is a pure function of (scene,
+options) and produces the same bytes on every call.  Numbers are printed as
+the shortest decimal with at most ``decimal_digits`` fractional digits; "-0"
+is normalized to "0".
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .layout import (
 )
 from .tree import Record, _shown, as_integer
 
-FORMATS = ("tikz", "json", "obj", "svg")  # tuple(_RENDERERS), spelled out: each writer's default ExportOptions() checks it first
 # Most fractional digits a number may be printed with: 10**digits is computed
 # per call, and far below Python's 4300-digit int-to-str limit.
 MAX_DIGITS = 1000
@@ -80,7 +82,7 @@ def _format_ratio(num: int, den: int, digits: int) -> str:
     return f"{sign}{whole}." + str(frac).rjust(digits, "0").rstrip("0")
 
 
-def export_tikz(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
+def _tikz(scene: Scene3D, opts: ExportOptions) -> str:
     """Standalone LaTeX document with one literal-coordinate ``\\addplot3`` per segment.
 
     Statements appear in scene order; tree-q statements are each wrapped in
@@ -124,7 +126,7 @@ def _json_number(value):
     return num if den == 1 else num / den
 
 
-def export_json(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
+def _json(scene: Scene3D, opts: ExportOptions) -> str:
     """One JSON object with the DL vertices/edges plus both tree layers.
 
     A vertex id is the vertex's rank in ``DLGraph.vertices()``; tree node ids
@@ -166,7 +168,7 @@ def _tree_block(tree, position: Callable[[int, int], list[float]]) -> dict:
     return {"nodes": nodes, "edges": edges}
 
 
-def export_obj(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
+def _obj(scene: Scene3D, opts: ExportOptions) -> str:
     """Wavefront OBJ: deduplicated ``v`` records, then per-kind ``g`` groups of ``l`` records."""
     digits = opts.decimal_digits
     grouped = {kind: [] for kind in KINDS}
@@ -196,7 +198,7 @@ def _sin_cos(angle) -> tuple[tuple[int, int], tuple[int, int]]:
     return math.sin(math.radians(angle)).as_integer_ratio(), math.sin(math.radians(angle + 90)).as_integer_ratio()
 
 
-def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
+def _svg(scene: Scene3D, opts: ExportOptions) -> str:
     """SVG 1.1 with one line element per segment, drawn back to front: tree-q, tree-p, dl.
 
     The viewBox is the projected bounding box with a 5% margin (unit box for
@@ -254,16 +256,16 @@ def export_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RENDERERS = {
-    "tikz": export_tikz,
-    "json": export_json,
-    "obj": export_obj,
-    "svg": export_svg,
-}
+_RENDERERS = {"tikz": _tikz, "json": _json, "obj": _obj, "svg": _svg}
+FORMATS = tuple(_RENDERERS)
 
 
 def render(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
-    """Serialize ``scene`` in ``opts.format``."""
+    """Serialize ``scene`` in ``opts.format``; ``TypeError`` unless they are a ``Scene3D`` and ``ExportOptions``."""
+    if not isinstance(scene, Scene3D):
+        raise TypeError(f"scene must be a Scene3D, got {type(scene).__name__}")
+    if not isinstance(opts, ExportOptions):
+        raise TypeError(f"opts must be an ExportOptions, got {type(opts).__name__}")
     return _RENDERERS[opts.format](scene, opts)
 
 

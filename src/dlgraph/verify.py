@@ -475,7 +475,7 @@ CHECKS: dict[str, Callable] = {
 
 
 def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> VerificationReport:
-    """Run the selected checks (all, by default; a check named twice runs once) and merge them deterministically.
+    """Run the selected checks (all by default; none is a ``ValueError``; one named twice runs once), merged deterministically.
 
     ``radius`` is the ball radius of ``local_homogeneity``, which reports
     SKIP on a graph with fewer than 2*radius layers, so the default
@@ -492,6 +492,8 @@ def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> Verification
         if key not in CHECKS:
             raise ValueError(f"unknown check {_shown(raw)}; available: {', '.join(CHECKS)}")
         selected[key] = None
+    if not selected:
+        raise ValueError(f"no check selected; available: {', '.join(CHECKS)}")
     radius = as_integer(radius, "radius")
     if not 1 <= radius <= MAX_BALL_RADIUS:
         raise ValueError(f"radius must be in [1, {MAX_BALL_RADIUS}], got {_shown(radius)}")

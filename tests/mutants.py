@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 V = "tests/test_verify.py::"
 G = "tests/test_graph.py::"
 S = "tests/test_layout.py::"
+E = "tests/test_export.py::"
 
 MUTANTS = (
     # check_degree_law
@@ -116,6 +117,16 @@ MUTANTS = (
     Mutant("verify.py", "if left:", "if False:",
            "the scene check fails an edge drawn too often or too seldom",
            (V + "test_scene_agreement_fails_on_damaged_tree_segments",)),
+    # run_checks
+    Mutant("verify.py", "if not selected:", "if False:",
+           "run_checks refuses an empty selection", (V + "test_run_checks_selection_and_unknown_names",)),
+    # render, the one way to a writer
+    Mutant("export.py", "if not isinstance(scene, Scene3D):", "if False:",
+           "render refuses a scene that is not a Scene3D",
+           (E + "test_render_and_write_scene_refuse_what_is_not_a_scene_and_options",)),
+    Mutant("export.py", "if not isinstance(opts, ExportOptions):", "if False:",
+           "render refuses options that are not ExportOptions",
+           (E + "test_render_and_write_scene_refuse_what_is_not_a_scene_and_options",)),
     # Scene3D
     Mutant("layout.py", "if not isinstance(params, DLParams):", "if False:",
            "Scene3D refuses params that are not a DLParams", (S + "test_scene_params_must_be_dl_params",)),

@@ -282,7 +282,7 @@ def project_point(point, azimuth_deg, elevation_deg) -> tuple[Fraction, Fraction
 
 
 def reference_svg(scene: Scene3D, opts: ExportOptions = ExportOptions()) -> str:
-    """What ``export_svg`` must print, from the halved scene points projected one by one."""
+    """What ``render`` must print in SVG, from the halved scene points projected one by one."""
     az, el = scene.view
     fmt = lambda value: reference_format_number(value, opts.decimal_digits)  # noqa: E731
     stroke = dict(zip((KIND_TREE_P, KIND_TREE_Q, KIND_DL), opts.colors or DEFAULT_SVG_COLORS))

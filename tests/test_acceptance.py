@@ -24,9 +24,6 @@ from dlgraph import (
     check_lamplighter,
     check_level_condition,
     check_local_homogeneity,
-    export_json,
-    export_obj,
-    export_svg,
     render,
 )
 from dlgraph.cli import EXIT_OK, main
@@ -175,12 +172,12 @@ def test_criterion_09_export_round_trip():
     g = DLGraph(DLParams(2, 3, 3))
     scene = build_scene(g)
 
-    doc = json.loads(export_json(scene))
+    doc = json.loads(render(scene, ExportOptions(format="json")))
     by_id = {v["id"]: (v["h"], v["orange"], v["brown"]) for v in doc["vertices"]}
     rebuilt = {frozenset((by_id[e["a"]], by_id[e["b"]])) for e in doc["edges"]}
     assert rebuilt == edge_set(g)
 
-    obj = export_obj(scene)
+    obj = render(scene, ExportOptions(format="obj"))
     v_count = sum(1 for line in obj.splitlines() if line.startswith("v "))
     l_records = [line for line in obj.splitlines() if line.startswith("l ")]
     assert len(l_records) == 167
@@ -188,7 +185,7 @@ def test_criterion_09_export_round_trip():
         _, i, j = record.split()
         assert 1 <= int(i) <= v_count and 1 <= int(j) <= v_count
 
-    assert export_svg(scene).count("<line ") == 167
+    assert render(scene, ExportOptions(format="svg")).count("<line ") == 167
     announce("09 export round trip")
 
 

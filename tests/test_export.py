@@ -8,6 +8,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from xml.etree import ElementTree
 
 import pytest
@@ -25,10 +26,6 @@ from dlgraph import (
     Scene3D,
     build_scene,
     dl_position,
-    export_json,
-    export_obj,
-    export_svg,
-    export_tikz,
     render,
     write_scene,
 )
@@ -175,13 +172,13 @@ def test_render_matches_golden_digest(name, format):
 # TikZ
 
 def test_tikz_statement_census():
-    doc = export_tikz(reference_scene())
+    doc = render(reference_scene(), ExportOptions(format="tikz"))
     assert doc.count(r"\addplot3") == 167
     assert len(STATEMENT.findall(doc)) == 167
 
 
 def test_tikz_required_structure():
-    doc = export_tikz(reference_scene())
+    doc = render(reference_scene(), ExportOptions(format="tikz"))
     for needle in (
         r"\documentclass[border=0mm]{standalone}",
         r"\usepackage[x11names]{xcolor}",
@@ -223,7 +220,7 @@ def test_format_number_ties_and_small_negatives(value, digits):
 
 
 def test_tikz_first_statement_joins_the_derived_endpoints():
-    doc = export_tikz(reference_scene())
+    doc = render(reference_scene(), ExportOptions(format="tikz"))
     style, a, b = STATEMENT.findall(doc)[0]
     assert style == "Orange!20"
     assert a == "1.5,0,1"
@@ -232,7 +229,7 @@ def test_tikz_first_statement_joins_the_derived_endpoints():
 
 def test_tikz_statements_follow_scene_order():
     scene = reference_scene()
-    doc = export_tikz(scene)
+    doc = render(scene, ExportOptions(format="tikz"))
     style_for = {KIND_TREE_P: "Orange!20", KIND_TREE_Q: "MFCB!20", KIND_DL: "DeepSkyBlue4"}
     statements = STATEMENT.findall(doc)
     assert len(statements) == len(scene.segments)
@@ -245,13 +242,13 @@ def test_tikz_statements_follow_scene_order():
 @pytest.mark.parametrize("digits", [1, 2, 6, 1000])
 def test_tikz_and_obj_print_negative_and_odd_halves_exactly(digits):
     scene = half_integer_scene()
-    opts = ExportOptions(decimal_digits=digits)
     halved = lambda point, sep: sep.join(reference_format_number(Fraction(c, 2), digits) for c in point)  # noqa: E731
-    statements = STATEMENT.findall(export_tikz(scene, opts))
+    statements = STATEMENT.findall(render(scene, ExportOptions(format="tikz", decimal_digits=digits)))
     assert [(a, b) for _, a, b in statements] == [(halved(a, ","), halved(b, ",")) for _, a, b in scene.segments]
     # the scene lists its kinds in OBJ's group order, so the v records follow its endpoints, each once
     points = dict.fromkeys(point for _, a, b in scene.segments for point in (a, b))
-    v_records = [line for line in export_obj(scene, opts).splitlines() if line.startswith("v ")]
+    v_records = [line for line in render(scene, ExportOptions(format="obj", decimal_digits=digits)).splitlines()
+                 if line.startswith("v ")]
     assert v_records == ["v " + halved(point, " ") for point in points]
     assert {"-2", "-1.5", "-0.5", "0", "0.5", "1.5"} <= {c for record in v_records for c in record.split()[1:]}
 
@@ -281,17 +278,18 @@ def test_writers_print_every_coordinate_as_a_decimal(segments):
             Scene3D(DLParams(2, 2, 1), DEFAULT_VIEW, segments)
         return
     scene = Scene3D(DLParams(2, 2, 1), DEFAULT_VIEW, segments)
-    points = [point for _, a, b in STATEMENT.findall(export_tikz(scene)) for point in (a, b)]
-    points += [line[2:] for line in export_obj(scene).splitlines() if line.startswith("v ")]
+    tikz, obj, svg = (render(scene, ExportOptions(format=format)) for format in ("tikz", "obj", "svg"))
+    points = [point for _, a, b in STATEMENT.findall(tikz) for point in (a, b)]
+    points += [line[2:] for line in obj.splitlines() if line.startswith("v ")]
     coordinates = [point.replace(",", " ").split() for point in points]
     assert all(len(point) == 3 for point in coordinates)
     numbers = [c for point in coordinates for c in point]
-    numbers += [c for value in SVG_NUMBERS.findall(export_svg(scene)) for c in value.split()]
+    numbers += [c for value in SVG_NUMBERS.findall(svg) for c in value.split()]
     assert all(NUMBER.fullmatch(c) for c in numbers), numbers
 
 
 def test_tikz_background_scope_wraps_exactly_the_tree_q_statements():
-    doc = export_tikz(reference_scene())
+    doc = render(reference_scene(), ExportOptions(format="tikz"))
     assert doc.count(r"\begin{scope}[on background layer]") == 39
     assert doc.count(r"\end{scope}") == 39
     for match in re.finditer(r"\\begin\{scope\}\[on background layer\]\n\s*(\\addplot3\[[^]]*\])", doc):
@@ -299,20 +297,20 @@ def test_tikz_background_scope_wraps_exactly_the_tree_q_statements():
 
 
 def test_tikz_matches_golden_file():
-    doc = export_tikz(reference_scene())
+    doc = render(reference_scene(), ExportOptions(format="tikz"))
     assert doc == (GOLDEN / "dl32.tex").read_text(encoding="utf-8")
 
 
 def test_tikz_tiny_scene_statement_count():
-    assert export_tikz(tiny_scene()).count(r"\addplot3") == 8
+    assert render(tiny_scene(), ExportOptions(format="tikz")).count(r"\addplot3") == 8
 
 
 def test_tikz_options():
-    doc = export_tikz(reference_scene(), ExportOptions(axis_labels=False))
+    doc = render(reference_scene(), ExportOptions(format="tikz", axis_labels=False))
     assert "xlabel" not in doc and "ylabel" not in doc and "zlabel" not in doc
-    doc = export_tikz(reference_scene(), ExportOptions(colors=("red", "green", "blue")))
+    doc = render(reference_scene(), ExportOptions(format="tikz", colors=("red", "green", "blue")))
     assert r"\addplot3[red,thick]" in doc and r"\addplot3[blue,thick]" in doc
-    doc = export_tikz(reference_scene((30, 60)))
+    doc = render(reference_scene((30, 60)), ExportOptions(format="tikz"))
     assert "view={30}{60}" in doc
 
 
@@ -330,12 +328,12 @@ def test_an_index_view_angle_prints_as_its_int(format):
 
 @pytest.mark.parametrize("view", [(-0.0, 90.0), (Fraction(1, 3), 1e300), (2.0**60, 0.5)])
 def test_json_view_is_an_int_when_whole_else_a_float(view):
-    doc = json.loads(export_json(reference_scene(view)))
+    doc = json.loads(render(reference_scene(view), ExportOptions(format="json")))
     assert doc["view"] == [int(f) if (f := Fraction(v)).denominator == 1 else float(f) for v in view]
 
 
 def test_json_census_and_ids():
-    doc = json.loads(export_json(reference_scene()))
+    doc = json.loads(render(reference_scene(), ExportOptions(format="json")))
     assert doc["params"] == {"p": 2, "q": 3, "layers": 3}
     assert doc["view"] == [165, 10]
     assert len(doc["vertices"]) == 65
@@ -348,14 +346,14 @@ def test_json_census_and_ids():
     # each id is the vertex's rank in DLGraph.vertices(), and the edges are DLGraph.edges()
     for p, q, layers in ((2, 3, 3), (3, 2, 2)):
         g = DLGraph(DLParams(p, q, layers))
-        doc = json.loads(export_json(build_scene(g)))
+        doc = json.loads(render(build_scene(g), ExportOptions(format="json")))
         ranks = {v: i for i, v in enumerate(g.vertices())}
         assert [(v["id"], (v["h"], v["orange"], v["brown"])) for v in doc["vertices"]] == [(i, v) for v, i in ranks.items()]
         assert [(e["a"], e["b"]) for e in doc["edges"]] == [(ranks[a], ranks[b]) for a, b in g.edges()]
 
 
 def test_json_tree_blocks():
-    doc = json.loads(export_json(reference_scene()))
+    doc = json.loads(render(reference_scene(), ExportOptions(format="json")))
     assert len(doc["tree_p"]["nodes"]) == 1 + 2 + 4 + 8
     assert len(doc["tree_p"]["edges"]) == 2 + 4 + 8
     assert len(doc["tree_q"]["nodes"]) == 1 + 3 + 9 + 27
@@ -373,7 +371,7 @@ def test_json_tree_blocks():
 @pytest.mark.parametrize("p,q,layers", [(2, 2, 1), (2, 3, 2), (2, 3, 3)])
 def test_json_round_trip_reproduces_adjacency(p, q, layers):
     g = DLGraph(DLParams(p, q, layers))
-    doc = json.loads(export_json(build_scene(g)))
+    doc = json.loads(render(build_scene(g), ExportOptions(format="json")))
     by_id = {v["id"]: (v["h"], v["orange"], v["brown"]) for v in doc["vertices"]}
     rebuilt = {frozenset((by_id[e["a"]], by_id[e["b"]])) for e in doc["edges"]}
     assert rebuilt == edge_set(g)
@@ -381,7 +379,7 @@ def test_json_round_trip_reproduces_adjacency(p, q, layers):
 
 def test_json_positions_match_layout():
     g = DLGraph(DLParams(2, 3, 2))
-    doc = json.loads(export_json(build_scene(g)))
+    doc = json.loads(render(build_scene(g), ExportOptions(format="json")))
     for v in doc["vertices"]:
         x, y, z = dl_position(g.params, (v["h"], v["orange"], v["brown"]))
         assert v["pos"] == [float(x), float(y), float(z)]
@@ -397,14 +395,14 @@ def endpoint_set(scene):
 
 def test_obj_tiny_scene_dedups_endpoints():
     scene = tiny_scene()
-    doc = export_obj(scene)
+    doc = render(scene, ExportOptions(format="obj"))
     v_records = [line for line in doc.splitlines() if line.startswith("v ")]
     assert len(v_records) == len(endpoint_set(scene)) == 8
 
 
 def test_obj_structure_and_index_ranges():
     scene = reference_scene()
-    doc = export_obj(scene)
+    doc = render(scene, ExportOptions(format="obj"))
     lines = doc.splitlines()
     v_count = sum(1 for line in lines if line.startswith("v "))
     assert v_count == len(endpoint_set(scene))
@@ -426,12 +424,12 @@ def test_obj_dedups_equal_points_built_separately():
     a, b = (1, 0, 2), tuple([1, 0, 2])
     c = (0, 3, 0)
     scene = Scene3D(DLParams(2, 2, 1), DEFAULT_VIEW, ((KIND_DL, a, c), (KIND_DL, b, c)))
-    assert export_obj(scene) == "v 0.5 0 1\nv 0 1.5 0\ng tree_p\ng tree_q\ng dl\nl 1 2\nl 1 2\n"
+    assert render(scene, ExportOptions(format="obj")) == "v 0.5 0 1\nv 0 1.5 0\ng tree_p\ng tree_q\ng dl\nl 1 2\nl 1 2\n"
 
 
 def test_obj_line_records_resolve_to_segment_endpoints():
     scene = tiny_scene()
-    lines = export_obj(scene).splitlines()
+    lines = render(scene, ExportOptions(format="obj")).splitlines()
     coords = []
     for line in lines:
         if line.startswith("v "):
@@ -453,7 +451,7 @@ def test_obj_line_records_resolve_to_segment_endpoints():
 # SVG
 
 def test_svg_line_census_and_draw_order():
-    doc = export_svg(reference_scene())
+    doc = render(reference_scene(), ExportOptions(format="svg"))
     assert doc.count("<line ") == 167
     order = [m.group(1) for m in re.finditer(r'stroke="(#[0-9A-Fa-f]{6})"', doc)]
     assert order == ["#B9AF8F", "#F5C089", "#00688B"]  # tree-q, tree-p, dl
@@ -465,7 +463,7 @@ def test_svg_cardinal_projections_are_exact():
     assert project_point((3, 5, 7), 180, 0) == (-5, 7)
     assert project_point((3, 5, 7), 0, 90) == (5, -3)  # v = cos(90)*z - sin(90)*x
     # the writer prints those exact values: at view (0, 0), u = y and screen y = -z
-    doc = export_svg(build_scene(DLGraph(DLParams(2, 2, 1)), (0, 0)), ExportOptions(format="svg"))
+    doc = render(build_scene(DLGraph(DLParams(2, 2, 1)), (0, 0)), ExportOptions(format="svg"))
     first = re.search(r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"/>', doc).groups()
     _, a, b = next(seg for seg in tiny_scene().segments if seg[0] == KIND_TREE_Q)
     assert first == tuple(reference_format_number(Fraction(c, 2)) for c in (a[1], -a[2], b[1], -b[2]))
@@ -499,56 +497,50 @@ VIEW_ANGLES = st.one_of(
 def test_svg_matches_the_fraction_reference(size, az, el, digits):
     scene = build_scene(DLGraph(DLParams(*size)), (az, el))
     opts = ExportOptions(format="svg", decimal_digits=digits)
-    assert export_svg(scene, opts) == reference_svg(scene, opts)
+    assert render(scene, opts) == reference_svg(scene, opts)
 
 
 @pytest.mark.parametrize("view", [(165, 10), (33.3, -12.5), (0, 90), (-90.0, -0.0)])
 def test_svg_matches_the_fraction_reference_on_the_reference_scene(view):
     scene = reference_scene(view)
     opts = ExportOptions(format="svg")
-    assert export_svg(scene, opts) == reference_svg(scene, opts)
+    assert render(scene, opts) == reference_svg(scene, opts)
     point_scene = Scene3D(scene.params, scene.view, scene.segments[:0])
-    assert export_svg(point_scene, opts) == reference_svg(point_scene, opts)
+    assert render(point_scene, opts) == reference_svg(point_scene, opts)
     halves = half_integer_scene(view)
     for digits in (1, 2, 6, 1000):
         opts = ExportOptions(format="svg", decimal_digits=digits)
-        assert export_svg(halves, opts) == reference_svg(halves, opts)
+        assert render(halves, opts) == reference_svg(halves, opts)
 
 
 def test_svg_degenerate_scene_gets_unit_viewbox():
     scene = reference_scene()
     point_scene = Scene3D(scene.params, scene.view, scene.segments[:0])
-    doc = export_svg(point_scene)
+    doc = render(point_scene, ExportOptions(format="svg"))
     assert 'viewBox="-0.5 -0.5 1 1"' in doc
 
 
 def test_svg_escapes_stroke_values():
     colors = ('#000" onload="alert(1)', "a&b", "c<d")
-    doc = export_svg(reference_scene(), ExportOptions(format="svg", colors=colors))
+    doc = render(reference_scene(), ExportOptions(format="svg", colors=colors))
     groups = ElementTree.fromstring(doc).findall("{http://www.w3.org/2000/svg}g")
     assert [g.get("stroke") for g in groups] == [colors[1], colors[0], colors[2]]  # drawn tree-q, tree-p, dl
 
 
 def test_svg_respects_color_overrides():
-    doc = export_svg(reference_scene(), ExportOptions(format="svg", colors=("#111111", "#222222", "#333333")))
+    doc = render(reference_scene(), ExportOptions(format="svg", colors=("#111111", "#222222", "#333333")))
     assert '#222222' in doc and '#111111' in doc and '#333333' in doc
 
 
 # ---------------------------------------------------------------------------
 # dispatch, sinks, determinism
 
-def test_render_dispatch_matches_direct_calls():
-    scene = tiny_scene()
-    assert render(scene, ExportOptions(format="tikz")) == export_tikz(scene, ExportOptions(format="tikz"))
-    assert render(scene, ExportOptions(format="obj")) == export_obj(scene, ExportOptions(format="obj"))
-
-
 def test_write_scene_writes_utf8_bytes(tmp_path):
     scene = tiny_scene()
     target = tmp_path / "scene.json"
     with open(target, "wb") as sink:
         write_scene(scene, ExportOptions(format="json"), sink)
-    assert target.read_bytes().decode("utf-8") == export_json(scene)
+    assert target.read_bytes().decode("utf-8") == render(scene, ExportOptions(format="json"))
 
 
 class RefusingSink:
@@ -579,6 +571,29 @@ def test_write_scene_offers_the_rest_after_a_short_write(format):
     write_scene(scene, opts, sink)
     assert bytes(sink.received) == expected
     assert sink.calls == -(-len(expected) // 7)
+
+
+# render is the one way to a writer: a duck-typed scene has not passed Scene3D's segment
+# rule (its 1.5 would print as 0.75), and options that are not ExportOptions name no format
+DUCK_SCENE = SimpleNamespace(params=DLParams(2, 2, 1), view=(165, 10), segments=(("dl", (1.5, 0, 2), (0, 0, 0)),))
+
+
+@pytest.mark.parametrize(
+    ("scene", "opts", "message"),
+    [
+        (DUCK_SCENE, ExportOptions(), "scene must be a Scene3D, got SimpleNamespace"),
+        (tiny_scene(), "svg", "opts must be an ExportOptions, got str"),
+        (tiny_scene(), None, "opts must be an ExportOptions, got NoneType"),
+    ],
+    ids=["duck-typed-scene", "str-opts", "None-opts"],
+)
+def test_render_and_write_scene_refuse_what_is_not_a_scene_and_options(scene, opts, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        render(scene, opts)
+    sink = ShortWriteSink(7)
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        write_scene(scene, opts, sink)
+    assert sink.calls == 0 and sink.received == b""
 
 
 def test_format_names_are_the_writer_table_keys():

@@ -459,6 +459,9 @@ def test_all_names_every_public_name():
     # scene segments and exact positions are plain tuples, with no named-tuple class of their own
     for name in ("Segment", "Point3"):
         assert name not in dlgraph.__all__ and not hasattr(dlgraph, name) and not hasattr(dlgraph.layout, name)
+    # the writers are private: render, which checks the scene and options, is the one way to them
+    for name in ("export_json", "export_obj", "export_svg", "export_tikz"):
+        assert name not in dlgraph.__all__ and not hasattr(dlgraph, name) and not hasattr(dlgraph.export, name)
     with pytest.raises(AttributeError, match=r"^module 'dlgraph' has no attribute 'Segment'$"):
         dlgraph.Segment
 

@@ -12,6 +12,7 @@ import pytest
 from dlgraph import (
     DLGraph,
     DLParams,
+    ExportOptions,
     KIND_DL,
     KIND_TREE_P,
     KIND_TREE_Q,
@@ -19,8 +20,8 @@ from dlgraph import (
     brown_position,
     build_scene,
     dl_position,
-    export_tikz,
     orange_position,
+    render,
 )
 
 from support import NOT_INTS, Index
@@ -268,7 +269,7 @@ def test_scene_reads_an_iterator_of_segments_once():
     scene = scene_for(2, 3, 2)
     from_generator = Scene3D(scene.params, scene.view, (segment for segment in scene.segments))
     assert type(from_generator.segments) is tuple and from_generator.segments == scene.segments
-    assert export_tikz(from_generator) == export_tikz(scene)
+    assert render(from_generator, ExportOptions(format="tikz")) == render(scene, ExportOptions(format="tikz"))
 
 
 def test_scene_keeps_its_segments_when_the_given_list_changes():
@@ -278,7 +279,7 @@ def test_scene_keeps_its_segments_when_the_given_list_changes():
     from_list = Scene3D(scene.params, scene.view, segments)
     segments[0] = ("bogus", *segments[0][1:])
     assert type(from_list.segments) is tuple and from_list.segments == scene.segments
-    assert export_tikz(from_list) == export_tikz(scene)
+    assert render(from_list, ExportOptions(format="tikz")) == render(scene, ExportOptions(format="tikz"))
 
 
 def test_segments_connect_consecutive_heights():

@@ -34,6 +34,8 @@ def test_library_example_prints_its_commented_values():
     assert comments["graph.neighbors((1, 0, 0))"] == "3 down-neighbours + 2 up-neighbours"
     heights = [h for h, _, _ in eval("graph.neighbors((1, 0, 0))", namespace)]
     assert heights == [0, 0, 0, 2, 2]
+    assert namespace["document"].startswith(r"\documentclass") and "view={165}{10}" in namespace["document"]
+    assert namespace["side"].startswith("<?xml")
 
 
 COMMANDS = [line.split("#", 1)[0].strip() for line in fenced_block("Command line", "sh").splitlines()]

@@ -23,11 +23,8 @@ from dlgraph import (
     brown_position,
     build_scene,
     dl_position,
-    export_json,
-    export_obj,
-    export_svg,
-    export_tikz,
     orange_position,
+    render,
 )
 from dlgraph.export import DEFAULT_COLORS, DEFAULT_SVG_COLORS
 
@@ -91,8 +88,8 @@ def _svg_lines(doc: str) -> list:
 def parse_svg(scene) -> list:
     """Two cardinal views recover every coordinate exactly: at (0, 0) the screen
     shows (y, -z), at (90, 0) it shows (-x, -z)."""
-    front = _svg_lines(export_svg(Scene3D(scene.params, (0, 0), scene.segments), ExportOptions(format="svg")))
-    side = _svg_lines(export_svg(Scene3D(scene.params, (90, 0), scene.segments), ExportOptions(format="svg")))
+    front = _svg_lines(render(Scene3D(scene.params, (0, 0), scene.segments), ExportOptions(format="svg")))
+    side = _svg_lines(render(Scene3D(scene.params, (90, 0), scene.segments), ExportOptions(format="svg")))
     segments = []
     for (kind, (ya, nza), (yb, nzb)), (side_kind, (nxa, side_za), (nxb, side_zb)) in zip(front, side, strict=True):
         assert (kind, side_za, side_zb) == (side_kind, nza, nzb)
@@ -162,8 +159,9 @@ def test_every_format_inverts_to_the_edges_in_documented_order(size):
     scene = build_scene(g)
     order = scene_order(params)
     # TikZ keeps the scene order; OBJ groups it by kind; SVG draws tree-q, tree-p, dl
-    assert invert(params, parse_tikz(export_tikz(scene))) == order
-    assert invert(params, parse_obj(export_obj(scene))) == [seg for kind in KINDS for seg in of_kind(order, kind)]
+    assert invert(params, parse_tikz(render(scene, ExportOptions(format="tikz")))) == order
+    obj = render(scene, ExportOptions(format="obj"))
+    assert invert(params, parse_obj(obj)) == [seg for kind in KINDS for seg in of_kind(order, kind)]
     svg_kinds = (KIND_TREE_Q, KIND_TREE_P, KIND_DL)
     assert invert(params, parse_svg(scene)) == [seg for kind in svg_kinds for seg in of_kind(order, kind)]
     # JSON lists the DL edges in DLGraph.edges() order and each tree's (parent, child)
@@ -173,4 +171,4 @@ def test_every_format_inverts_to_the_edges_in_documented_order(size):
     expected += [(KIND_TREE_P, (h - 1, j // p), (h, j)) for h in range(1, L + 1) for j in range(p**h)]
     expected += [(KIND_TREE_Q, (L - level + 1, c // q), (L - level, c)) for level in range(1, L + 1)
                  for c in range(q**level)]
-    assert invert(params, parse_json(export_json(scene))) == expected
+    assert invert(params, parse_json(render(scene, ExportOptions(format="json")))) == expected

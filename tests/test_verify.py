@@ -1036,6 +1036,11 @@ def test_run_checks_selection_and_unknown_names():
         run_checks(graph(), names=["bogus"])
     with pytest.raises(ValueError):
         run_checks(graph(), radius=4)
+    # an empty selection would be a report of no entries that reads "ok"
+    available = "counts, degree_law, lamplighter, level_condition, local_homogeneity, scene_graph_agreement"
+    for empty in ((), [], iter(())):
+        with pytest.raises(ValueError, match=f"^no check selected; available: {available}$"):
+            run_checks(graph(), names=empty)
 
 
 def test_a_check_named_twice_runs_once(capsys):
