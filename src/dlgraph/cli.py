@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import math
 import os
 import sys
 import time
@@ -41,16 +40,6 @@ MAX_DIGITS = 1000
 DEFAULT_VIEW = (165, 10)
 CHECK_NAMES = ("counts", "degree_law", "lamplighter", "level_condition", "local_homogeneity", "scene_graph_agreement")
 DEFAULT_BALL_RADIUS, MAX_BALL_RADIUS = 2, 3
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if value is None or not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"angle must be a finite number, got {text!r}")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export", parents=[params], help="write the 3D scene in one serialization format")
     export.add_argument("--format", choices=FORMATS, default="tikz")
     export.add_argument("-o", "--output", default="-", help="output file ('-' for stdout)")
-    export.add_argument("--view", nargs=2, type=_finite_float, metavar=("AZ", "EL"),
+    export.add_argument("--view", nargs=2, type=float, metavar=("AZ", "EL"),
                         default=DEFAULT_VIEW, help=f"azimuth/elevation in degrees (default {DEFAULT_VIEW})")
     export.add_argument("--colors", nargs=3, metavar=("TREE_P", "TREE_Q", "DL"), default=None,
                         help="per-kind colors: TikZ styles, or stroke values for --format svg")

@@ -44,7 +44,8 @@ class ExportOptions(Record):
     defaults, :data:`DEFAULT_COLORS` or :data:`DEFAULT_SVG_COLORS`.
     ``axis_labels`` must be a ``bool``.  ``decimal_digits`` must be an ``int``
     or an object with ``__index__`` (stored as the plain ``int``) in
-    ``1 .. MAX_DIGITS``; floats and bools raise ``TypeError``.
+    ``1 .. MAX_DIGITS``; floats and bools raise ``TypeError``, and
+    :func:`~dlgraph.tree.as_integer` raises the ``ValueError`` of a value out of range.
     """
 
     __slots__ = _fields = ("format", "colors", "axis_labels", "decimal_digits")
@@ -59,12 +60,7 @@ class ExportOptions(Record):
             colors = tuple(colors)
         if type(axis_labels) is not bool:
             raise TypeError(f"axis_labels must be a bool, got {_shown(axis_labels)}")
-        decimal_digits = as_integer(decimal_digits, "decimal_digits")
-        if decimal_digits < 1:
-            raise ValueError(f"decimal_digits must be >= 1, got {_shown(decimal_digits)}")
-        if decimal_digits > MAX_DIGITS:
-            raise ValueError(f"decimal_digits must be <= {MAX_DIGITS}, got {_shown(decimal_digits)}")
-        self._set(format, colors, axis_labels, decimal_digits)
+        self._set(format, colors, axis_labels, as_integer(decimal_digits, "decimal_digits", 1, MAX_DIGITS))
 
 
 def _format_ratio(num: int, den: int, digits: int) -> str:

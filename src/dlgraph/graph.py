@@ -29,19 +29,19 @@ class DLParams(Record):
     """Construction parameters, validated on creation by type and by range.
 
     Each field must be an ``int`` or an object with ``__index__`` (stored as
-    the plain ``int``); floats and bools raise ``TypeError``.  The truncation
-    holds ``sum(p**n * q**(layers-n))`` vertices; construction is rejected
-    outright when that exceeds ``vertex_cap``, or when its ``edge_count``
-    exceeds ``layers * vertex_cap``.
+    the plain ``int``); floats and bools raise ``TypeError``.  :func:`as_integer`
+    reads the fields in order, and the first bad one raises, by type or by
+    range (``p, q >= 2``, ``layers >= 1``, ``vertex_cap >= 0``, else
+    ``ValueError``).  The truncation holds ``sum(p**n * q**(layers-n))``
+    vertices; construction is rejected outright when that exceeds
+    ``vertex_cap``, or when its ``edge_count`` exceeds ``layers * vertex_cap``.
     """
 
     __slots__ = _fields = ("p", "q", "layers", "vertex_cap")
 
     def __init__(self, p: int, q: int, layers: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> None:
-        self._set(as_integer(p, "p"), as_integer(q, "q"), as_integer(layers, "layers"), as_integer(vertex_cap, "vertex_cap"))
-        for name, low in (("p", 2), ("q", 2), ("layers", 1), ("vertex_cap", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {_shown(getattr(self, name))}")
+        self._set(as_integer(p, "p", 2), as_integer(q, "q", 2), as_integer(layers, "layers", 1),
+                  as_integer(vertex_cap, "vertex_cap", 0))
         subject = "DL({p},{q}) with layers={layers} holds {size}"
         numbers = {"p": self.p, "q": self.q, "layers": self.layers, "cap": self.vertex_cap}
         bits = self.layers * (max(self.p, self.q).bit_length() - 1)  # max(p, q)**layers >= 2**bits

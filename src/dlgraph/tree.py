@@ -28,16 +28,21 @@ class CapExceededError(ValueError):
 ROOT = (0, 0)
 
 
-def as_integer(value, what: str) -> int:
-    """``value`` as a plain ``int``; floats, bools and other non-integers raise ``TypeError``."""
-    if type(value) is int:  # the common case; a bool's type is bool, not int
-        return value
-    if isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, got {_shown(value)}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, got {_shown(value)}") from None
+def as_integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as a plain ``int``; floats, bools and other non-integers raise ``TypeError``, and a value below
+    ``low`` or above ``high``, where given, ``ValueError``: ``{what} must be >= {low}, got ...`` or ``<= {high}``."""
+    if type(value) is not int:  # a bool's type is bool, not int
+        if isinstance(value, bool):
+            raise TypeError(f"{what} must be an integer, got {_shown(value)}")
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise TypeError(f"{what} must be an integer, got {_shown(value)}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {_shown(value)}")
+    if high is not None and value > high:
+        raise ValueError(f"{what} must be <= {high}, got {_shown(value)}")
+    return value
 
 
 def _shown(value) -> str:
@@ -109,19 +114,18 @@ class LayeredTree(Record):
     pure functions of immutable inputs, so instances are safe to share
     between threads.  Each field must be an ``int`` or an object with
     ``__index__`` (stored as the plain ``int``); floats and bools raise
-    ``TypeError``.  Construction fails fast when the largest level would
-    exceed ``level_cap`` vertices.
+    ``TypeError``.  :func:`as_integer` reads the fields in order, and the
+    first bad one raises, by type or by range (``branching >= 2``,
+    ``layers >= 1``, ``level_cap >= 0``, else ``ValueError``).  Construction
+    fails fast when the largest level would exceed ``level_cap`` vertices.
     """
 
     _fields = ("branching", "layers", "level_cap")
     __slots__ = (*_fields, "_level_sizes")
 
     def __init__(self, branching: int, layers: int, level_cap: int = DEFAULT_LEVEL_CAP) -> None:
-        branching, layers = as_integer(branching, "branching"), as_integer(layers, "layers")
-        level_cap = as_integer(level_cap, "level_cap")
-        for name, value, low in (("branching", branching, 2), ("layers", layers, 1), ("level_cap", level_cap, 0)):
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {_shown(value)}")
+        branching, layers = as_integer(branching, "branching", 2), as_integer(layers, "layers", 1)
+        level_cap = as_integer(level_cap, "level_cap", 0)
         bits = layers * (branching.bit_length() - 1)  # branching**layers >= 2**bits
         check_cap("level {layers} would hold {size} vertices (cap: {cap})", bits, lambda: branching**layers,
                   level_cap, layers=layers, cap=level_cap)

@@ -282,9 +282,7 @@ def check_local_homogeneity(g, radius: int) -> dict:
     compared, every ball goes to the search.  The pass keeps no neighbour
     list: the balls read them through one memo of ``g.neighbors`` per call.
     """
-    radius = as_integer(radius, "radius")
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {_shown(radius)}")
+    radius = as_integer(radius, "radius", 1)
     L = g.params.layers
     if L < 2 * radius:
         raise _Skip(f"not applicable: layers < 2*radius ({L} < {_shown(2 * radius)})")
@@ -494,9 +492,7 @@ def run_checks(g, names=None, radius: int = DEFAULT_BALL_RADIUS) -> Verification
         selected[key] = None
     if not selected:
         raise ValueError(f"no check selected; available: {', '.join(CHECKS)}")
-    radius = as_integer(radius, "radius")
-    if not 1 <= radius <= MAX_BALL_RADIUS:
-        raise ValueError(f"radius must be in [1, {MAX_BALL_RADIUS}], got {_shown(radius)}")
+    radius = as_integer(radius, "radius", 1, MAX_BALL_RADIUS)
 
     entries = [CHECKS[key](g, radius) for key in selected]
     return VerificationReport(tuple(sorted(entries, key=lambda entry: entry.name)))

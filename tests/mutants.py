@@ -133,6 +133,9 @@ MUTANTS = (
     Mutant("layout.py", "except TypeError:  # a view that is not iterable", "except ZeroDivisionError:",
            "Scene3D refuses a view that is not iterable with its documented TypeError",
            (S + "test_scene_rejects_a_bad_view",)),
+    Mutant("layout.py", "if not all(abs(a) <= sys.float_info.max for a in angles):", "if False:",
+           "Scene3D refuses a view angle that is nan, infinite or too large for a float, for the CLI too",
+           (S + "test_scene_rejects_a_bad_view", "tests/test_cli.py::test_non_finite_view_is_usage_error")),
     Mutant("layout.py", "if kind not in KINDS:", "if False:",
            "Scene3D refuses a segment of unknown kind", (S + "test_scene_rejects_a_segment_of_unknown_kind",)),
     Mutant("layout.py", "except (TypeError, ValueError):  # not iterable", "except ZeroDivisionError:  # not iterable",
@@ -154,6 +157,13 @@ MUTANTS = (
            "DLGraph.validate refuses an orange index outside its height", (G + "test_every_query_rejects_bad_vertices",)),
     Mutant("graph.py", "if not 0 <= k < self._brown_sizes[h]:", "if False:",
            "DLGraph.validate refuses a brown index outside its height", (G + "test_every_query_rejects_bad_vertices",)),
+    # as_integer, the one home of the range rule for an integer input
+    Mutant("tree.py", "if low is not None and value < low:", "if False:",
+           "as_integer refuses a value below its low bound",
+           (G + "test_range_messages_name_ints_too_long_for_str_by_bit_length", E + "test_export_options_validation")),
+    Mutant("tree.py", "if high is not None and value > high:", "if False:",
+           "as_integer refuses a value above its high bound",
+           (G + "test_range_messages_name_ints_too_long_for_str_by_bit_length", E + "test_digits_are_bounded_by_max_digits")),
     # the message printer
     Mutant("tree.py", "except ValueError:  # an int with more digits than repr() prints", "except ZeroDivisionError:",
            "a message names a value too long for repr() instead of raising repr()'s ValueError",

@@ -228,6 +228,11 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["figure", "--name", "unknown"])
     assert excinfo.value.code == EXIT_USAGE
+    with pytest.raises(SystemExit) as excinfo:
+        main(["export", "--view", "x", "0"])  # an angle that is not a float; a non-finite one is Scene3D's error
+    assert excinfo.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --view: invalid float value: 'x'" in err
 
 
 def test_invalid_parameters_exit_two(capsys):
@@ -299,12 +304,13 @@ def test_unwritable_output_exits_four(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("view", [("inf", "0"), ("0", "nan"), ("x", "0")])
+@pytest.mark.parametrize("view", [("inf", "0"), ("0", "nan"), ("1e400", "0")])
 def test_non_finite_view_is_usage_error(capsys, view):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["export", "--view", *view])
-    assert excinfo.value.code == EXIT_USAGE
-    assert "angle must be a finite number" in capsys.readouterr().err
+    # the parser reads each angle as a float, and Scene3D, the one home of the finite-angle rule, refuses it
+    code, out, err = run(capsys, "export", "--view", *view)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: view angles must be finite floats, got {[float(angle) for angle in view]!r}\n"
 
 
 # ---------------------------------------------------------------------------

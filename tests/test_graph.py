@@ -60,6 +60,11 @@ def test_params_validation():
         DLParams(2, 1, 3)
     with pytest.raises(ValueError):
         DLParams(2, 3, 0)
+    # the fields are read in order: the first bad one raises, whether its type or its range is wrong
+    with pytest.raises(ValueError, match=r"^p must be >= 2, got 1$"):
+        DLParams(1, 2.5, 3)
+    with pytest.raises(TypeError, match=r"^p must be an integer, got 2\.5$"):
+        DLParams(2.5, 1, 3)
 
 
 @pytest.mark.parametrize("field", ["p", "q", "layers", "vertex_cap"])
@@ -141,7 +146,8 @@ RANGE_MESSAGES = {
     "dl_position": (lambda: dl_position(PARAMS, (1, HUGE, 0)), "index <16610-bit int> invalid at level 1"),
     "ExportOptions-high": (lambda: ExportOptions(decimal_digits=HUGE), "decimal_digits must be <= 1000, got <16610-bit int>"),
     "ExportOptions-low": (lambda: ExportOptions(decimal_digits=-HUGE), "decimal_digits must be >= 1, got -<16610-bit int>"),
-    "run_checks-radius": (lambda: run_checks(DLGraph(PARAMS), radius=HUGE), "radius must be in [1, 3], got <16610-bit int>"),
+    "run_checks-radius": (lambda: run_checks(DLGraph(PARAMS), radius=HUGE), "radius must be <= 3, got <16610-bit int>"),
+    "run_checks-radius-low": (lambda: run_checks(DLGraph(PARAMS), radius=-HUGE), "radius must be >= 1, got -<16610-bit int>"),
     "check_local_homogeneity-radius": (lambda: check_local_homogeneity(DLGraph(PARAMS), -HUGE),
                                        "radius must be >= 1, got -<16610-bit int>"),
     # an entry may carry its exception type; ValueError when it does not

@@ -27,6 +27,11 @@ def test_constructor_rejects_bad_parameters():
         LayeredTree(1, 3)
     with pytest.raises(ValueError):
         LayeredTree(2, 0)
+    # the fields are read in order: the first bad one raises, whether its type or its range is wrong
+    with pytest.raises(ValueError, match=r"^branching must be >= 2, got 1$"):
+        LayeredTree(1, 2.5)
+    with pytest.raises(TypeError, match=r"^branching must be an integer, got 2\.5$"):
+        LayeredTree(2.5, 0)
 
 
 @pytest.mark.parametrize("field", ["branching", "layers", "level_cap"])

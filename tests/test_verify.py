@@ -1034,7 +1034,9 @@ def test_run_checks_selection_and_unknown_names():
     assert sorted(entry.name for entry in report.entries) == ["check_counts", "check_degree_law"]
     with pytest.raises(ValueError):
         run_checks(graph(), names=["bogus"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^radius must be >= 1, got 0$"):
+        run_checks(graph(), radius=0)  # the text check_local_homogeneity raises
+    with pytest.raises(ValueError, match=r"^radius must be <= 3, got 4$"):
         run_checks(graph(), radius=4)
     # an empty selection would be a report of no entries that reads "ok"
     available = "counts, degree_law, lamplighter, level_condition, local_homogeneity, scene_graph_agreement"
