@@ -139,8 +139,10 @@ def build_scene(graph: DLGraph, view=DEFAULT_VIEW) -> Scene3D:
     edge at that step (parents left to right, then children), then the brown
     and DL edges interleaved: per (brown parent k, brown child c) one tree-q
     segment immediately followed by its p**n associated DL segments.
+    A view that :class:`Scene3D` refuses raises before any segment is laid out.
     """
     params = graph.params
+    view = Scene3D(params, view, ()).view  # read once, so an iterator view reaches the scene whole
     p, q, L = params.p, params.q, params.layers
     xs, ys = coordinate_rows(params)
     segments = []

@@ -6,7 +6,16 @@ occur exactly once in its file, so a refactor that moves the code fails this
 script, and the list is updated with it.  The script copies ``src/`` and
 ``tests/`` into a temporary directory, runs every named test there once
 unmutated (all must pass), then applies each mutant alone and runs its tests;
-a mutant whose tests all pass has survived, and the script exits 1.
+a mutant whose tests all pass has survived, and the script exits 1.  At the
+end the restored copy must pass every named test once more.
+
+Every run reads bytecode: the copy's ``src/`` is compiled once into
+checked-hash pycs, which import recompiles whenever the source's hash differs
+(PEP 552), so a mutated or restored module is never served stale code even
+where its size and mtime match.  A control pins that before the mutants run:
+mutant 2, padded to its old text's length, is applied, restored and applied
+again and restored, all under one mtime, and must be killed, pass, be killed
+and pass.
 
 Run from anywhere, with pytest installed:
 
@@ -19,7 +28,9 @@ DeMillo, Lipton & Sayward, "Hints on test data selection", IEEE Computer 1978.
 
 from __future__ import annotations
 
+import compileall
 import os
+import py_compile
 import shutil
 import subprocess
 import sys
@@ -169,21 +180,30 @@ MUTANTS = (
            "a message names a value too long for repr() instead of raising repr()'s ValueError",
            (G + "test_reprs_and_skip_reasons_name_ints_too_long_for_str_by_bit_length",
             V + "test_a_vertex_too_long_for_str_is_named_by_bit_length")),
+    # build_scene
+    Mutant("layout.py", "view = Scene3D(params, view, ()).view", "",
+           "build_scene refuses a bad view before it lays out a segment, for the CLI too",
+           (S + "test_scene_rejects_a_bad_view", "tests/test_cli.py::test_non_finite_view_is_usage_error")),
 )
 
 
+# mutant 2 with its new text padded to the old text's length: mutated and restored, its file has one size
+CONTROL = MUTANTS[1]._replace(new=MUTANTS[1].new.ljust(len(MUTANTS[1].old)))
+
+
 def pytest(workdir: Path, tests) -> subprocess.CompletedProcess:
-    """Run ``tests`` in ``workdir`` in a fresh interpreter that writes no bytecode, so an edited module is recompiled."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    """Run ``tests`` in ``workdir`` in a fresh interpreter that loads no plugin outside pytest."""
+    env = dict(os.environ, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
     env.pop("PYTHONPATH", None)  # the copy's pyproject.toml puts the copy's src/ first
+    env.pop("PYTHONDONTWRITEBYTECODE", None)  # the tests' bytecode is written once, into the temporary copy
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     return subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True)
 
 
 def main(argv: list[str]) -> int:
     chosen = [MUTANTS[int(n) - 1] for n in argv] if argv else list(MUTANTS)
-    sources = {name: (ROOT / "src" / "dlgraph" / name).read_text() for name in {m.file for m in chosen}}
-    for mutant in chosen:
+    sources = {name: (ROOT / "src" / "dlgraph" / name).read_text() for name in {m.file for m in (*chosen, CONTROL)}}
+    for mutant in (*chosen, CONTROL):
         found = sources[mutant.file].count(mutant.old)
         if found != 1:
             print(f"error: the old text of {mutant.rule!r} occurs {found} times in {mutant.file}, not once", file=sys.stderr)
@@ -195,9 +215,22 @@ def main(argv: list[str]) -> int:
         shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work)
-        baseline = pytest(work, sorted({test for mutant in chosen for test in mutant.tests}))
+        compileall.compile_dir(work / "src", quiet=1, invalidation_mode=py_compile.PycInvalidationMode.CHECKED_HASH)
+        named = sorted({test for mutant in (*chosen, CONTROL) for test in mutant.tests})
+        baseline = pytest(work, named)
         if baseline.returncode != 0:
             print("error: the named tests do not pass unmutated\n" + baseline.stdout[-3000:], file=sys.stderr)
+            return 2
+        path = work / "src" / "dlgraph" / CONTROL.file
+        mtime = path.stat().st_mtime_ns
+        exits = []
+        for text in (CONTROL.new, CONTROL.old, CONTROL.new, CONTROL.old):  # applied, restored, applied again, restored
+            path.write_text(sources[CONTROL.file].replace(CONTROL.old, text))
+            os.utime(path, ns=(mtime, mtime))  # one size, one mtime: as if every write fell within one second
+            exits.append(pytest(work, CONTROL.tests).returncode)
+        if exits != [1, 0, 1, 0]:
+            print(f"error: the same-length control gave pytest exits {exits}, not [1, 0, 1, 0]: stale bytecode",
+                  file=sys.stderr)
             return 2
         survivors = broken = 0
         for mutant in chosen:
@@ -213,6 +246,10 @@ def main(argv: list[str]) -> int:
             else:  # collection error or interrupted: the mutant says nothing about the tests
                 verdict, broken = f"BROKEN (pytest exit {run.returncode})", broken + 1
             print(f"{number:2} {verdict:8} {mutant.file}: {mutant.rule}", flush=True)
+        restored = pytest(work, named)
+        if restored.returncode != 0:
+            print("error: the named tests do not pass on the restored copy\n" + restored.stdout[-3000:], file=sys.stderr)
+            return 2
     print(f"{len(chosen)} mutants, {survivors} survived, {broken} broken, {time.perf_counter() - started:.1f}s")
     return 1 if survivors or broken else 0
 

@@ -6,8 +6,9 @@ chains and a breadth-first search as the oracles for the Busemann height, the
 local-homogeneity verdict of an exhaustive ball search as the oracle for the
 library's check, a lamp state read digit by digit through powers of b, and a
 reference SVG writer in exact ``Fraction`` arithmetic for the integer one in
-the library, and the text of ``Scene3D``'s refusal of a segment whose
-endpoints are not int triples."""
+the library, the text of ``Scene3D``'s refusal of a segment whose
+endpoints are not int triples, and a stand-in for the layout that fails a
+test reaching it."""
 
 from __future__ import annotations
 
@@ -23,6 +24,13 @@ from dlgraph.export import DEFAULT_SVG_COLORS
 
 # Scene3D's refusal of a segment whose endpoints are not tuples of three ints, at the segment's index
 NOT_INTS = "segment {index} is not a tuple (kind, a, b) of two tuples of three ints"
+
+
+def forbid_layout(monkeypatch) -> None:
+    """Make ``build_scene`` raise ``AssertionError`` if it starts to lay out segments."""
+    def coordinate_rows(params):
+        raise AssertionError("build_scene laid out segments before it refused the view")
+    monkeypatch.setattr("dlgraph.layout.coordinate_rows", coordinate_rows)
 
 
 class Index:

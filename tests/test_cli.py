@@ -23,6 +23,8 @@ from dlgraph import VerificationReport
 from dlgraph.cli import (CHECK_NAMES, EXIT_CAP, EXIT_INTERRUPTED, EXIT_OK, EXIT_OUTPUT, EXIT_USAGE,
                          EXIT_VERIFY_FAILED, build_parser, entrypoint, main)
 
+from support import forbid_layout
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -305,8 +307,10 @@ def test_unwritable_output_exits_four(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("view", [("inf", "0"), ("0", "nan"), ("1e400", "0")])
-def test_non_finite_view_is_usage_error(capsys, view):
+def test_non_finite_view_is_usage_error(monkeypatch, capsys, view):
     # the parser reads each angle as a float, and Scene3D, the one home of the finite-angle rule, refuses it
+    # before build_scene lays out a segment
+    forbid_layout(monkeypatch)
     code, out, err = run(capsys, "export", "--view", *view)
     assert code == EXIT_USAGE
     assert out == ""

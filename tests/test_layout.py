@@ -24,7 +24,7 @@ from dlgraph import (
     render,
 )
 
-from support import NOT_INTS, Index
+from support import NOT_INTS, Index, forbid_layout
 
 
 def scene_for(p, q, layers, view=(165, 10)):
@@ -184,7 +184,8 @@ def test_scene_planes_and_view():
     ],
     ids=["nan", "inf", "huge", "str", "bool", "three", "one", "int", "None", "too-long-for-str"],
 )
-def test_scene_rejects_a_bad_view(view, error):
+def test_scene_rejects_a_bad_view(monkeypatch, view, error):
+    forbid_layout(monkeypatch)  # build_scene asks Scene3D about the view before it lays out a segment
     with pytest.raises(error, match=r"^view"):
         scene_for(2, 2, 1, view=view)
 
@@ -196,6 +197,8 @@ def test_scene_view_is_a_tuple_and_replace_revalidates_it():
     assert turned.view == (0, 90) and turned.segments is scene.segments
     with pytest.raises(ValueError, match=r"^view angles must be finite floats, got \(nan, 0\)$"):
         Scene3D(scene.params, (float("nan"), 0), scene.segments)
+    g = DLGraph(DLParams(2, 2, 1))
+    assert build_scene(g, iter((30, 45))) == build_scene(g, (30, 45))  # an iterator view is read once
 
 
 @pytest.mark.parametrize("at", [KIND_TREE_P, KIND_TREE_Q, KIND_DL])
